@@ -16,8 +16,6 @@ from .stability import (
     QGAuditReport,
     StabilityCertificate,
     certify,
-    certify_group,
-    certify_nuclear,
     certify_phi_perturbed,
     empirical_lipschitz,
     qg_audit,
@@ -38,8 +36,6 @@ __all__ = [
     "multistart_solve",
     "objective",
     "certify",
-    "certify_group",
-    "certify_nuclear",
     "certify_phi_perturbed",
     "qg_audit",
     "second_quotient_probe",

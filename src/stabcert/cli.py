@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ProblemFormatError, StabcertError
-from .groupnorm import GroupAnalysis, GroupPartition
-from .nuclear import NuclearShape, SimultaneousSVD
+from .errors import ProblemFormatError, StabcertError, UsageError
+from .groupnorm import GroupPartition
+from .nuclear import NuclearShape
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -244,6 +244,8 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         clean["max_iter"] = mi
     if "margin_tol" in options:
         clean["margin_tol"] = _as_real(options["margin_tol"], "BAD_TYPE", "options.margin_tol")
+        if clean["margin_tol"] < 0:
+            raise ProblemFormatError("BAD_TYPE", "options.margin_tol must be nonnegative")
     try:
         spec = ProblemSpec(phi, b, mu, reg)
     except ValueError as exc:
@@ -266,19 +268,12 @@ def parse_problem(path) -> tuple[ProblemSpec, dict]:
 
 def serialize_problem(problem: ProblemSpec, options: dict | None = None) -> dict:
     """Canonical dictionary form of a problem; inverse of :func:`load_problem_dict`."""
-    if isinstance(problem.reg, GroupPartition):
-        reg = {
-            "kind": "group",
-            "groups": [[i + 1 for i in g] for g in problem.reg.groups],
-        }
-    else:
-        reg = {"kind": "nuclear", "shape": [problem.reg.n1, problem.reg.n2]}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "phi": problem.phi,
         "b": problem.b,
         "mu": problem.mu,
-        "reg": reg,
+        "reg": problem.reg.as_dict(),
     }
     if options:
         doc["options"] = dict(sorted(options.items()))
@@ -300,26 +295,6 @@ def _solve_dict(result: SolveResult) -> dict:
     }
 
 
-def _classification_dict(c) -> dict:
-    if isinstance(c, GroupAnalysis):
-        return {
-            "kind": "group",
-            "boundary_blocks": [j + 1 for j in c.K],
-            "interior_blocks": [j + 1 for j in c.H],
-            "support_blocks": [j + 1 for j in c.I],
-            "block_norms": c.y_norms,
-            "classification_margin": c.classification_margin,
-        }
-    assert isinstance(c, SimultaneousSVD)
-    return {
-        "kind": "nuclear",
-        "rank": c.r,
-        "unit_count": c.p,
-        "sigma_x": c.sigma_x,
-        "lambda_y": c.lambda_y,
-    }
-
-
 def _certificate_dict(cert: StabilityCertificate) -> dict:
     return {
         "holds": cert.holds,
@@ -330,7 +305,7 @@ def _certificate_dict(cert: StabilityCertificate) -> dict:
         "witness": cert.witness,
         "kind": cert.kind,
         "parameter_scope": cert.parameter_scope,
-        "classification": _classification_dict(cert.classification),
+        "classification": cert.classification.as_dict(),
         "tolerances": dict(sorted(cert.tolerances.items())),
     }
 
@@ -426,9 +401,7 @@ def _cmd_qg_audit(args) -> tuple[dict, int]:
         include_conjecture=args.conjecture,
     )
     doc = _audit_dict(rep)
-    doc["snap_distance"] = float(
-        np.linalg.norm(np.asarray(xs, dtype=float).ravel() - result.x)
-    )
+    doc["snap_distance"] = float(np.linalg.norm(xs - result.x))
     report["audit"] = doc
     return report, 0
 
@@ -565,10 +538,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Numeric flags: (name, lowest allowed value, whether that value is excluded).
+_FLAG_BOUNDS = (
+    ("tol", 0.0, True),
+    ("samples", 0, False),
+    ("starts", 1, False),
+    ("radius", 0.0, False),
+    ("radius_mu", 0.0, False),
+    ("seed", 0, False),
+    ("b2", -math.inf, True),
+)
+
+
+def _check_flags(args) -> None:
+    """Reject a non-finite or out-of-range numeric flag with :class:`UsageError`."""
+    for name, low, strict in _FLAG_BOUNDS:
+        value = getattr(args, name, None)
+        if value is None or (math.isfinite(value) and (value > low if strict else value >= low)):
+            continue
+        rule = "finite" if low == -math.inf else f"finite and {'>' if strict else '>='} {low}"
+        raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_flags(args)
         report, code = _COMMANDS[args.command](args)
     except ProblemFormatError as exc:
         report = _report_skeleton(args.command, None)

@@ -25,6 +25,10 @@ class InfeasibleApproximationError(StabcertError):
     """The requested subgradient decomposition does not exist for this input."""
 
 
+class UsageError(StabcertError):
+    """A command-line value is not finite or out of range."""
+
+
 class ProblemFormatError(StabcertError):
     """A problem file violates the schema.  Carries a machine-readable code."""
 

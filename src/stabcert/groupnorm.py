@@ -29,8 +29,15 @@ UNIT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Disjoint, nonempty index blocks covering ``range(n)`` (0-based)."""
+    """Disjoint, nonempty index blocks covering ``range(n)`` (0-based).
 
+    Also the regularizer interface (shared with ``NuclearShape``) that the
+    solver, the certificate and the audit call; vectors in, vectors out.
+    """
+
+    kind = "group"
+    growth_names = ("group_growth",)
+    growth_conjecture = None
     n: int
     groups: tuple[tuple[int, ...], ...]
 
@@ -61,6 +68,57 @@ class GroupPartition:
     def singletons(n: int) -> "GroupPartition":
         return GroupPartition(n, tuple((i,) for i in range(n)))
 
+    def value(self, x: np.ndarray) -> float:
+        return group_norm(x, self)
+
+    def prox(self, x: np.ndarray, t: float) -> np.ndarray:
+        return prox_group(x, t, self)
+
+    def residual(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Optimality residual of the pair; see :func:`subgrad_residual`."""
+        return subgrad_residual(x, y, self)
+
+    def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "GroupAnalysis":
+        return classify_groups(x, y, self, tol)
+
+    def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
+        """Nearby pair exactly on the graph of the subdifferential.
+
+        Blocks of ``x`` above ``tol`` give ``y`` their exact unit direction;
+        the rest are zeroed, with their dual blocks clipped into the unit ball.
+        """
+        x = np.asarray(x, dtype=float).copy()
+        y = np.asarray(y, dtype=float).copy()
+        for idx in self.index_arrays:
+            nx = float(np.linalg.norm(x[idx]))
+            if nx > tol:
+                y[idx] = x[idx] / nx
+            else:
+                x[idx] = 0.0
+                ny = float(np.linalg.norm(y[idx]))
+                if ny > 1.0:
+                    y[idx] /= ny
+        return x, y
+
+    def growth_scale(self, x: np.ndarray) -> float:
+        """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``."""
+        return float(np.linalg.norm(x))
+
+    def growth_slacks(self, x, scale, xbar, ybar, gbar, ref: "GroupAnalysis") -> dict:
+        """Growth slack at sample ``x``.
+
+        The regularizer gap minus the modulus times the squared distance to
+        the inverse image of ``ybar``.  ``ref`` classifies the reference pair
+        and ``gbar`` is its value; ``scale`` is ``||x||_2``.
+        """
+        lhs = group_norm(x, self) - gbar - float(ybar @ (x - xbar))
+        dist = inverse_subdiff_distance(x, ybar, self)
+        return {"group_growth": lhs - (1.0 - ref.gamma) / (2.0 * scale) * dist * dist}
+
+    def as_dict(self) -> dict:
+        """Problem-file form: 1-based variable indices."""
+        return {"kind": self.kind, "groups": [[i + 1 for i in g] for g in self.groups]}
+
 
 @dataclass(frozen=True)
 class GroupAnalysis:
@@ -69,17 +127,31 @@ class GroupAnalysis:
     ``K`` holds the boundary blocks of ``y`` (dual norm 1), ``H`` its
     complement, ``I`` the support blocks of ``x`` (always inside ``K``).
     ``gamma`` is the subdominant dual norm, the largest block norm among
-    ``H`` (0 when ``H`` is empty); ``v_basis`` spans the subspace of
-    directions that keep the pair critical, one unit direction per
-    boundary block.
+    ``H`` (0 when ``H`` is empty).  ``residual`` is the pair's
+    subgradient residual and ``y`` a copy of the classified dual.
     """
 
     K: tuple[int, ...]
     H: tuple[int, ...]
     I: tuple[int, ...]
     gamma: float
-    v_basis: np.ndarray
     y_norms: np.ndarray
+    residual: float
+    y: np.ndarray
+    partition: GroupPartition
+
+    @cached_property
+    def v_basis(self) -> np.ndarray:
+        """Orthonormal basis of the directions that keep the pair critical,
+        one unit direction per boundary block; built on first use."""
+        n = self.partition.n
+        cols = []
+        for j in self.K:
+            w = np.zeros(n)
+            idx = self.partition.index_arrays[j]
+            w[idx] = self.y[idx]
+            cols.append(w)
+        return orthonormalize(cols, dim=n)
 
     @property
     def classification_margin(self) -> float:
@@ -91,6 +163,17 @@ class GroupAnalysis:
         min_k = min((self.y_norms[j] for j in self.K), default=1.0)
         max_h = max((self.y_norms[j] for j in self.H), default=0.0)
         return float(min_k - max_h)
+
+    def as_dict(self) -> dict:
+        """Report form: 1-based block numbers."""
+        return {
+            "kind": "group",
+            "boundary_blocks": [j + 1 for j in self.K],
+            "interior_blocks": [j + 1 for j in self.H],
+            "support_blocks": [j + 1 for j in self.I],
+            "block_norms": self.y_norms,
+            "classification_margin": self.classification_margin,
+        }
 
 
 def block_norms(x: np.ndarray, partition: GroupPartition) -> np.ndarray:
@@ -160,14 +243,7 @@ def classify_groups(
     H = tuple(j for j in range(len(partition.groups)) if j not in set(K))
     I = tuple(j for j, nj in enumerate(x_norms) if nj > tol)
     gamma = max((float(y_norms[j]) for j in H), default=0.0)
-    cols = []
-    for j in K:
-        w = np.zeros(partition.n)
-        idx = partition.index_arrays[j]
-        w[idx] = y[idx]
-        cols.append(w)
-    v_basis = orthonormalize(cols, dim=partition.n)
-    return GroupAnalysis(K, H, I, gamma, v_basis, y_norms)
+    return GroupAnalysis(K, H, I, gamma, y_norms, res, y.copy(), partition)
 
 
 def inverse_subdiff_distance(
@@ -216,15 +292,9 @@ def relative_approx_group(
     ``x_J != 0`` (its subgradient block is pinned) or a zero dual block
     cannot be normalized.
     """
-    res = subgrad_residual(x, y, partition)
-    if res > tol:
-        raise NotASubgradientError(
-            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}"
-        )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    norms = block_norms(y, partition)
-    x_norms = block_norms(x, partition)
+    analysis = classify_groups(x, y, partition, tol)
+    y = analysis.y
+    norms = analysis.y_norms
     kref = tuple(int(j) for j in kref)
     for j in kref:
         if not 0 <= j < len(partition.groups):
@@ -233,7 +303,7 @@ def relative_approx_group(
     if not push:
         return 1.0, y.copy(), y.copy()
     for j in push:
-        if x_norms[j] > tol:
+        if j in analysis.I:
             raise InfeasibleApproximationError(
                 f"block {j} has x_J != 0, its subgradient block cannot be moved"
             )

@@ -32,18 +32,6 @@ def svd(a: np.ndarray):
     return u, s, vt.T
 
 
-def kernel_basis(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of ``a``.
-
-    Directions whose singular value is at most ``tol * sigma_max`` count as
-    kernel.  Shape ``(n, n - rank)``; the zero matrix yields the full space.
-    """
-    a = np.asarray(a, dtype=float)
-    _, s, v = svd(a)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return v[:, rank:].copy()
-
-
 def restricted_min_singular(a: np.ndarray, basis: np.ndarray) -> float:
     """Smallest singular value of ``a`` restricted to the span of ``basis``.
 

@@ -17,6 +17,7 @@ reads off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +35,15 @@ UNIT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class NuclearShape:
-    """Regularizer descriptor: the matrix shape behind a vectorized unknown."""
+    """Regularizer descriptor: the matrix shape behind a vectorized unknown.
 
+    Also the regularizer interface (shared with ``GroupPartition``) that the
+    solver, the certificate and the audit call; vectors in, vectors out.
+    """
+
+    kind = "nuclear"
+    growth_names = ("nuclear_growth_tight", "nuclear_growth_coarse")
+    growth_conjecture = "nuclear_growth_conjecture"
     n1: int
     n2: int
 
@@ -55,11 +63,56 @@ class NuclearShape:
     def as_vector(self, mat) -> np.ndarray:
         return np.asarray(mat, dtype=float).reshape(-1)
 
+    def value(self, x: np.ndarray) -> float:
+        return nuclear_norm(self.as_matrix(x))
+
+    def prox(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.as_vector(prox_nuclear(self.as_matrix(x), t))
+
+    def residual(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Optimality residual of the pair; see :class:`SubgradientCheck`."""
+        return is_subgradient_nuclear(self.as_matrix(x), self.as_matrix(y)).residual
+
+    def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
+        return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
+
+    def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
+        """Both matrices rebuilt from their joint frames: a pair exactly on the graph."""
+        dec = self.classify(x, y, tol)
+        return self.as_vector(dec.reconstruct_x()), self.as_vector(dec.reconstruct_y())
+
+    def growth_scale(self, x: np.ndarray) -> float:
+        """Sample scale of the growth moduli: ``||X||_*``."""
+        return nuclear_norm(self.as_matrix(x))
+
+    def growth_slacks(self, x, scale, xbar, ybar, gbar, ref: "SimultaneousSVD") -> dict:
+        """Growth slack of each modulus at sample ``x``.
+
+        The regularizer gap minus the modulus times the squared distance to
+        the inverse image of ``ybar``.  ``ref`` factors the reference pair and
+        ``gbar`` is its value; ``scale`` is ``||x||_*``, which the gap reuses.
+        """
+        lhs = scale - gbar - float(np.sum(ybar * (x - xbar)))
+        dist = inverse_subdiff_distance(self.as_matrix(x), ref)
+        d2 = dist * dist
+        g = ref.gamma
+        tight = (1.0 - g * g) / (2.0 * (1.0 + (1.0 + g) ** 2))
+        return {
+            "nuclear_growth_tight": lhs - (tight / scale) * d2,
+            "nuclear_growth_coarse": lhs - ((1.0 - g) / 5.0 / scale) * d2,
+            "nuclear_growth_conjecture": lhs - ((1.0 - g) / 2.0 / scale) * d2,
+        }
+
+    def as_dict(self) -> dict:
+        """Problem-file form."""
+        return {"kind": self.kind, "shape": [self.n1, self.n2]}
+
 
 class SubgradientCheck(NamedTuple):
     ok: bool
     spectral_gap: float  # max(sigma_max(Y) - 1, 0)
     fenchel_gap: float  # |  ||X||_*  -  <Y, X>  |
+    residual: float  # max(spectral_gap, fenchel_gap / (1 + ||X||_*))
 
 
 def nuclear_norm(x: np.ndarray) -> float:
@@ -90,12 +143,20 @@ def is_subgradient_nuclear(
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    nn = nuclear_norm(x)
-    smax = float(np.linalg.svd(y, compute_uv=False)[0])
+    sx = np.linalg.svd(x, compute_uv=False)
+    sy = np.linalg.svd(y, compute_uv=False)
+    return _check_spectra(x, y, sx, sy, tol)
+
+
+def _check_spectra(x, y, sx, sy, tol) -> SubgradientCheck:
+    """The subgradient test given the singular values of both matrices."""
+    nn = float(sx.sum())
+    smax = float(sy[0])
     spectral_gap = max(smax - 1.0, 0.0)
     fenchel_gap = abs(nn - float(np.sum(y * x)))
     ok = smax <= 1.0 + tol and fenchel_gap <= tol * (1.0 + nn)
-    return SubgradientCheck(ok, spectral_gap, fenchel_gap)
+    residual = max(spectral_gap, fenchel_gap / (1.0 + nn))
+    return SubgradientCheck(ok, spectral_gap, fenchel_gap, residual)
 
 
 @dataclass(frozen=True)
@@ -105,7 +166,7 @@ class SimultaneousSVD:
     ``ubar`` and ``vbar`` are square orthogonal; ``sigma_x`` holds the
     ``r`` positive singular values of the primal, ``lambda_y`` the
     sub-unit singular values of the dual (length ``min(n1, n2) - p``),
-    with ``r <= p``.
+    with ``r <= p``.  ``residual`` is the pair's subgradient residual.
     """
 
     ubar: np.ndarray
@@ -114,6 +175,7 @@ class SimultaneousSVD:
     lambda_y: np.ndarray
     r: int
     p: int
+    residual: float
 
     @property
     def n1(self) -> int:
@@ -137,14 +199,35 @@ class SimultaneousSVD:
     def reconstruct_y(self) -> np.ndarray:
         return (self.ubar[:, : self.k] * self.singular_values_y()) @ self.vbar[:, : self.k].T
 
+    @cached_property
+    def gamma(self) -> float:
+        """Subdominant dual singular value, 0 when the dual has no sub-unit part."""
+        return float(self.lambda_y.max()) if self.lambda_y.size else 0.0
+
+    @property
+    def v_basis(self) -> np.ndarray:
+        """Critical subspace; see :func:`tangent_subspace_basis`."""
+        return tangent_subspace_basis(self)
+
+    def as_dict(self) -> dict:
+        """Report form."""
+        return {
+            "kind": "nuclear",
+            "rank": self.r,
+            "unit_count": self.p,
+            "sigma_x": self.sigma_x,
+            "lambda_y": self.lambda_y,
+        }
+
 
 def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> SimultaneousSVD:
     """Recover joint singular frames of a subgradient pair.
 
-    Factors ``x + y`` once: its singular values split into the primal block
-    (values above 1), the shared unit block, and the dual tail, and its
-    frames diagonalize both matrices at once.  A reconstruction residual
-    above ``1e-6 * (1 + norm)`` on either matrix raises
+    Three factorizations: the spectra of ``x`` and ``y`` give the
+    subgradient test (a failure raises :class:`NotASubgradientError`), the
+    rank ``r`` and the unit count ``p``; the frames of ``x + y``
+    diagonalize both matrices at once.  A reconstruction residual above
+    ``1e-6 * (1 + norm)`` on either matrix raises
     :class:`JointDecompositionError`; valid pairs land near machine
     precision.
     """
@@ -152,15 +235,15 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    check = is_subgradient_nuclear(x, y, tol)
+    sx = np.linalg.svd(x, compute_uv=False)
+    sy = np.linalg.svd(y, compute_uv=False)
+    check = _check_spectra(x, y, sx, sy, tol)
     if not check.ok:
         raise NotASubgradientError(
             "pair fails the subgradient test "
             f"(spectral gap {check.spectral_gap:.3e}, fenchel gap {check.fenchel_gap:.3e})"
         )
     ubar, _, vbar = svd(x + y)
-    sx = np.linalg.svd(x, compute_uv=False)
-    sy = np.linalg.svd(y, compute_uv=False)
     r = int(np.sum(sx > RANK_TOL * sx[0])) if sx.size and sx[0] > 0 else 0
     p = int(np.sum(sy >= 1.0 - tol))
     k = min(x.shape)
@@ -168,7 +251,7 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
         raise JointDecompositionError(
             f"primal rank {r} exceeds the dual unit count {p}"
         )
-    dec = SimultaneousSVD(ubar, vbar, sx[:r].copy(), sy[p:k].copy(), r, p)
+    dec = SimultaneousSVD(ubar, vbar, sx[:r].copy(), sy[p:k].copy(), r, p, check.residual)
     res_x = float(np.linalg.norm(dec.reconstruct_x() - x))
     res_y = float(np.linalg.norm(dec.reconstruct_y() - y))
     if res_x > 1e-6 * (1.0 + np.linalg.norm(x)) or res_y > 1e-6 * (

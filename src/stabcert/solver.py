@@ -16,10 +16,10 @@ flag on the result instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import groupnorm, nuclear
 from .groupnorm import GroupPartition
 from .nuclear import NuclearShape
 
@@ -29,28 +29,13 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 
 
-def reg_dim(reg: Regularizer) -> int:
-    return reg.n
-
-
-def reg_value(reg: Regularizer, x: np.ndarray) -> float:
-    if isinstance(reg, GroupPartition):
-        return groupnorm.group_norm(x, reg)
-    return nuclear.nuclear_norm(reg.as_matrix(x))
-
-
-def reg_prox(reg: Regularizer, x: np.ndarray, t: float) -> np.ndarray:
-    if isinstance(reg, GroupPartition):
-        return groupnorm.prox_group(x, t, reg)
-    return reg.as_vector(nuclear.prox_nuclear(reg.as_matrix(x), t))
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A regularized least-squares instance.
 
     ``phi`` is m x n with n matching the regularizer dimension (for nuclear
     problems, n = n1 * n2 and unknowns are row-major vectorizations).
+    The operator quantities below are computed on first use and kept.
     """
 
     phi: np.ndarray
@@ -74,9 +59,9 @@ class ProblemSpec:
             raise ValueError("phi, b and mu must be finite")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if reg_dim(self.reg) != phi.shape[1]:
+        if self.reg.n != phi.shape[1]:
             raise ValueError(
-                f"regularizer dimension {reg_dim(self.reg)} does not match phi columns {phi.shape[1]}"
+                f"regularizer dimension {self.reg.n} does not match phi columns {phi.shape[1]}"
             )
 
     @property
@@ -86,6 +71,21 @@ class ProblemSpec:
     @property
     def n(self) -> int:
         return self.phi.shape[1]
+
+    @cached_property
+    def sigma_max(self) -> float:
+        """Largest singular value of ``phi``."""
+        return float(np.linalg.svd(self.phi, compute_uv=False)[0]) if self.phi.size else 0.0
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``phi^T phi / mu``, the Hessian of the fit term."""
+        return self.phi.T @ self.phi / self.mu
+
+    @cached_property
+    def phi_tb(self) -> np.ndarray:
+        """``phi^T b / mu``, the linear part of the fit gradient."""
+        return self.phi.T @ self.b / self.mu
 
 
 @dataclass
@@ -105,13 +105,7 @@ def objective(problem: ProblemSpec, x: np.ndarray) -> float:
     """Untilted objective value at ``x``."""
     x = np.asarray(x, dtype=float)
     resid = problem.phi @ x - problem.b
-    return float(resid @ resid) / (2.0 * problem.mu) + reg_value(problem.reg, x)
-
-
-def lipschitz_constant(problem: ProblemSpec) -> float:
-    """Gradient Lipschitz constant sigma_max(phi)^2 / mu of the smooth part."""
-    smax = float(np.linalg.svd(problem.phi, compute_uv=False)[0])
-    return smax * smax / problem.mu
+    return float(resid @ resid) / (2.0 * problem.mu) + problem.reg.value(x)
 
 
 def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
@@ -139,21 +133,21 @@ def prox_gradient_solve(
     if v.shape != (n,) or x.shape != (n,):
         raise ValueError("tilt and start must match the problem dimension")
     reg = problem.reg
-    gram = problem.phi.T @ problem.phi / problem.mu
+    gram = problem.gram
     # Combined linear term: grad of the smooth tilted part is gram @ x - lin.
-    lin = problem.phi.T @ problem.b / problem.mu + v
+    lin = problem.phi_tb + v
     const = float(problem.b @ problem.b) / (2.0 * problem.mu)
-    smax = float(np.linalg.svd(problem.phi, compute_uv=False)[0])
+    smax = problem.sigma_max
     lip = smax * smax / problem.mu
     if lip <= 0.0:
         lip = 1.0  # zero operator: any step is valid for the pure prox iteration
     step = 1.0 / lip
 
     def fval(z: np.ndarray) -> float:
-        return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg_value(reg, z)
+        return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg.value(z)
 
     def pg_step(z: np.ndarray) -> np.ndarray:
-        return reg_prox(reg, z - step * (gram @ z - lin), step)
+        return reg.prox(z - step * (gram @ z - lin), step)
 
     momentum = x.copy()
     tk = 1.0

@@ -1,14 +1,15 @@
 """Stability certificates, growth audits, and sampling probes.
 
-The central object is the certificate produced by :func:`certify_group` and
-:func:`certify_nuclear`: it restricts the design operator to the subspace of
-directions that keep the solution critical (spanned by the boundary blocks
-of the dual vector, or by the symmetric top block of the joint frames) and
-measures the smallest singular value there.  A positive margin certifies
-that the solution map is single valued and Lipschitz in the data ``(b, mu)``
-near the instance; a zero margin comes with a witness direction along which
-uniqueness fails.  The same kernel test covers perturbations of the design
-operator itself, reported under a wider parameter scope.
+The central object is the certificate produced by :func:`certify`: it
+restricts the design operator to the subspace of directions that keep the
+solution critical (spanned by the boundary blocks of the dual vector, or by
+the symmetric top block of the joint frames; the regularizer's ``classify``
+builds it) and measures the smallest singular value there.  A positive
+margin certifies that the solution map is single valued and Lipschitz in
+the data ``(b, mu)`` near the instance; a zero margin comes with a witness
+direction along which uniqueness fails.  The same kernel test covers
+perturbations of the design operator itself, reported under a wider
+parameter scope.
 
 Everything else here is empirical cross-examination of that verdict:
 quadratic-growth audits of the regularizer, finite-difference curvature
@@ -19,24 +20,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import groupnorm, nuclear
 from .errors import NotASolutionError, NotASubgradientError
-from .groupnorm import GroupAnalysis, GroupPartition
+from .groupnorm import GroupAnalysis
 from .linalg import restricted_min_singular
-from .nuclear import NuclearShape, SimultaneousSVD
+from .nuclear import SimultaneousSVD
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ProblemSpec,
+    Regularizer,
     dual_from_solution,
     multistart_solve,
     objective,
     prox_gradient_solve,
-    reg_value,
     solution_spread,
 )
 
@@ -100,11 +100,9 @@ class QGAuditReport:
     conjecture_worst_sample: np.ndarray | None = None
 
 
-def margin_tolerance(phi: np.ndarray) -> float:
+def margin_tolerance(problem: ProblemSpec) -> float:
     """Certificate threshold ``1e-8 * sigma_max(phi)``; scale covariant."""
-    phi = np.asarray(phi, dtype=float)
-    smax = float(np.linalg.svd(phi, compute_uv=False)[0]) if phi.size else 0.0
-    return MARGIN_TOL_SCALE * smax
+    return MARGIN_TOL_SCALE * problem.sigma_max
 
 
 def _witness_from_basis(phi: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
@@ -116,94 +114,42 @@ def _witness_from_basis(phi: np.ndarray, basis: np.ndarray) -> np.ndarray | None
     return w / nw if nw > 0 else None
 
 
-def certify_group(
-    problem: ProblemSpec,
-    x: np.ndarray,
-    tol: float = CERT_TOL,
-    margin_tol: float | None = None,
-) -> StabilityCertificate:
-    """Certificate for a group-regularized instance at solution ``x``.
-
-    Raises :class:`NotASolutionError` when the optimality residual at ``x``
-    exceeds ``tol``.
-    """
-    if not isinstance(problem.reg, GroupPartition):
-        raise ValueError("problem does not carry a group regularizer")
-    x = np.asarray(x, dtype=float)
-    y = dual_from_solution(problem, x)
-    kkt = groupnorm.subgrad_residual(x, y, problem.reg)
-    if kkt > tol:
-        raise NotASolutionError(
-            f"optimality residual {kkt:.3e} exceeds tolerance {tol:.3e}"
-        )
-    analysis = groupnorm.classify_groups(x, y, problem.reg, tol)
-    mt = margin_tolerance(problem.phi) if margin_tol is None else float(margin_tol)
-    basis = analysis.v_basis
-    margin = restricted_min_singular(problem.phi, basis)
-    holds = margin > mt
-    witness = None if holds else _witness_from_basis(problem.phi, basis)
-    return StabilityCertificate(
-        kind="group",
-        holds=holds,
-        margin=margin,
-        subspace_dim=basis.shape[1],
-        gamma=analysis.gamma,
-        kkt_residual=kkt,
-        classification=analysis,
-        witness=witness,
-        tolerances={"kkt_tol": tol, "class_tol": tol, "margin_tol": mt},
-    )
-
-
-def certify_nuclear(
-    problem: ProblemSpec,
-    x: np.ndarray,
-    tol: float = CERT_TOL,
-    margin_tol: float | None = None,
-) -> StabilityCertificate:
-    """Certificate for a nuclear-norm instance at solution ``x`` (matrix or vec)."""
-    if not isinstance(problem.reg, NuclearShape):
-        raise ValueError("problem does not carry a nuclear regularizer")
-    shape = problem.reg
-    xv = shape.as_vector(x)
-    xm = shape.as_matrix(xv)
-    ym = shape.as_matrix(dual_from_solution(problem, xv))
-    check = nuclear.is_subgradient_nuclear(xm, ym, tol)
-    kkt = max(check.spectral_gap, check.fenchel_gap / (1.0 + nuclear.nuclear_norm(xm)))
-    if not check.ok:
-        raise NotASolutionError(
-            f"optimality residual {kkt:.3e} exceeds tolerance {tol:.3e}"
-        )
-    dec = nuclear.simultaneous_svd(xm, ym, tol)
-    basis = nuclear.tangent_subspace_basis(dec)
-    mt = margin_tolerance(problem.phi) if margin_tol is None else float(margin_tol)
-    margin = restricted_min_singular(problem.phi, basis)
-    gamma = float(dec.lambda_y.max()) if dec.lambda_y.size else 0.0
-    holds = margin > mt
-    witness = None if holds else _witness_from_basis(problem.phi, basis)
-    return StabilityCertificate(
-        kind="nuclear",
-        holds=holds,
-        margin=margin,
-        subspace_dim=basis.shape[1],
-        gamma=gamma,
-        kkt_residual=kkt,
-        classification=dec,
-        witness=witness,
-        tolerances={"kkt_tol": tol, "class_tol": tol, "margin_tol": mt},
-    )
-
-
 def certify(
     problem: ProblemSpec,
     x: np.ndarray,
     tol: float = CERT_TOL,
     margin_tol: float | None = None,
 ) -> StabilityCertificate:
-    """Dispatch on the regularizer kind."""
-    if isinstance(problem.reg, GroupPartition):
-        return certify_group(problem, x, tol, margin_tol)
-    return certify_nuclear(problem, x, tol, margin_tol)
+    """Certificate at solution ``x`` (a vector; nuclear problems also take the matrix).
+
+    Raises :class:`NotASolutionError` when the optimality residual at ``x``
+    exceeds ``tol``.
+    """
+    reg = problem.reg
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = dual_from_solution(problem, x)
+    try:
+        classification = reg.classify(x, y, tol)
+    except NotASubgradientError:
+        raise NotASolutionError(
+            f"optimality residual {reg.residual(x, y):.3e} exceeds tolerance {tol:.3e}"
+        ) from None
+    mt = margin_tolerance(problem) if margin_tol is None else float(margin_tol)
+    basis = classification.v_basis
+    margin = restricted_min_singular(problem.phi, basis)
+    holds = margin > mt
+    witness = None if holds else _witness_from_basis(problem.phi, basis)
+    return StabilityCertificate(
+        kind=reg.kind,
+        holds=holds,
+        margin=margin,
+        subspace_dim=basis.shape[1],
+        gamma=classification.gamma,
+        kkt_residual=classification.residual,
+        classification=classification,
+        witness=witness,
+        tolerances={"kkt_tol": tol, "class_tol": tol, "margin_tol": mt},
+    )
 
 
 def certify_phi_perturbed(
@@ -236,32 +182,16 @@ def restricted_hessian_min_eig(hessian: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def snap_to_graph(reg, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL):
+def snap_to_graph(reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL):
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
-    pair that lies on the graph to working precision.  Group case: active
-    blocks of ``y`` are replaced by the exact unit direction of ``x``,
-    inactive dual blocks are clipped into the unit ball, sub-tolerance
-    primal blocks are zeroed.  Nuclear case: both matrices are rebuilt from
-    their joint frames.
+    pair that lies on the graph to working precision.  The regularizer's
+    ``snap`` does it: group blocks are pinned to exact unit directions or
+    zeroed, nuclear pairs are rebuilt from their joint frames.  Returns
+    vectors.
     """
-    if isinstance(reg, GroupPartition):
-        x = np.asarray(x, dtype=float).copy()
-        y = np.asarray(y, dtype=float).copy()
-        for idx in reg.index_arrays:
-            nx = float(np.linalg.norm(x[idx]))
-            if nx > tol:
-                y[idx] = x[idx] / nx
-            else:
-                x[idx] = 0.0
-                ny = float(np.linalg.norm(y[idx]))
-                if ny > 1.0:
-                    y[idx] /= ny
-        return x, y
-    shape = reg
-    dec = nuclear.simultaneous_svd(shape.as_matrix(x), shape.as_matrix(y), tol)
-    return dec.reconstruct_x(), dec.reconstruct_y()
+    return reg.snap(x, y, tol)
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -274,7 +204,7 @@ def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -
 
 
 def qg_audit(
-    reg,
+    reg: Regularizer,
     xbar: np.ndarray,
     ybar: np.ndarray,
     samples: int = 1000,
@@ -291,96 +221,47 @@ def qg_audit(
     ``(1 - gamma) / (2 ||x||)`` in the group case, both
     ``(1 - gamma^2) / (2 ||X||_* (1 + (1 + gamma)^2))`` and
     ``(1 - gamma) / (5 ||X||_*)`` in the nuclear case.  Near-zero samples
-    are excluded.  ``include_conjecture`` additionally tracks the sharper
-    untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip there is
-    a counterexample candidate, not a failure.
+    are excluded.  A non-finite slack (an overflowing sample) fails the
+    audit.  ``include_conjecture`` additionally tracks the sharper untested
+    nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip there is a
+    counterexample candidate, not a failure.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(reg, GroupPartition):
-        xbar = np.asarray(xbar, dtype=float)
-        ybar = np.asarray(ybar, dtype=float)
-        res = groupnorm.subgrad_residual(xbar, ybar, reg)
-        if res > CERT_TOL:
-            raise NotASubgradientError(
-                f"reference pair is off the graph by {res:.3e}"
-            )
-        norms = groupnorm.block_norms(ybar, reg)
-        below = norms[norms < 1.0 - groupnorm.UNIT_TOL]
-        gamma = float(below.max()) if below.size else 0.0
-        gbar = groupnorm.group_norm(xbar, reg)
-        draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
-        min_slack = math.inf
-        worst = None
-        used = 0
-        for row in draws:
-            nx = float(np.linalg.norm(row))
-            if nx <= AUDIT_NORM_FLOOR:
-                continue
-            used += 1
-            lhs = (
-                groupnorm.group_norm(row, reg)
-                - gbar
-                - float(ybar @ (row - xbar))
-            )
-            dist = groupnorm.inverse_subdiff_distance(row, ybar, reg)
-            slack = lhs - (1.0 - gamma) / (2.0 * nx) * dist * dist
-            if slack < min_slack:
-                min_slack, worst = slack, row.copy()
-        if used == 0:
-            min_slack = 0.0
-        return QGAuditReport(
-            kind="group",
-            samples=samples,
-            used=used,
-            radius=radius,
-            seed=seed,
-            slack_by_constant={"group_growth": min_slack},
-            min_slack=min_slack,
-            worst_sample=worst,
-            passed=min_slack >= AUDIT_SLACK_FLOOR,
-        )
-
-    shape: NuclearShape = reg
-    xm = shape.as_matrix(xbar)
-    ym = shape.as_matrix(ybar)
-    dec = nuclear.simultaneous_svd(xm, ym, CERT_TOL)
-    gamma = float(dec.lambda_y.max()) if dec.lambda_y.size else 0.0
-    gbar = nuclear.nuclear_norm(xm)
-    draws = _ball_samples(rng, shape.n, samples, radius)
-    mins = {"nuclear_growth_tight": math.inf, "nuclear_growth_coarse": math.inf}
-    worst = None
+    xbar = np.asarray(xbar, dtype=float).reshape(-1)
+    ybar = np.asarray(ybar, dtype=float).reshape(-1)
+    ref = reg.classify(xbar, ybar, CERT_TOL)
+    gbar = reg.value(xbar)
+    conjecture = reg.growth_conjecture if include_conjecture else None
+    draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
+    mins = dict.fromkeys(reg.growth_names, math.inf)
     min_slack = math.inf
+    worst = None
     conj_min = math.inf
     conj_worst = None
     used = 0
-    c_tight_num = (1.0 - gamma * gamma) / (2.0 * (1.0 + (1.0 + gamma) ** 2))
-    c_coarse_num = (1.0 - gamma) / 5.0
-    c_conj_num = (1.0 - gamma) / 2.0
     for row in draws:
-        xs = xm + row.reshape(shape.n1, shape.n2)
-        nn = nuclear.nuclear_norm(xs)
-        if nn <= AUDIT_NORM_FLOOR:
+        scale = reg.growth_scale(row)
+        if scale <= AUDIT_NORM_FLOOR:
             continue
         used += 1
-        lhs = nn - gbar - float(np.sum(ym * (xs - xm)))
-        dist = nuclear.inverse_subdiff_distance(xs, dec)
-        d2 = dist * dist
-        s_tight = lhs - (c_tight_num / nn) * d2
-        s_coarse = lhs - (c_coarse_num / nn) * d2
-        mins["nuclear_growth_tight"] = min(mins["nuclear_growth_tight"], s_tight)
-        mins["nuclear_growth_coarse"] = min(mins["nuclear_growth_coarse"], s_coarse)
-        local = min(s_tight, s_coarse)
-        if local < min_slack:
-            min_slack, worst = local, xs.copy()
-        if include_conjecture:
-            s_conj = lhs - (c_conj_num / nn) * d2
-            if s_conj < conj_min:
-                conj_min, conj_worst = s_conj, xs.copy()
+        slacks = reg.growth_slacks(row, scale, xbar, ybar, gbar, ref)
+        for name in mins:
+            s = slacks[name]
+            if s < mins[name]:
+                mins[name] = s
+                if s < min_slack:
+                    min_slack, worst = s, row.copy()
+            elif not math.isfinite(s):
+                mins[name] = math.nan  # sticks: NaN compares false
+        if conjecture and slacks[conjecture] < conj_min:
+            conj_min, conj_worst = slacks[conjecture], row.copy()
     if used == 0:
         min_slack = 0.0
-        mins = {k: 0.0 for k in mins}
+        mins = dict.fromkeys(mins, 0.0)
+    elif any(math.isnan(v) for v in mins.values()):
+        min_slack = math.nan
     return QGAuditReport(
-        kind="nuclear",
+        kind=reg.kind,
         samples=samples,
         used=used,
         radius=radius,
@@ -389,8 +270,8 @@ def qg_audit(
         min_slack=min_slack,
         worst_sample=worst,
         passed=min_slack >= AUDIT_SLACK_FLOOR,
-        conjecture_min_slack=None if not include_conjecture else conj_min,
-        conjecture_worst_sample=None if not include_conjecture else conj_worst,
+        conjecture_min_slack=conj_min if conjecture else None,
+        conjecture_worst_sample=conj_worst if conjecture else None,
     )
 
 

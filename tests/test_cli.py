@@ -293,3 +293,29 @@ class TestCommands:
         assert spec.phi.shape == (2, 3)
         assert spec.mu == 1.0
         assert options == {}
+
+
+@pytest.mark.parametrize(
+    "argv,options,code",
+    [
+        (["qg-audit", "P", "--radius", "nan"], None, "UsageError"),
+        (["qg-audit", "P", "--radius", "-1"], None, "UsageError"),
+        (["certify", "P", "--tol", "nan"], None, "UsageError"),
+        (["certify", "P", "--tol", "0"], None, "UsageError"),
+        (["solve", "P", "--tol", "inf"], None, "UsageError"),
+        (["qg-audit", "P", "--samples", "-1"], None, "UsageError"),
+        (["qg-audit", "P", "--seed", "-1"], None, "UsageError"),
+        (["tilt-probe", "P", "--samples", "-3"], None, "UsageError"),
+        (["tilt-probe", "P", "--starts", "0"], None, "UsageError"),
+        (["perturb", "P", "--radius-mu", "-5"], None, "UsageError"),
+        (["perturb", "P", "--radius", "inf"], None, "UsageError"),
+        (["reproduce-example-non", "--b2", "nan"], None, "UsageError"),
+        (["certify", "P"], {"margin_tol": -1e-3}, "BAD_TYPE"),
+    ],
+)
+def test_out_of_range_numbers_give_json_error(tmp_path, capsys, argv, options, code):
+    path = write_doc(tmp_path, doc() if options is None else doc(options=options))
+    exit_code, report = run_capture(capsys, [path if a == "P" else a for a in argv])
+    assert exit_code == 1
+    assert report["error"]["code"] == code
+    assert report["certificate"] is None and report["audit"] is None

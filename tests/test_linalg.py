@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from helpers import random_orthogonal
 from stabcert.errors import FactorizationError
 from stabcert.linalg import (
-    kernel_basis,
     mutual_projection_residual,
     orthonormalize,
     psd_project,
@@ -50,36 +49,6 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(FactorizationError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestKernelBasis:
-    def test_known_direction(self):
-        kb = kernel_basis(PHI)
-        assert kb.shape == (3, 1)
-        target = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
-        assert abs(abs(float(kb[:, 0] @ target)) - 1.0) <= 1e-12
-
-    def test_full_rank_gives_empty(self):
-        kb = kernel_basis(np.eye(4))
-        assert kb.shape == (4, 0)
-
-    def test_zero_matrix_gives_identity_span(self):
-        kb = kernel_basis(np.zeros((2, 3)))
-        assert kb.shape == (3, 3)
-        assert np.allclose(kb.T @ kb, np.eye(3), atol=1e-12)
-
-    def test_annihilates_rows(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            n2 = int(rng.integers(1, 8))
-            rank = int(rng.integers(0, n2 + 1))
-            n1 = int(rng.integers(max(rank, 1), 8))
-            a = rng.standard_normal((n1, rank)) @ rng.standard_normal((rank, n2))
-            kb = kernel_basis(a)
-            assert kb.shape[1] == n2 - min(rank, n2) or rank == 0
-            if kb.shape[1]:
-                assert np.linalg.norm(a @ kb) <= 1e-8 * (1.0 + np.linalg.norm(a))
-            assert np.allclose(kb.T @ kb, np.eye(kb.shape[1]), atol=1e-10)
 
 
 class TestRestrictedMinSingular:

@@ -11,7 +11,6 @@ from stabcert.nuclear import NuclearShape, is_subgradient_nuclear, prox_nuclear
 from stabcert.solver import (
     ProblemSpec,
     dual_from_solution,
-    lipschitz_constant,
     multistart_solve,
     objective,
     prox_gradient_solve,
@@ -41,6 +40,14 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(PHI, np.array([np.inf, 0.0]), 1.0, PAIRS)
 
+    def test_operator_quantities_are_cached(self):
+        p = pairs_problem()
+        assert p.sigma_max**2 == pytest.approx(3.0)
+        assert p.gram is p.gram
+        assert np.allclose(p.gram, PHI.T @ PHI)
+        assert np.allclose(p.phi_tb, PHI.T @ p.b)
+        assert ProblemSpec(np.zeros((2, 3)), np.zeros(2), 2.0, PAIRS).sigma_max == 0.0
+
     def test_nuclear_dimension_check(self):
         phi = np.zeros((1, 4))
         spec = ProblemSpec(phi, np.zeros(1), 1.0, NuclearShape(2, 2))
@@ -57,11 +64,6 @@ class TestObjective:
         # x = 0: value is ||b||^2 / (2 mu)
         p = pairs_problem()
         assert objective(p, np.zeros(3)) == pytest.approx(2.5)
-
-    def test_lipschitz_constant(self):
-        assert lipschitz_constant(pairs_problem()) == pytest.approx(3.0)
-        zero = ProblemSpec(np.zeros((2, 3)), np.zeros(2), 2.0, PAIRS)
-        assert lipschitz_constant(zero) == 0.0
 
 
 class TestScalarShrinkage:
@@ -125,7 +127,7 @@ class TestConvergenceBehavior:
             p = random_group_instance(rng)
             res = prox_gradient_solve(p)
             assert res.converged
-            lip = max(lipschitz_constant(p), 1.0)
+            lip = max(p.sigma_max**2 / p.mu, 1.0)
             assert subgrad_residual(res.x, res.y, p.reg) <= 100 * 1e-10 * lip
 
     def test_tilted_kkt(self):
@@ -134,7 +136,7 @@ class TestConvergenceBehavior:
             p = random_group_instance(rng)
             v = rng.standard_normal(p.phi.shape[1]) * 0.3
             res = prox_gradient_solve(p, v=v)
-            lip = max(lipschitz_constant(p), 1.0)
+            lip = max(p.sigma_max**2 / p.mu, 1.0)
             # optimality: dual + tilt lands in the subdifferential
             assert subgrad_residual(res.x, res.y + v, p.reg) <= 100 * 1e-10 * lip
 

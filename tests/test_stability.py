@@ -84,7 +84,7 @@ class TestCertifyGroup:
         spec, xbar = degenerate_group_instance(rng, n=3)
         cert = certify(spec, xbar)
         assert not cert.holds
-        assert cert.margin <= margin_tolerance(spec.phi)
+        assert cert.margin <= margin_tolerance(spec)
         assert cert.subspace_dim == 3
         w = cert.witness
         assert w is not None
@@ -241,6 +241,15 @@ class TestQgAudit:
         part = GroupPartition.singletons(1)
         rep = qg_audit(part, np.array([1.0]), np.array([1.0]), samples=0)
         assert rep.used == 0 and rep.min_slack == 0.0 and rep.passed
+
+    def test_overflowing_samples_fail(self):
+        # at this radius the gap overflows to inf on some samples
+        part = GroupPartition.singletons(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = qg_audit(part, np.array([1.0]), np.array([1.0]), samples=50, radius=1e308)
+        assert rep.used == 50
+        assert not rep.passed
+        assert np.isnan(rep.min_slack) and np.isnan(rep.slack_by_constant["group_growth"])
 
 
 class TestSecondQuotient:
