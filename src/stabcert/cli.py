@@ -121,10 +121,33 @@ def _require(data: dict, key: str):
 def _as_real(value, code: str, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(code, f"{what} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ProblemFormatError("NOT_FINITE", f"{what} must be finite")
     return value
+
+
+def _real_array(values: list, what: str) -> np.ndarray:
+    """``values`` as a float array, with :func:`_as_real`'s codes and messages.
+
+    One pass over the entry types and one ``np.isfinite``; only when one of
+    them fails are the entries checked one by one, so that the first bad
+    entry in order names the error.
+    """
+    types = set(map(type, values))
+    if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    for v in values:
+        _as_real(v, "BAD_TYPE", what)
+    raise AssertionError("unreachable: some entry failed the checks above")
 
 
 def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
@@ -151,8 +174,8 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         raise ProblemFormatError(
             "DIMENSION_MISMATCH", "phi rows must be non-empty and equally long"
         )
-    phi = np.array(
-        [[_as_real(v, "BAD_TYPE", "phi entry") for v in row] for row in raw_phi]
+    phi = _real_array([v for row in raw_phi for v in row], "phi entry").reshape(
+        len(raw_phi), width
     )
     raw_b = _require(data, "b")
     if not isinstance(raw_b, list):
@@ -162,7 +185,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             "DIMENSION_MISMATCH",
             f"b has {len(raw_b)} entries, phi has {phi.shape[0]} rows",
         )
-    b = np.array([_as_real(v, "BAD_TYPE", "b entry") for v in raw_b])
+    b = _real_array(raw_b, "b entry")
     mu = _as_real(_require(data, "mu"), "BAD_TYPE", "mu")
     if mu <= 0:
         raise ProblemFormatError("MU_NONPOSITIVE", f"mu must be positive, got {mu}")

@@ -64,6 +64,27 @@ class GroupPartition:
     def index_arrays(self) -> list[np.ndarray]:
         return [np.asarray(g, dtype=int) for g in self.groups]
 
+    @cached_property
+    def seg(self) -> np.ndarray:
+        """Block id of each coordinate: ``seg[i] == j`` when ``i`` is in block ``j``."""
+        seg = np.empty(self.n, dtype=np.intp)
+        sizes = [len(g) for g in self.groups]
+        seg[np.concatenate(self.index_arrays)] = np.repeat(np.arange(len(sizes)), sizes)
+        return seg
+
+    def block_sums(self, v: np.ndarray) -> np.ndarray:
+        """Sum of ``v`` over each block: shape ``(G,)``, or ``(S, G)`` for ``S`` rows.
+
+        One ``np.bincount`` over the block ids; rows are kept apart by
+        offsetting the ids of row ``s`` by ``G * s``.
+        """
+        g = len(self.groups)
+        if v.ndim == 1:
+            return np.bincount(self.seg, weights=v, minlength=g)
+        rows = v.shape[0]
+        ids = self.seg + g * np.arange(rows)[:, None]
+        return np.bincount(ids.ravel(), weights=v.ravel(), minlength=g * rows).reshape(rows, g)
+
     @staticmethod
     def singletons(n: int) -> "GroupPartition":
         return GroupPartition(n, tuple((i,) for i in range(n)))
@@ -87,32 +108,28 @@ class GroupPartition:
         Blocks of ``x`` above ``tol`` give ``y`` their exact unit direction;
         the rest are zeroed, with their dual blocks clipped into the unit ball.
         """
-        x = np.asarray(x, dtype=float).copy()
-        y = np.asarray(y, dtype=float).copy()
-        for idx in self.index_arrays:
-            nx = float(np.linalg.norm(x[idx]))
-            if nx > tol:
-                y[idx] = x[idx] / nx
-            else:
-                x[idx] = 0.0
-                ny = float(np.linalg.norm(y[idx]))
-                if ny > 1.0:
-                    y[idx] /= ny
-        return x, y
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        nx = block_norms(x, self)
+        ny = block_norms(y, self)
+        active = (nx > tol)[self.seg]
+        # Dividing by 1 leaves a block as it is.
+        y_div = np.where(nx > tol, nx, np.where(ny > 1.0, ny, 1.0))[self.seg]
+        return np.where(active, x, 0.0), np.where(active, x, y) / y_div
 
-    def growth_scale(self, x: np.ndarray) -> float:
-        """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``."""
-        return float(np.linalg.norm(x))
+    def growth_scale(self, rows: np.ndarray) -> np.ndarray:
+        """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``, per row."""
+        return np.linalg.norm(rows, axis=1)
 
-    def growth_slacks(self, x, scale, xbar, ybar, gbar, ref: "GroupAnalysis") -> dict:
-        """Growth slack at sample ``x``.
+    def growth_slacks(self, rows, scale, xbar, ybar, gbar, ref: "GroupAnalysis") -> dict:
+        """Growth slack at each sample row.
 
         The regularizer gap minus the modulus times the squared distance to
         the inverse image of ``ybar``.  ``ref`` classifies the reference pair
-        and ``gbar`` is its value; ``scale`` is ``||x||_2``.
+        and ``gbar`` is its value; ``scale`` holds the rows' ``||x||_2``.
         """
-        lhs = group_norm(x, self) - gbar - float(ybar @ (x - xbar))
-        dist = inverse_subdiff_distance(x, ybar, self)
+        lhs = group_norm(rows, self) - gbar - (rows - xbar) @ ybar
+        dist = inverse_subdiff_distance(rows, ybar, self)
         return {"group_growth": lhs - (1.0 - ref.gamma) / (2.0 * scale) * dist * dist}
 
     def as_dict(self) -> dict:
@@ -120,7 +137,7 @@ class GroupPartition:
         return {"kind": self.kind, "groups": [[i + 1 for i in g] for g in self.groups]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAnalysis:
     """Block classification of a point/subgradient pair.
 
@@ -177,13 +194,15 @@ class GroupAnalysis:
 
 
 def block_norms(x: np.ndarray, partition: GroupPartition) -> np.ndarray:
+    """Euclidean norm of each block: shape ``(G,)``, or ``(S, G)`` for an ``(S, n)`` batch."""
     x = np.asarray(x, dtype=float)
-    return np.array([float(np.linalg.norm(x[idx])) for idx in partition.index_arrays])
+    return np.sqrt(partition.block_sums(x * x))
 
 
-def group_norm(x: np.ndarray, partition: GroupPartition) -> float:
-    """Sum of blockwise Euclidean norms."""
-    return float(block_norms(x, partition).sum())
+def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
+    """Sum of blockwise Euclidean norms; one per row for an ``(S, n)`` batch."""
+    total = block_norms(x, partition).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray:
@@ -191,13 +210,11 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for idx in partition.index_arrays:
-        xj = x[idx]
-        nx = float(np.linalg.norm(xj))
-        if nx > t:
-            out[idx] = xj * (1.0 - t / nx)
-    return out
+    nx = block_norms(x, partition)
+    keep = nx > t
+    factor = 1.0 - t / np.where(keep, nx, 1.0)
+    # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
+    return np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:
@@ -209,17 +226,12 @@ def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) ->
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    total = 0.0
-    for idx in partition.index_arrays:
-        xj = x[idx]
-        yj = y[idx]
-        nx = float(np.linalg.norm(xj))
-        if nx > 0.0:
-            d = float(np.linalg.norm(yj - xj / nx))
-        else:
-            d = max(float(np.linalg.norm(yj)) - 1.0, 0.0)
-        total += d * d
-    return float(np.sqrt(total))
+    nx = block_norms(x, partition)
+    support = nx > 0.0
+    diff = y - x / np.where(support, nx, 1.0)[partition.seg]
+    on = partition.block_sums(diff * diff)
+    off = np.maximum(block_norms(y, partition) - 1.0, 0.0)
+    return float(np.sqrt(np.where(support, on, off * off).sum()))
 
 
 def classify_groups(
@@ -248,28 +260,23 @@ def classify_groups(
 
 def inverse_subdiff_distance(
     x: np.ndarray, ybar: np.ndarray, partition: GroupPartition, tol: float = UNIT_TOL
-) -> float:
+) -> float | np.ndarray:
     """Distance from ``x`` to the inverse image of ``ybar`` under the subdifferential.
 
     The inverse image is the product, over blocks, of the ray spanned by
     ``ybar_J`` where that block has unit norm and ``{0}`` elsewhere, so the
     squared distance adds ``||x_J||^2 - max(<x_J, ybar_J>, 0)^2`` on unit
-    blocks and ``||x_J||^2`` on the rest.
+    blocks and ``||x_J||^2`` on the rest.  An ``(S, n)`` batch of points
+    gives one distance per row.
     """
     x = np.asarray(x, dtype=float)
     ybar = np.asarray(ybar, dtype=float)
-    total = 0.0
-    for idx in partition.index_arrays:
-        xj = x[idx]
-        yj = ybar[idx]
-        ny = float(np.linalg.norm(yj))
-        if ny >= 1.0 - tol:
-            t = max(float(xj @ yj), 0.0)
-            d2 = max(float(xj @ xj) - t * t, 0.0)
-        else:
-            d2 = float(xj @ xj)
-        total += d2
-    return float(np.sqrt(total))
+    unit = block_norms(ybar, partition) >= 1.0 - tol
+    xx = partition.block_sums(x * x)
+    t = np.maximum(partition.block_sums(x * ybar), 0.0)
+    d2 = np.where(unit, np.maximum(xx - t * t, 0.0), xx)
+    dist = np.sqrt(d2.sum(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def relative_approx_group(

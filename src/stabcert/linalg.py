@@ -57,11 +57,15 @@ def restricted_min_singular(a: np.ndarray, basis: np.ndarray) -> float:
 
 
 def psd_project(s: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix: symmetrize, clamp eigenvalues."""
+    """Nearest (Frobenius) positive semidefinite matrix: symmetrize, clamp eigenvalues.
+
+    Takes one square matrix or a stack of them (last two axes), with one
+    stacked ``eigh``.
+    """
     s = np.asarray(s, dtype=float)
-    sym = (s + s.T) / 2.0
+    sym = (s + np.swapaxes(s, -1, -2)) / 2.0
     w, q = np.linalg.eigh(sym)
-    return (q * np.maximum(w, 0.0)) @ q.T
+    return (q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def orthonormalize(vectors, tol: float = 1e-10, dim: int | None = None) -> np.ndarray:

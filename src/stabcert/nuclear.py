@@ -81,19 +81,20 @@ class NuclearShape:
         dec = self.classify(x, y, tol)
         return self.as_vector(dec.reconstruct_x()), self.as_vector(dec.reconstruct_y())
 
-    def growth_scale(self, x: np.ndarray) -> float:
-        """Sample scale of the growth moduli: ``||X||_*``."""
-        return nuclear_norm(self.as_matrix(x))
+    def growth_scale(self, rows: np.ndarray) -> np.ndarray:
+        """Sample scale of the growth moduli: ``||X||_*``, per row."""
+        return nuclear_norm(rows.reshape(-1, self.n1, self.n2))
 
-    def growth_slacks(self, x, scale, xbar, ybar, gbar, ref: "SimultaneousSVD") -> dict:
-        """Growth slack of each modulus at sample ``x``.
+    def growth_slacks(self, rows, scale, xbar, ybar, gbar, ref: "SimultaneousSVD") -> dict:
+        """Growth slack of each modulus at each sample row.
 
         The regularizer gap minus the modulus times the squared distance to
         the inverse image of ``ybar``.  ``ref`` factors the reference pair and
-        ``gbar`` is its value; ``scale`` is ``||x||_*``, which the gap reuses.
+        ``gbar`` is its value; ``scale`` holds the rows' ``||X||_*``, which
+        the gap reuses.
         """
-        lhs = scale - gbar - float(np.sum(ybar * (x - xbar)))
-        dist = inverse_subdiff_distance(self.as_matrix(x), ref)
+        lhs = scale - gbar - (rows - xbar) @ ybar
+        dist = inverse_subdiff_distance(rows.reshape(-1, self.n1, self.n2), ref)
         d2 = dist * dist
         g = ref.gamma
         tight = (1.0 - g * g) / (2.0 * (1.0 + (1.0 + g) ** 2))
@@ -115,10 +116,11 @@ class SubgradientCheck(NamedTuple):
     residual: float  # max(spectral_gap, fenchel_gap / (1 + ||X||_*))
 
 
-def nuclear_norm(x: np.ndarray) -> float:
-    """Sum of singular values."""
+def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; one per matrix for an ``(S, n1, n2)`` stack."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+    total = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def prox_nuclear(x: np.ndarray, t: float) -> np.ndarray:
@@ -159,7 +161,7 @@ def _check_spectra(x, y, sx, sy, tol) -> SubgradientCheck:
     return SubgradientCheck(ok, spectral_gap, fenchel_gap, residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimultaneousSVD:
     """Joint singular frames of a primal-dual pair.
 
@@ -301,22 +303,25 @@ def tangent_subspace_basis(dec: SimultaneousSVD) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def inverse_subdiff_distance(x: np.ndarray, dec: SimultaneousSVD) -> float:
+def inverse_subdiff_distance(x: np.ndarray, dec: SimultaneousSVD) -> float | np.ndarray:
     """Distance from ``x`` to the inverse image of the dual matrix of ``dec``.
 
     The inverse image is ``{ U1 Z V1^T : Z psd symmetric p x p }``.  In the
     joint frame the squared distance splits into the gap between the top
     left block and its psd projection plus all mass outside that block.
+    Each term is a sum of squares, so nothing cancels near the psd cone.
+    An ``(S, n1, n2)`` stack gives one distance per matrix.
     """
     x = np.asarray(x, dtype=float)
     xt = dec.ubar.T @ x @ dec.vbar
     p = dec.p
-    x11 = xt[:p, :p]
+    x11 = xt[..., :p, :p]
     rest = xt.copy()
-    rest[:p, :p] = 0.0
-    off = float(np.sum(rest * rest))
-    d2 = float(np.linalg.norm(x11 - psd_project(x11)) ** 2) + off
-    return float(np.sqrt(max(d2, 0.0)))
+    rest[..., :p, :p] = 0.0
+    gap = x11 - psd_project(x11)
+    d2 = np.sum(gap * gap, axis=(-2, -1)) + np.sum(rest * rest, axis=(-2, -1))
+    dist = np.sqrt(d2)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int, tol: float = UNIT_TOL):

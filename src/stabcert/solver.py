@@ -78,14 +78,29 @@ class ProblemSpec:
         return float(np.linalg.svd(self.phi, compute_uv=False)[0]) if self.phi.size else 0.0
 
     @cached_property
+    def phi_t_phi(self) -> np.ndarray:
+        """``phi^T phi``, independent of ``b`` and ``mu``."""
+        return self.phi.T @ self.phi
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """``phi^T phi / mu``, the Hessian of the fit term."""
-        return self.phi.T @ self.phi / self.mu
+        return self.phi_t_phi / self.mu
 
     @cached_property
     def phi_tb(self) -> np.ndarray:
         """``phi^T b / mu``, the linear part of the fit gradient."""
         return self.phi.T @ self.b / self.mu
+
+    def with_data(self, b: np.ndarray, mu: float) -> "ProblemSpec":
+        """The same operator and regularizer with new ``(b, mu)``.
+
+        The new instance starts with this one's ``sigma_max`` and
+        ``phi_t_phi``, so it factors ``phi`` no more.
+        """
+        spec = ProblemSpec(self.phi, b, mu, self.reg)
+        spec.__dict__.update(sigma_max=self.sigma_max, phi_t_phi=self.phi_t_phi)
+        return spec
 
 
 @dataclass
@@ -143,32 +158,40 @@ def prox_gradient_solve(
         lip = 1.0  # zero operator: any step is valid for the pure prox iteration
     step = 1.0 / lip
 
-    def fval(z: np.ndarray) -> float:
-        return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg.value(z)
+    # Both take ``gz = gram @ z``, which the loop computes once per point.
+    def fval(z: np.ndarray, gz: np.ndarray) -> float:
+        return 0.5 * float(z @ gz) - float(lin @ z) + const + reg.value(z)
 
-    def pg_step(z: np.ndarray) -> np.ndarray:
-        return reg.prox(z - step * (gram @ z - lin), step)
+    def pg_step(z: np.ndarray, gz: np.ndarray) -> np.ndarray:
+        return reg.prox(z - step * (gz - lin), step)
 
     momentum = x.copy()
     tk = 1.0
-    fx = fval(x)
-    residual = float(np.linalg.norm(x - pg_step(x)))
+    gx = gram @ x
+    fx = fval(x, gx)
+    # px = pg_step(x) serves the stopping residual and, on a restart, the
+    # descent step from x: two prox evaluations per iteration.
+    px = pg_step(x, gx)
+    residual = float(np.linalg.norm(x - px))
     converged = residual <= tol
     iterations = 0
     while not converged and iterations < max_iter:
-        x_new = pg_step(momentum)
-        f_new = fval(x_new)
+        x_new = pg_step(momentum, gram @ momentum)
+        g_new = gram @ x_new
+        f_new = fval(x_new, g_new)
         if f_new > fx:
             # Momentum overshot: restart from the plain descent step, which
             # cannot increase the objective at step 1/L.
-            x_new = pg_step(x)
-            f_new = fval(x_new)
+            x_new = px
+            g_new = gram @ x_new
+            f_new = fval(x_new, g_new)
             tk = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         momentum = x_new + ((tk - 1.0) / t_next) * (x_new - x)
-        x, fx, tk = x_new, f_new, t_next
+        x, gx, fx, tk = x_new, g_new, f_new, t_next
         iterations += 1
-        residual = float(np.linalg.norm(x - pg_step(x)))
+        px = pg_step(x, gx)
+        residual = float(np.linalg.norm(x - px))
         if residual <= tol:
             converged = True
     return SolveResult(

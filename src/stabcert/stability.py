@@ -50,7 +50,7 @@ AUDIT_NORM_FLOOR = 1e-12
 CERT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityCertificate:
     """Algebraic verdict on solution-map stability at one solved instance.
 
@@ -83,7 +83,7 @@ class PerturbationReport:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QGAuditReport:
     """Sampled check of the quadratic-growth inequalities."""
 
@@ -203,6 +203,29 @@ def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -
     return radius * scale * z / norms
 
 
+def _scan_minima(table: np.ndarray):
+    """Minimum of each column of a slack table, and where the overall minimum sits.
+
+    Rows are samples in draw order, columns the audited constants, and the
+    scan runs row by row, columns in order.  A column turns NaN for good at
+    its first slack that is not finite and does not strictly lower the
+    column minimum (NaN, +inf, or a second -inf); its later slacks no longer
+    count towards the overall minimum.  Returns the column minima, the
+    overall minimum over the slacks that count, and the row where it first
+    occurs (``None`` when none counts).
+    """
+    neg_inf = table == -np.inf
+    poison = ~(table < np.inf) | (neg_inf & (np.cumsum(neg_inf, axis=0) > 1))
+    poisoned = poison.any(axis=0)
+    first_poison = np.where(poisoned, poison.argmax(axis=0), table.shape[0])
+    live = np.arange(table.shape[0])[:, None] < first_poison
+    counted = np.where(live, table, np.inf)
+    col_min = np.where(poisoned, np.nan, counted.min(axis=0))
+    k = int(np.argmin(counted))  # first occurrence in row-major (scan) order
+    low = float(counted.flat[k])
+    return col_min, low, (k // table.shape[1] if low < math.inf else None)
+
+
 def qg_audit(
     reg: Regularizer,
     xbar: np.ndarray,
@@ -221,10 +244,13 @@ def qg_audit(
     ``(1 - gamma) / (2 ||x||)`` in the group case, both
     ``(1 - gamma^2) / (2 ||X||_* (1 + (1 + gamma)^2))`` and
     ``(1 - gamma) / (5 ||X||_*)`` in the nuclear case.  Near-zero samples
-    are excluded.  A non-finite slack (an overflowing sample) fails the
-    audit.  ``include_conjecture`` additionally tracks the sharper untested
-    nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip there is a
-    counterexample candidate, not a failure.
+    are excluded.  All samples are evaluated as one batch; the report is
+    that of a scan in draw order: ``worst_sample`` is the first sample that
+    reaches the minimum.  A non-finite slack (an overflowing sample) fails
+    the audit: NaN and +inf make their constant and ``min_slack`` NaN,
+    -inf is a minimum.  ``include_conjecture`` additionally tracks the
+    sharper untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip
+    there is a counterexample candidate, not a failure.
     """
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -233,33 +259,30 @@ def qg_audit(
     gbar = reg.value(xbar)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
-    mins = dict.fromkeys(reg.growth_names, math.inf)
-    min_slack = math.inf
-    worst = None
+    scales = reg.growth_scale(draws)
+    kept = ~(scales <= AUDIT_NORM_FLOOR)  # a NaN scale stays in, and fails
+    rows = draws[kept]
+    used = rows.shape[0]
+    worst = conj_worst = None
     conj_min = math.inf
-    conj_worst = None
-    used = 0
-    for row in draws:
-        scale = reg.growth_scale(row)
-        if scale <= AUDIT_NORM_FLOOR:
-            continue
-        used += 1
-        slacks = reg.growth_slacks(row, scale, xbar, ybar, gbar, ref)
-        for name in mins:
-            s = slacks[name]
-            if s < mins[name]:
-                mins[name] = s
-                if s < min_slack:
-                    min_slack, worst = s, row.copy()
-            elif not math.isfinite(s):
-                mins[name] = math.nan  # sticks: NaN compares false
-        if conjecture and slacks[conjecture] < conj_min:
-            conj_min, conj_worst = slacks[conjecture], row.copy()
     if used == 0:
+        mins = dict.fromkeys(reg.growth_names, 0.0)
         min_slack = 0.0
-        mins = dict.fromkeys(mins, 0.0)
-    elif any(math.isnan(v) for v in mins.values()):
-        min_slack = math.nan
+    else:
+        slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, gbar, ref)
+        table = np.column_stack([slacks[name] for name in reg.growth_names])
+        col_min, min_slack, at = _scan_minima(table)
+        mins = {name: float(v) for name, v in zip(reg.growth_names, col_min)}
+        if np.isnan(col_min).any():
+            min_slack = math.nan
+        if at is not None:
+            worst = rows[at].copy()
+        if conjecture:
+            conj = np.where(slacks[conjecture] < np.inf, slacks[conjecture], np.inf)
+            k = int(np.argmin(conj))
+            conj_min = float(conj[k])
+            if conj_min < math.inf:
+                conj_worst = rows[k].copy()
     return QGAuditReport(
         kind=reg.kind,
         samples=samples,
@@ -334,7 +357,7 @@ def empirical_lipschitz(
     spread = 0.0
     non_converged = 0 if base.converged else 1
     for i in range(samples):
-        spec = ProblemSpec(problem.phi, b_draws[i], float(mu_draws[i]), problem.reg)
+        spec = problem.with_data(b_draws[i], float(mu_draws[i]))
         if starts > 1:
             start_points = [np.zeros(problem.n)] + _random_starts(rng, base.x, starts - 1)
             results = multistart_solve(spec, start_points, tol=tol, max_iter=max_iter)

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from stabcert.groupnorm import GroupPartition
@@ -185,3 +187,190 @@ def degenerate_nuclear_instance(rng, n=2):
     b = phi @ xbar.ravel() + mu * (phi @ ybar.ravel())
     spec = ProblemSpec(phi, b, mu, NuclearShape(n, n))
     return spec, xbar
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the per-block, per-sample and per-iteration code that the
+# batched kernels, the batched audit and the solver's reuse replaced, kept
+# as oracles for them
+
+
+def block_norms_loop(x, partition):
+    x = np.asarray(x, dtype=float)
+    return np.array([float(np.linalg.norm(x[idx])) for idx in partition.index_arrays])
+
+
+def group_norm_loop(x, partition):
+    return float(block_norms_loop(x, partition).sum())
+
+
+def prox_group_loop(x, t, partition):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for idx in partition.index_arrays:
+        xj = x[idx]
+        nx = float(np.linalg.norm(xj))
+        if nx > t:
+            out[idx] = xj * (1.0 - t / nx)
+    return out
+
+
+def subgrad_residual_loop(x, y, partition):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = 0.0
+    for idx in partition.index_arrays:
+        xj = x[idx]
+        yj = y[idx]
+        nx = float(np.linalg.norm(xj))
+        if nx > 0.0:
+            d = float(np.linalg.norm(yj - xj / nx))
+        else:
+            d = max(float(np.linalg.norm(yj)) - 1.0, 0.0)
+        total += d * d
+    return float(np.sqrt(total))
+
+
+def group_distance_loop(x, ybar, partition, tol=1e-7):
+    x = np.asarray(x, dtype=float)
+    ybar = np.asarray(ybar, dtype=float)
+    total = 0.0
+    for idx in partition.index_arrays:
+        xj = x[idx]
+        yj = ybar[idx]
+        ny = float(np.linalg.norm(yj))
+        if ny >= 1.0 - tol:
+            t = max(float(xj @ yj), 0.0)
+            d2 = max(float(xj @ xj) - t * t, 0.0)
+        else:
+            d2 = float(xj @ xj)
+        total += d2
+    return float(np.sqrt(total))
+
+
+def group_snap_loop(partition, x, y, tol=1e-7):
+    x = np.asarray(x, dtype=float).copy()
+    y = np.asarray(y, dtype=float).copy()
+    for idx in partition.index_arrays:
+        nx = float(np.linalg.norm(x[idx]))
+        if nx > tol:
+            y[idx] = x[idx] / nx
+        else:
+            x[idx] = 0.0
+            ny = float(np.linalg.norm(y[idx]))
+            if ny > 1.0:
+                y[idx] /= ny
+    return x, y
+
+
+def nuclear_norm_loop(x):
+    return float(np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False).sum())
+
+
+def nuclear_distance_loop(x, dec):
+    x = np.asarray(x, dtype=float)
+    xt = dec.ubar.T @ x @ dec.vbar
+    p = dec.p
+    x11 = xt[:p, :p]
+    rest = xt.copy()
+    rest[:p, :p] = 0.0
+    off = float(np.sum(rest * rest))
+    sym = (x11 + x11.T) / 2.0
+    w, q = np.linalg.eigh(sym)
+    proj = (q * np.maximum(w, 0.0)) @ q.T
+    d2 = float(np.linalg.norm(x11 - proj) ** 2) + off
+    return float(np.sqrt(max(d2, 0.0)))
+
+
+def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=False):
+    """The audit as a scan over the samples, one row at a time.
+
+    Draws as ``qg_audit`` does and takes each row's scale and slacks from
+    the regularizer, one row per call.  Returns ``(used, slack_by_constant,
+    min_slack, worst_sample, conjecture_min_slack, conjecture_worst_sample)``.
+    """
+    from stabcert.stability import AUDIT_NORM_FLOOR, CERT_TOL, _ball_samples
+
+    rng = np.random.default_rng(seed)
+    xbar = np.asarray(xbar, dtype=float).reshape(-1)
+    ybar = np.asarray(ybar, dtype=float).reshape(-1)
+    ref = reg.classify(xbar, ybar, CERT_TOL)
+    gbar = reg.value(xbar)
+    conjecture = reg.growth_conjecture if include_conjecture else None
+    draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
+    mins = dict.fromkeys(reg.growth_names, math.inf)
+    min_slack = math.inf
+    worst = None
+    conj_min = math.inf
+    conj_worst = None
+    used = 0
+    for row in draws:
+        scale = float(reg.growth_scale(row[None, :])[0])
+        if scale <= AUDIT_NORM_FLOOR:
+            continue
+        used += 1
+        batch = reg.growth_slacks(row[None, :], np.array([scale]), xbar, ybar, gbar, ref)
+        slacks = {name: float(v[0]) for name, v in batch.items()}
+        for name in mins:
+            s = slacks[name]
+            if s < mins[name]:
+                mins[name] = s
+                if s < min_slack:
+                    min_slack, worst = s, row.copy()
+            elif not math.isfinite(s):
+                mins[name] = math.nan
+        if conjecture and slacks[conjecture] < conj_min:
+            conj_min, conj_worst = slacks[conjecture], row.copy()
+    if used == 0:
+        min_slack = 0.0
+        mins = dict.fromkeys(mins, 0.0)
+    elif any(math.isnan(v) for v in mins.values()):
+        min_slack = math.nan
+    return used, mins, min_slack, worst, conj_min, conj_worst
+
+
+def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
+    """FISTA with function-value restart, recomputing every product and prox.
+
+    Returns ``(x, iterations, residual, objective)``.
+    """
+    n = problem.n
+    v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    reg = problem.reg
+    gram = problem.gram
+    lin = problem.phi_tb + v
+    const = float(problem.b @ problem.b) / (2.0 * problem.mu)
+    smax = problem.sigma_max
+    lip = smax * smax / problem.mu
+    if lip <= 0.0:
+        lip = 1.0
+    step = 1.0 / lip
+
+    def fval(z):
+        return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg.value(z)
+
+    def pg_step(z):
+        return reg.prox(z - step * (gram @ z - lin), step)
+
+    momentum = x.copy()
+    tk = 1.0
+    fx = fval(x)
+    residual = float(np.linalg.norm(x - pg_step(x)))
+    converged = residual <= tol
+    iterations = 0
+    while not converged and iterations < max_iter:
+        x_new = pg_step(momentum)
+        f_new = fval(x_new)
+        if f_new > fx:
+            x_new = pg_step(x)
+            f_new = fval(x_new)
+            tk = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        momentum = x_new + ((tk - 1.0) / t_next) * (x_new - x)
+        x, fx, tk = x_new, f_new, t_next
+        iterations += 1
+        residual = float(np.linalg.norm(x - pg_step(x)))
+        if residual <= tol:
+            converged = True
+    return x, iterations, residual, fx

@@ -1,0 +1,299 @@
+"""Batched kernels and the batched growth audit against the loops they
+replaced (kept in ``helpers``), the solver's reuse of work, and value
+semantics of the result types."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    block_norms_loop,
+    fista_loop,
+    group_distance_loop,
+    group_norm_loop,
+    group_snap_loop,
+    nuclear_distance_loop,
+    nuclear_norm_loop,
+    prox_group_loop,
+    qg_audit_loop,
+    random_group_instance,
+    random_nuclear_graph_pair,
+    random_nuclear_instance,
+    random_partition,
+    subgrad_residual_loop,
+)
+from stabcert.groupnorm import (
+    GroupPartition,
+    block_norms,
+    group_norm,
+    prox_group,
+    subgrad_residual,
+)
+from stabcert.groupnorm import inverse_subdiff_distance as group_distance
+from stabcert.linalg import psd_project
+from stabcert.nuclear import NuclearShape, nuclear_norm, simultaneous_svd
+from stabcert.nuclear import inverse_subdiff_distance as nuclear_distance
+from stabcert.solver import ProblemSpec, prox_gradient_solve
+from stabcert.stability import _ball_samples, certify, empirical_lipschitz, qg_audit
+
+RTOL = 1e-12
+seeds = st.integers(0, 2**32 - 1)
+
+
+def close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL)
+
+
+def group_case(rng, rows=7):
+    """A random partition, a batch with zero blocks, and a dual with unit,
+    zero and interior blocks."""
+    part = random_partition(rng, int(rng.integers(1, 13)))
+    x = rng.standard_normal((rows, part.n)) * rng.uniform(0.1, 3.0)
+    y = rng.standard_normal(part.n)
+    for idx in part.index_arrays:
+        x[rng.random(rows) < 0.3, idx[:, None]] = 0.0
+        kind = rng.integers(3)
+        if kind == 0:
+            y[idx] /= np.linalg.norm(y[idx])
+        elif kind == 1:
+            y[idx] = 0.0
+        else:
+            y[idx] *= rng.uniform(0.0, 0.99) / np.linalg.norm(y[idx])
+    return part, x, y
+
+
+class TestGroupKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_match_block_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        part, x, y = group_case(rng)
+        close(block_norms(x, part), [block_norms_loop(r, part) for r in x])
+        close(group_norm(x, part), [group_norm_loop(r, part) for r in x])
+        close(group_distance(x, y, part), [group_distance_loop(r, y, part) for r in x])
+        for r in x:
+            assert isinstance(group_norm(r, part), float)
+            close(block_norms(r, part), block_norms_loop(r, part))
+            close(group_distance(r, y, part), group_distance_loop(r, y, part))
+            close(subgrad_residual(r, y, part), subgrad_residual_loop(r, y, part))
+            for t in (0.0, float(rng.uniform(0.0, 2.0)), 1e3):
+                out, ref = prox_group(r, t, part), prox_group_loop(r, t, part)
+                close(out, ref)
+                assert np.array_equal(np.signbit(out), np.signbit(ref))
+            xs, ys = part.snap(r, y)
+            xr, yr = group_snap_loop(part, r, y)
+            close(xs, xr)
+            close(ys, yr)
+            assert np.array_equal(xs == 0.0, xr == 0.0)
+
+    def test_block_ids(self):
+        part = GroupPartition(5, ((3, 0), (4,), (1, 2)))
+        assert part.seg.tolist() == [0, 2, 2, 0, 1]
+        rows = np.arange(10.0).reshape(2, 5)
+        assert part.block_sums(rows).tolist() == [[3.0, 4.0, 3.0], [13.0, 9.0, 13.0]]
+
+
+class TestNuclearKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_match_matrix_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        n1, n2 = (int(v) for v in rng.integers(1, 5, size=2))
+        # r = extra = 0 half the time: p = 0, an empty top block
+        r = 0 if rng.random() < 0.5 else None
+        xg, yg = random_nuclear_graph_pair(rng, n1, n2, r=r, extra_unit=0 if r == 0 else None)
+        dec = simultaneous_svd(xg, yg)
+        stack = rng.standard_normal((6, n1, n2))
+        close(nuclear_norm(stack), [nuclear_norm_loop(m) for m in stack])
+        close(nuclear_distance(stack, dec), [nuclear_distance_loop(m, dec) for m in stack])
+        for m in stack:
+            assert isinstance(nuclear_norm(m), float)
+            close(nuclear_norm(m), nuclear_norm_loop(m))
+            close(nuclear_distance(m, dec), nuclear_distance_loop(m, dec))
+        squares = rng.standard_normal((4, n1, n1))
+        close(psd_project(squares), [psd_project(s) for s in squares])
+
+    def test_empty_top_block(self):
+        dec = simultaneous_svd(np.zeros((2, 3)), np.diag([0.5, 0.2]) @ np.eye(2, 3))
+        assert dec.p == 0
+        stack = np.arange(12.0).reshape(2, 2, 3)
+        close(nuclear_distance(stack, dec), np.linalg.norm(stack, axis=(1, 2)))
+
+
+def audit_case(kind):
+    if kind == "group":
+        part = GroupPartition(4, ((0, 1), (2,), (3,)))
+        return part, np.array([0.6, 0.8, 0.0, 0.0]), np.array([0.6, 0.8, 1.0, 0.3])
+    shape = NuclearShape(2, 3)
+    xbar = np.diag([2.0, 0.0]) @ np.eye(2, 3)
+    ybar = np.diag([1.0, 0.5]) @ np.eye(2, 3)
+    return shape, xbar.ravel(), ybar.ravel()
+
+
+def assert_same_audit(rep, loop):
+    used, mins, min_slack, worst, conj_min, conj_worst = loop
+    assert rep.used == used
+    assert list(rep.slack_by_constant) == list(mins)
+    close(list(rep.slack_by_constant.values()), list(mins.values()))
+    close(rep.min_slack, min_slack)
+    assert (rep.worst_sample is None) == (worst is None)
+    if worst is not None:
+        assert np.array_equal(rep.worst_sample, worst)
+    if rep.conjecture_min_slack is not None:
+        close(rep.conjecture_min_slack, conj_min)
+        assert (rep.conjecture_worst_sample is None) == (conj_worst is None)
+        if conj_worst is not None:
+            assert np.array_equal(rep.conjecture_worst_sample, conj_worst)
+
+
+class Planted:
+    """A regularizer whose slacks at chosen samples are replaced."""
+
+    def __init__(self, reg, plants):
+        self.reg = reg
+        self.plants = plants  # sample bytes -> {constant: slack}
+
+    def __getattr__(self, name):
+        return getattr(self.reg, name)
+
+    def _plant(self, rows, out):
+        for i, row in enumerate(rows):
+            for name, value in self.plants.get(row.tobytes(), {}).items():
+                if name in out:
+                    out[name][i] = value
+        return out
+
+    def growth_scale(self, rows):
+        return self._plant(rows, {"scale": np.array(self.reg.growth_scale(rows))})["scale"]
+
+    def growth_slacks(self, rows, *args):
+        out = self.reg.growth_slacks(rows, *args)
+        return self._plant(rows, {k: np.array(v) for k, v in out.items()})
+
+
+TIGHT, COARSE, CONJ = "nuclear_growth_tight", "nuclear_growth_coarse", "nuclear_growth_conjecture"
+PLANTS = {
+    "nan": {13: {TIGHT: math.nan}},
+    "plus_inf": {13: {COARSE: math.inf}},
+    "minus_inf": {13: {TIGHT: -math.inf}},
+    "minus_inf_twice": {13: {TIGHT: -math.inf}, 27: {TIGHT: -math.inf}},
+    "minus_inf_two_constants": {13: {TIGHT: -math.inf}, 27: {COARSE: -math.inf}},
+    "after_nan": {13: {TIGHT: math.nan}, 20: {TIGHT: -1e3}, 27: {COARSE: -5.0}},
+    "tie_in_row": {20: {TIGHT: -5.0, COARSE: -5.0}},
+    "tie_across_rows": {13: {COARSE: -5.0}, 20: {TIGHT: -5.0}},
+    "conjecture": {13: {CONJ: math.nan}, 20: {CONJ: -2.0}, 27: {CONJ: -math.inf}},
+    "conjecture_inf": {13: {CONJ: math.inf}},
+    "nan_scale": {13: {"scale": math.nan}},  # kept, and its slacks are NaN
+}
+
+
+class TestBatchedAudit:
+    @pytest.mark.parametrize("kind", ["group", "nuclear"])
+    @pytest.mark.parametrize("samples", [0, 1, 300])
+    def test_matches_sample_loop(self, kind, samples):
+        reg, xbar, ybar = audit_case(kind)
+        args = (reg, xbar, ybar, samples, 1.5, 5, kind == "nuclear")
+        assert_same_audit(qg_audit(*args), qg_audit_loop(*args))
+
+    @pytest.mark.parametrize("case", sorted(PLANTS))
+    def test_planted_slacks_keep_scan_semantics(self, case):
+        shape, xbar, ybar = audit_case("nuclear")
+        draws = xbar + _ball_samples(np.random.default_rng(3), shape.n, 40, 1.0)
+        plants = {draws[k].tobytes(): v for k, v in PLANTS[case].items()}
+        reg = Planted(shape, plants)
+        rep = qg_audit(reg, xbar, ybar, 40, 1.0, 3, include_conjecture=True)
+        assert_same_audit(rep, qg_audit_loop(reg, xbar, ybar, 40, 1.0, 3, True))
+        # every planted audited slack is negative or not finite: the audit fails
+        conjecture_only = all(name == CONJ for p in PLANTS[case].values() for name in p)
+        assert rep.used == 40
+        assert rep.passed == conjecture_only
+
+    def test_worst_sample_after_a_nan(self):
+        shape, xbar, ybar = audit_case("nuclear")
+        draws = xbar + _ball_samples(np.random.default_rng(3), shape.n, 40, 1.0)
+        plants = {draws[k].tobytes(): v for k, v in PLANTS["after_nan"].items()}
+        rep = qg_audit(Planted(shape, plants), xbar, ybar, 40, 1.0, 3)
+        # the -1e3 slack comes after its constant went NaN, so row 27 is worst
+        assert math.isnan(rep.min_slack)
+        assert math.isnan(rep.slack_by_constant[TIGHT])
+        assert rep.slack_by_constant[COARSE] == -5.0
+        assert np.array_equal(rep.worst_sample, draws[27])
+
+
+class CountingProx:
+    """A regularizer that counts its prox calls."""
+
+    def __init__(self, reg):
+        self.reg = reg
+        self.prox_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.reg, name)
+
+    def prox(self, x, t):
+        self.prox_calls += 1
+        return self.reg.prox(x, t)
+
+
+class TestSolverReuse:
+    @pytest.mark.parametrize("make", [random_group_instance, random_nuclear_instance])
+    def test_two_prox_per_iteration_and_same_iterates(self, make):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            base = make(rng)
+            reg = CountingProx(base.reg)
+            spec = ProblemSpec(base.phi, base.b, base.mu, reg)
+            v = rng.standard_normal(spec.n) * 1e-3
+            x0 = rng.standard_normal(spec.n)
+            res = prox_gradient_solve(spec, v=v, x0=x0)
+            assert reg.prox_calls == 2 * res.iterations + 1
+            x, iterations, residual, fx = fista_loop(base, v=v, x0=x0)
+            assert np.array_equal(res.x, x)
+            assert (res.iterations, res.fixed_point_residual, res.objective) == (
+                iterations,
+                residual,
+                fx,
+            )
+
+
+class TestSharedOperator:
+    def test_perturb_factors_phi_once(self, monkeypatch):
+        spec = random_group_instance(np.random.default_rng(5))
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        empirical_lipschitz(spec, radius_b=0.1, radius_mu=0.05, samples=4, starts=2)
+        assert len(calls) == 1
+
+    def test_with_data_matches_a_fresh_spec(self):
+        spec = random_nuclear_instance(np.random.default_rng(6))
+        b = spec.b + 0.1
+        shared, fresh = spec.with_data(b, 0.7), ProblemSpec(spec.phi, b, 0.7, spec.reg)
+        assert shared.sigma_max == fresh.sigma_max
+        assert np.array_equal(shared.gram, fresh.gram)
+        assert np.array_equal(shared.phi_tb, fresh.phi_tb)
+
+
+def test_results_compare_by_identity():
+    spec = ProblemSpec(
+        np.array([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]]),
+        np.array([2.0, -1.0]),
+        1.0,
+        GroupPartition(3, ((0, 1), (2,))),
+    )
+    x = prox_gradient_solve(spec).x
+    a, b = certify(spec, x), certify(spec, x)
+    nuc = NuclearShape(2, 2).classify(np.diag([2.0, 0.0]).ravel(), np.diag([1.0, 0.5]).ravel())
+    audit = qg_audit(spec.reg, x, -(spec.phi.T @ (spec.phi @ x - spec.b)), samples=5)
+    for obj, other in ((a, b), (a.classification, b.classification), (nuc, None), (audit, None)):
+        assert obj == obj
+        assert obj != other
+        assert isinstance(hash(obj), int)

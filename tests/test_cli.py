@@ -319,3 +319,41 @@ def test_out_of_range_numbers_give_json_error(tmp_path, capsys, argv, options, c
     assert exit_code == 1
     assert report["error"]["code"] == code
     assert report["certificate"] is None and report["audit"] is None
+
+
+HUGE = 10**400  # an integer that no float can hold
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"mu": HUGE}, "mu must be finite"),
+        ({"phi": [[1.0, HUGE, 0.0], [1.0, 0.0, -1.0]]}, "phi entry must be finite"),
+        ({"b": [2.0, -HUGE]}, "b entry must be finite"),
+    ],
+)
+def test_integer_overflow_gives_json_error(tmp_path, capsys, overrides, message):
+    path = write_doc(tmp_path, doc(**overrides))
+    exit_code, report = run_capture(capsys, ["certify", path])
+    assert exit_code == 1
+    assert report["error"] == {"code": "NOT_FINITE", "message": message}
+
+
+@pytest.mark.parametrize(
+    "phi,code",
+    [
+        ([[1.0, math.nan, "x"], [1.0, 0.0, -1.0]], "NOT_FINITE"),
+        ([[1.0, "x", math.inf], [1.0, 0.0, -1.0]], "BAD_TYPE"),
+        ([[1.0, HUGE, True], [1.0, 0.0, -1.0]], "NOT_FINITE"),
+        ([[1.0, 0.0, 0.0], [None, 0.0, HUGE]], "BAD_TYPE"),
+        ([[1, 2, 0], [np.float64(1.0), 0, -1]], None),
+    ],
+)
+def test_first_bad_phi_entry_names_the_error(phi, code):
+    if code is None:
+        spec, _ = load_problem_dict(doc(phi=phi))
+        assert spec.phi.tolist() == [[1.0, 2.0, 0.0], [1.0, 0.0, -1.0]]
+        return
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem_dict(doc(phi=phi))
+    assert exc.value.code == code
