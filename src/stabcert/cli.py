@@ -276,17 +276,22 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     return spec, clean
 
 
-def parse_problem(path) -> tuple[ProblemSpec, dict]:
-    """Read and validate a problem file."""
+def parse_problem(path) -> tuple[ProblemSpec, dict, str]:
+    """Read and validate a problem file: UTF-8 JSON.
+
+    Returns the problem, its options and the SHA-256 of the file's bytes
+    (the report's ``inputs_digest``), all from one read.
+    """
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ProblemFormatError("FILE_NOT_FOUND", f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProblemFormatError("MALFORMED_JSON", f"{path}: {exc}") from exc
-    return load_problem_dict(data)
+    spec, options = load_problem_dict(data)
+    return spec, options, hashlib.sha256(raw).hexdigest()
 
 
 def serialize_problem(problem: ProblemSpec, options: dict | None = None) -> dict:
@@ -373,10 +378,6 @@ def _report_skeleton(command: str, digest: str | None) -> dict:
     }
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -388,16 +389,16 @@ def _solver_opts(args, options: dict) -> dict:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    spec, options = parse_problem(args.problem)
-    report = _report_skeleton("solve", _digest(args.problem))
+    spec, options, digest = parse_problem(args.problem)
+    report = _report_skeleton("solve", digest)
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
     report["solve"] = _solve_dict(result)
     return report, 0
 
 
 def _cmd_certify(args) -> tuple[dict, int]:
-    spec, options = parse_problem(args.problem)
-    report = _report_skeleton("certify", _digest(args.problem))
+    spec, options, digest = parse_problem(args.problem)
+    report = _report_skeleton("certify", digest)
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
     report["solve"] = _solve_dict(result)
     cert_tol = args.tol if args.tol is not None else options.get("tol", CERT_TOL)
@@ -407,31 +408,32 @@ def _cmd_certify(args) -> tuple[dict, int]:
 
 
 def _cmd_qg_audit(args) -> tuple[dict, int]:
-    spec, options = parse_problem(args.problem)
-    report = _report_skeleton("qg-audit", _digest(args.problem))
+    spec, options, digest = parse_problem(args.problem)
+    report = _report_skeleton("qg-audit", digest)
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
     report["solve"] = _solve_dict(result)
     # Audits need a pair exactly on the subdifferential graph; solver output
     # is only optimal to its residual, so snap before sampling.
-    xs, ys = snap_to_graph(spec.reg, result.x, result.y)
+    snapped = snap_to_graph(spec.reg, result.x, result.y)
     rep = qg_audit(
         spec.reg,
-        xs,
-        ys,
+        snapped.x,
+        snapped.y,
         samples=args.samples,
         radius=args.radius,
         seed=args.seed,
         include_conjecture=args.conjecture,
+        ref=snapped.classification,
     )
     doc = _audit_dict(rep)
-    doc["snap_distance"] = float(np.linalg.norm(xs - result.x))
+    doc["snap_distance"] = float(np.linalg.norm(snapped.x - result.x))
     report["audit"] = doc
     return report, 0
 
 
 def _cmd_perturb(args) -> tuple[dict, int]:
-    spec, options = parse_problem(args.problem)
-    report = _report_skeleton("perturb", _digest(args.problem))
+    spec, options, digest = parse_problem(args.problem)
+    report = _report_skeleton("perturb", digest)
     rep = empirical_lipschitz(
         spec,
         radius_b=args.radius,
@@ -446,8 +448,8 @@ def _cmd_perturb(args) -> tuple[dict, int]:
 
 
 def _cmd_tilt_probe(args) -> tuple[dict, int]:
-    spec, options = parse_problem(args.problem)
-    report = _report_skeleton("tilt-probe", _digest(args.problem))
+    spec, options, digest = parse_problem(args.problem)
+    report = _report_skeleton("tilt-probe", digest)
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
     report["solve"] = _solve_dict(result)
     rep = tilt_probe(
@@ -607,3 +609,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -92,7 +92,8 @@ class GroupPartition:
     def value(self, x: np.ndarray) -> float:
         return group_norm(x, self)
 
-    def prox(self, x: np.ndarray, t: float) -> np.ndarray:
+    def prox(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """``(point, value)``: the prox and the group norm of its point."""
         return prox_group(x, t, self)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -103,10 +104,11 @@ class GroupPartition:
         return classify_groups(x, y, self, tol)
 
     def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
-        """Nearby pair exactly on the graph of the subdifferential.
+        """Nearby pair exactly on the graph of the subdifferential, and its classification.
 
         Blocks of ``x`` above ``tol`` give ``y`` their exact unit direction;
-        the rest are zeroed, with their dual blocks clipped into the unit ball.
+        the rest are zeroed, with their dual blocks clipped into the unit
+        ball.  Returns ``(x, y, classify(x, y, tol))`` of the snapped pair.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -115,7 +117,8 @@ class GroupPartition:
         active = (nx > tol)[self.seg]
         # Dividing by 1 leaves a block as it is.
         y_div = np.where(nx > tol, nx, np.where(ny > 1.0, ny, 1.0))[self.seg]
-        return np.where(active, x, 0.0), np.where(active, x, y) / y_div
+        xs, ys = np.where(active, x, 0.0), np.where(active, x, y) / y_div
+        return xs, ys, classify_groups(xs, ys, self, tol)
 
     def growth_scale(self, rows: np.ndarray) -> np.ndarray:
         """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``, per row."""
@@ -205,8 +208,12 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray:
-    """Blockwise soft threshold: ``x_J * max(1 - t/||x_J||, 0)``."""
+def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.ndarray, float]:
+    """Blockwise soft threshold ``x_J * max(1 - t/||x_J||, 0)``, and its group norm.
+
+    The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
+    it costs no second pass over the blocks.
+    """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -214,7 +221,8 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray
     keep = nx > t
     factor = 1.0 - t / np.where(keep, nx, 1.0)
     # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
-    return np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
+    point = np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
+    return point, float(np.maximum(nx - t, 0.0).sum())
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:

@@ -16,6 +16,7 @@ reads off it.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -66,8 +67,10 @@ class NuclearShape:
     def value(self, x: np.ndarray) -> float:
         return nuclear_norm(self.as_matrix(x))
 
-    def prox(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.as_vector(prox_nuclear(self.as_matrix(x), t))
+    def prox(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """``(point, value)``: the prox and the nuclear norm of its point."""
+        point, value = prox_nuclear(self.as_matrix(x), t)
+        return self.as_vector(point), value
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :class:`SubgradientCheck`."""
@@ -77,9 +80,18 @@ class NuclearShape:
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
 
     def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
-        """Both matrices rebuilt from their joint frames: a pair exactly on the graph."""
+        """Both matrices rebuilt from their joint frames: a pair exactly on the graph.
+
+        Returns ``(x, y, classification)``.  The frames and spectra that
+        rebuild the pair diagonalize it, so the factorization of the input
+        pair classifies the snapped one; only its ``residual`` is taken
+        again, from those spectra.
+        """
         dec = self.classify(x, y, tol)
-        return self.as_vector(dec.reconstruct_x()), self.as_vector(dec.reconstruct_y())
+        xs, ys = dec.reconstruct_x(), dec.reconstruct_y()
+        residual = _check_spectra(xs, ys, dec.sigma_x, dec.singular_values_y(), tol).residual
+        snapped = dataclasses.replace(dec, residual=residual)
+        return self.as_vector(xs), self.as_vector(ys), snapped
 
     def growth_scale(self, rows: np.ndarray) -> np.ndarray:
         """Sample scale of the growth moduli: ``||X||_*``, per row."""
@@ -123,13 +135,18 @@ def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def prox_nuclear(x: np.ndarray, t: float) -> np.ndarray:
-    """Singular value soft threshold with level ``t``."""
+def prox_nuclear(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """Singular value soft threshold with level ``t``, and its nuclear norm.
+
+    The norm is the sum of the shrunk singular values,
+    ``sum(max(s - t, 0))``, so it costs no second SVD.
+    """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return (u * np.maximum(s - t, 0.0)) @ vt
+    shrunk = np.maximum(s - t, 0.0)
+    return (u * shrunk) @ vt, float(shrunk.sum())
 
 
 def is_subgradient_nuclear(

@@ -9,8 +9,13 @@ reshape of ``x``, and ``v`` is an optional linear tilt used by the
 stability probes.  The solver is FISTA with a fixed step ``1/L``,
 ``L = sigma_max(phi)^2 / mu``, and a function-value restart that keeps the
 reported objective nonincreasing.  Termination is on the fixed-point
-residual of the proximal-gradient map; hitting the iteration cap sets a
-flag on the result instead of raising.
+residual ``||x - T(x)||`` of the forward-backward map
+``T = prox_{g/L} o (I - grad/L)``.  Each iteration takes one prox, at the
+momentum point; the prox also returns ``g`` at its point, so the objective
+needs no separate norm evaluation.  ``T`` is nonexpansive at step ``1/L``,
+so ``||m - T(m)||`` bounds the residual at ``T(m)``; once that bound is
+below the tolerance, one more prox confirms the true residual.  Hitting the
+iteration cap sets a flag on the result instead of raising.
 """
 
 from __future__ import annotations
@@ -138,9 +143,25 @@ def prox_gradient_solve(
 ) -> SolveResult:
     """FISTA with function-value restart on the (optionally tilted) problem.
 
-    Terminates when ``||x - prox_{g/L}(x - (grad f(x) - v)/L)|| <= tol``.
-    Never raises on slow convergence; the result's ``converged`` flag and
-    final residual tell the story.
+    Let ``T(z) = prox_{g/L}(z - (grad f(z) - v)/L)``.  The solve stops
+    with ``converged`` set only when the true residual ``||x - T(x)||`` is
+    at most ``tol``.  Each iteration takes the new iterate ``z = T(m)``
+    from the momentum point ``m`` (from ``x`` on a restart), one prox.
+    ``I - gram/L`` has its spectrum in ``[0, 1]`` and the prox is firmly
+    nonexpansive, so ``T`` is nonexpansive and
+
+        ``||z - T(z)|| = ||T(m) - T(z)|| <= ||m - z||``.
+
+    Only when ``||m - z|| <= tol`` does one more prox, at ``z``, compute
+    the true residual; if rounding leaves it above ``tol``, iteration goes
+    on and that step ``T(z)`` serves a restart from ``z``.  The restart
+    (when the momentum step raises the objective) takes the descent step
+    ``T(x)``, reusing it when known.  The objective adds the smooth part
+    to the value the prox returns; ``g`` itself is evaluated once, at the
+    start point.  ``fixed_point_residual`` is the true residual at the
+    returned ``x``, also when ``max_iter`` ends the solve.  Never raises on
+    slow convergence; the result's ``converged`` flag and final residual
+    tell the story.
     """
     n = problem.n
     v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
@@ -158,42 +179,58 @@ def prox_gradient_solve(
         lip = 1.0  # zero operator: any step is valid for the pure prox iteration
     step = 1.0 / lip
 
-    # Both take ``gz = gram @ z``, which the loop computes once per point.
-    def fval(z: np.ndarray, gz: np.ndarray) -> float:
-        return 0.5 * float(z @ gz) - float(lin @ z) + const + reg.value(z)
+    # Both take ``gz = gram @ z``, which the loop carries for every point.
+    def smooth(z: np.ndarray, gz: np.ndarray) -> float:
+        return 0.5 * float(z @ gz) - float(lin @ z) + const
 
-    def pg_step(z: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    def pg_step(z: np.ndarray, gz: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(T(z), g(T(z)))``."""
         return reg.prox(z - step * (gz - lin), step)
 
-    momentum = x.copy()
-    tk = 1.0
     gx = gram @ x
-    fx = fval(x, gx)
-    # px = pg_step(x) serves the stopping residual and, on a restart, the
-    # descent step from x: two prox evaluations per iteration.
+    fx = smooth(x, gx) + reg.value(x)
+    # px is T(x) when known: at the start, and after a confirmation at x.
     px = pg_step(x, gx)
-    residual = float(np.linalg.norm(x - px))
+    residual = float(np.linalg.norm(x - px[0]))
     converged = residual <= tol
+    momentum, gm = x, gx
+    tk = 1.0
     iterations = 0
     while not converged and iterations < max_iter:
-        x_new = pg_step(momentum, gram @ momentum)
-        g_new = gram @ x_new
-        f_new = fval(x_new, g_new)
-        if f_new > fx:
+        # After the start or a restart the momentum point is x itself, whose
+        # step may be known.
+        base = momentum
+        z, gval = px if momentum is x and px is not None else pg_step(momentum, gm)
+        gz = gram @ z
+        fz = smooth(z, gz) + gval
+        if fz > fx:
             # Momentum overshot: restart from the plain descent step, which
-            # cannot increase the objective at step 1/L.
-            x_new = px
-            g_new = gram @ x_new
-            f_new = fval(x_new, g_new)
+            # cannot increase the objective at step 1/L.  From x, z is it.
             tk = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        momentum = x_new + ((tk - 1.0) / t_next) * (x_new - x)
-        x, gx, fx, tk = x_new, g_new, f_new, t_next
+            if base is not x:
+                base = x
+                z, gval = px if px is not None else pg_step(x, gx)
+                gz = gram @ z
+                fz = smooth(z, gz) + gval
         iterations += 1
+        px = None
+        if float(np.linalg.norm(base - z)) <= tol:
+            px = pg_step(z, gz)
+            residual = float(np.linalg.norm(z - px[0]))
+            converged = residual <= tol
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        beta = (tk - 1.0) / t_next
+        if beta == 0.0:  # at the start and after a restart
+            momentum, gm = z, gz
+        else:
+            # gram @ momentum by linearity: one matrix product per iteration.
+            momentum = z + beta * (z - x)
+            gm = gz + beta * (gz - gx)
+        x, gx, fx, tk = z, gz, fz, t_next
+    if px is None:
         px = pg_step(x, gx)
-        residual = float(np.linalg.norm(x - px))
-        if residual <= tol:
-            converged = True
+        residual = float(np.linalg.norm(x - px[0]))
+        converged = residual <= tol
     return SolveResult(
         x=x,
         y=dual_from_solution(problem, x),

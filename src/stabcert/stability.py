@@ -182,16 +182,36 @@ def restricted_hessian_min_eig(hessian: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def snap_to_graph(reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL):
+@dataclass(frozen=True, eq=False)
+class SnappedPair:
+    """A pair on the subdifferential graph and its classification.
+
+    Unpacks as ``x, y``.  ``classification`` classifies the pair as
+    ``reg.classify`` does (for nuclear pairs, up to rounding: it reuses the
+    factorization that rebuilt them); pass it to :func:`qg_audit` as
+    ``ref``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    classification: GroupAnalysis | SimultaneousSVD
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+
+def snap_to_graph(
+    reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL
+) -> SnappedPair:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
     pair that lies on the graph to working precision.  The regularizer's
     ``snap`` does it: group blocks are pinned to exact unit directions or
     zeroed, nuclear pairs are rebuilt from their joint frames.  Returns
-    vectors.
+    vectors, with the classification of the snapped pair.
     """
-    return reg.snap(x, y, tol)
+    return SnappedPair(*reg.snap(x, y, tol))
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -234,6 +254,7 @@ def qg_audit(
     radius: float = 1.0,
     seed: int = 0,
     include_conjecture: bool = False,
+    ref: GroupAnalysis | SimultaneousSVD | None = None,
 ) -> QGAuditReport:
     """Sampled audit of the quadratic growth of the regularizer at a graph pair.
 
@@ -250,12 +271,16 @@ def qg_audit(
     the audit: NaN and +inf make their constant and ``min_slack`` NaN,
     -inf is a minimum.  ``include_conjecture`` additionally tracks the
     sharper untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip
-    there is a counterexample candidate, not a failure.
+    there is a counterexample candidate, not a failure.  ``ref`` is the
+    classification of ``(xbar, ybar)`` when the caller has it (a
+    :class:`SnappedPair` carries it); otherwise the pair is classified
+    here.
     """
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     ybar = np.asarray(ybar, dtype=float).reshape(-1)
-    ref = reg.classify(xbar, ybar, CERT_TOL)
+    if ref is None:
+        ref = reg.classify(xbar, ybar, CERT_TOL)
     gbar = reg.value(xbar)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)

@@ -330,7 +330,9 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
 
 
 def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
-    """FISTA with function-value restart, recomputing every product and prox.
+    """FISTA with function-value restart, recomputing every product and prox,
+    evaluating the norm at every iterate and the true residual after every
+    step.
 
     Returns ``(x, iterations, residual, objective)``.
     """
@@ -351,7 +353,7 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
         return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg.value(z)
 
     def pg_step(z):
-        return reg.prox(z - step * (gram @ z - lin), step)
+        return reg.prox(z - step * (gram @ z - lin), step)[0]
 
     momentum = x.copy()
     tk = 1.0

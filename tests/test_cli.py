@@ -357,3 +357,65 @@ def test_first_bad_phi_entry_names_the_error(phi, code):
     with pytest.raises(ProblemFormatError) as exc:
         load_problem_dict(doc(phi=phi))
     assert exc.value.code == code
+
+
+NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    "b": [2.0, 0.5, -0.3, 1.0],
+    "mu": 0.5,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+
+
+def test_undecodable_file_gives_json_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE_DOC).encode("utf-16-le"))
+    exit_code, report = run_capture(capsys, ["certify", str(path)])
+    assert exit_code == 1
+    assert report["error"]["code"] == "MALFORMED_JSON"
+    exit_code, report = run_capture(capsys, ["certify", str(tmp_path)])
+    assert exit_code == 1
+    assert report["error"]["code"] == "FILE_NOT_FOUND"
+
+
+def test_nuclear_audit_factors_the_snapped_pair_once(tmp_path, capsys, monkeypatch):
+    from stabcert import nuclear
+
+    real = nuclear.simultaneous_svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nuclear, "simultaneous_svd", counting)
+    path = write_doc(tmp_path, NUCLEAR_DOC)
+    exit_code, report = run_capture(capsys, ["qg-audit", path, "--samples", "50"])
+    assert exit_code == 0
+    assert report["audit"]["passed"] is True
+    assert len(calls) == 1
+
+
+def test_module_runs_as_a_script(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stabcert
+
+    path = write_doc(tmp_path, doc())
+    env = dict(os.environ, PYTHONPATH=str(Path(stabcert.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabcert.cli", "certify", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["command"] == "certify"
+    assert report["error"] is None
+    assert report["certificate"]["holds"] is True

@@ -46,7 +46,7 @@ class TestNormAndProx:
         assert nuclear_norm(a) == pytest.approx(7.0)
 
     def test_prox_thresholds_spectrum(self):
-        out = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
+        out, _ = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_prox_nonexpansive(self):
@@ -55,7 +55,7 @@ class TestNormAndProx:
             a = rng.standard_normal((3, 4))
             b = rng.standard_normal((3, 4))
             t = float(rng.uniform(0.0, 3.0))
-            lhs = np.linalg.norm(prox_nuclear(a, t) - prox_nuclear(b, t))
+            lhs = np.linalg.norm(prox_nuclear(a, t)[0] - prox_nuclear(b, t)[0])
             assert lhs <= np.linalg.norm(a - b) + 1e-10
 
     def test_prox_step_lands_on_graph(self):
@@ -63,7 +63,7 @@ class TestNormAndProx:
         for _ in range(50):
             a = rng.standard_normal((3, 3)) * rng.uniform(0.1, 4.0)
             t = float(rng.uniform(1e-3, 3.0))
-            p = prox_nuclear(a, t)
+            p, _ = prox_nuclear(a, t)
             y = (a - p) / t
             check = is_subgradient_nuclear(
                 p, y, tol=1e-12 * (1.0 + np.linalg.norm(a) / t)

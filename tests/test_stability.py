@@ -5,6 +5,7 @@ from helpers import (
     degenerate_group_instance,
     degenerate_nuclear_instance,
     random_group_instance,
+    random_nuclear_instance,
 )
 from stabcert.errors import NotASolutionError
 from stabcert.groupnorm import (
@@ -172,6 +173,31 @@ class TestSnapToGraph:
         shape = p.reg
         check = is_subgradient_nuclear(shape.as_matrix(xs), shape.as_matrix(ys), tol=1e-12)
         assert check.ok
+
+
+    @pytest.mark.parametrize("make", [random_group_instance, random_nuclear_instance])
+    def test_snap_carries_the_classification_of_the_snapped_pair(self, make):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            p = make(rng)
+            res = prox_gradient_solve(p)
+            snapped = snap_to_graph(p.reg, res.x, res.y)
+            got = snapped.classification
+            again = p.reg.classify(snapped.x, snapped.y, 1e-7)
+            assert type(got) is type(again)
+            assert got.as_dict().keys() == again.as_dict().keys()
+            for key, value in got.as_dict().items():
+                if key == "kind":
+                    assert value == again.as_dict()[key]
+                else:
+                    np.testing.assert_allclose(value, again.as_dict()[key], rtol=1e-12, atol=1e-12)
+            assert got.gamma == pytest.approx(again.gamma, rel=1e-12, abs=1e-12)
+            assert got.residual <= 1e-12
+            assert mutual_projection_residual(got.v_basis, again.v_basis) <= 1e-8
+            with_ref = qg_audit(p.reg, snapped.x, snapped.y, samples=200, seed=2, ref=got)
+            without = qg_audit(p.reg, snapped.x, snapped.y, samples=200, seed=2)
+            assert with_ref.passed == without.passed
+            assert with_ref.min_slack == pytest.approx(without.min_slack, rel=1e-9, abs=1e-12)
 
 
 class TestQgAudit:
