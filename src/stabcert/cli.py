@@ -19,17 +19,23 @@ Reports are JSON with all reals printed at 17 significant digits, so
 identical inputs and flags produce byte-identical payloads apart from the
 ``timing`` entry.  Exit codes: 0 success, 2 certificate did not hold,
 1 any error.
+
+The argument parser is built once per process, on the first :func:`run`,
+and reused by every later call; each call parses into a fresh namespace,
+so no flag value carries over from one command to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +85,25 @@ def _write_json(obj, out: list) -> None:
         # JSON has no Infinity/NaN; certificates document null margins.
         out.append(format(f, ".17g") if math.isfinite(f) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
+            out.append(encode_basestring_ascii(str(k)))
             out.append(":")
             _write_json(v, out)
         out.append("}")
+    elif (
+        isinstance(obj, np.ndarray)
+        and obj.ndim == 1
+        and obj.dtype == np.float64
+        and np.isfinite(obj).all()
+    ):
+        # The common case (solutions, duals, block norms) in one pass, with
+        # the same bytes the element-wise branch below writes.
+        out.append("[" + ",".join([format(v, ".17g") for v in obj.tolist()]) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         out.append("[")
@@ -286,10 +301,15 @@ def parse_problem(path) -> tuple[ProblemSpec, dict, str]:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ProblemFormatError("FILE_NOT_FOUND", f"cannot read {path}: {exc}") from exc
+    return _load_problem_bytes(raw, path)
+
+
+def _load_problem_bytes(raw: bytes, source) -> tuple[ProblemSpec, dict, str]:
+    """Problem, options and SHA-256 of the bytes of a problem file named ``source``."""
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProblemFormatError("MALFORMED_JSON", f"{path}: {exc}") from exc
+        raise ProblemFormatError("MALFORMED_JSON", f"{source}: {exc}") from exc
     spec, options = load_problem_dict(data)
     return spec, options, hashlib.sha256(raw).hexdigest()
 
@@ -465,21 +485,26 @@ def _cmd_tilt_probe(args) -> tuple[dict, int]:
     return report, 0
 
 
+_EXAMPLE_NON = "data/example_non.json"
+
+
+def _read_example_non() -> tuple[ProblemSpec, dict, str]:
+    raw = resources.files("stabcert").joinpath(_EXAMPLE_NON).read_bytes()
+    return _load_problem_bytes(raw, _EXAMPLE_NON)
+
+
 def bundled_example_non() -> tuple[ProblemSpec, dict]:
     """The packaged reference instance used by ``reproduce-example-non``."""
-    data = json.loads(
-        resources.files("stabcert").joinpath("data/example_non.json").read_text()
-    )
-    return load_problem_dict(data)
+    spec, options, _ = _read_example_non()
+    return spec, options
 
 
 def _cmd_reproduce_example_non(args) -> tuple[dict, int]:
-    spec, _ = bundled_example_non()
+    spec, _, digest = _read_example_non()
     b = spec.b.copy()
     b[1] = args.b2
     spec = ProblemSpec(spec.phi, b, spec.mu, spec.reg)
-    raw = resources.files("stabcert").joinpath("data/example_non.json").read_bytes()
-    report = _report_skeleton("reproduce-example-non", hashlib.sha256(raw).hexdigest())
+    report = _report_skeleton("reproduce-example-non", digest)
     result = prox_gradient_solve(spec, tol=args.tol if args.tol is not None else DEFAULT_TOL)
     report["solve"] = _solve_dict(result)
     cert = certify(spec, result.x)
@@ -585,8 +610,15 @@ def _check_flags(args) -> None:
         raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than parsing a command with it, and
+    # argparse keeps no state between ``parse_args`` calls: one per process.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         _check_flags(args)

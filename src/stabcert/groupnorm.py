@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleApproximationError, NotASubgradientError
-from .linalg import orthonormalize
 
 # A dual block counts as boundary-active when its norm is within this of 1;
 # a primal block counts as nonzero above this.
@@ -163,15 +162,14 @@ class GroupAnalysis:
     @cached_property
     def v_basis(self) -> np.ndarray:
         """Orthonormal basis of the directions that keep the pair critical,
-        one unit direction per boundary block; built on first use."""
-        n = self.partition.n
-        cols = []
-        for j in self.K:
-            w = np.zeros(n)
+        one unit direction per boundary block, in ``K`` order; built on
+        first use.  The columns live on disjoint blocks, so they are
+        orthogonal as they stand and normalizing each one is enough."""
+        basis = np.zeros((self.partition.n, len(self.K)))
+        for col, j in enumerate(self.K):
             idx = self.partition.index_arrays[j]
-            w[idx] = self.y[idx]
-            cols.append(w)
-        return orthonormalize(cols, dim=n)
+            basis[idx, col] = self.y[idx] / np.linalg.norm(self.y[idx])
+        return basis
 
     @property
     def classification_margin(self) -> float:

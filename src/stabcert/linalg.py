@@ -32,13 +32,18 @@ def svd(a: np.ndarray):
     return u, s, vt.T
 
 
-def restricted_min_singular(a: np.ndarray, basis: np.ndarray) -> float:
-    """Smallest singular value of ``a`` restricted to the span of ``basis``.
+def restricted_min_singular(
+    a: np.ndarray, basis: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """Smallest singular value of ``a`` restricted to the span of ``basis``, and where.
 
     ``basis`` must have orthonormal columns with ambient dimension equal to
-    the column count of ``a``.  The empty basis yields ``inf`` (the
-    restriction to the zero subspace is vacuously injective); a value of 0
-    means the span meets the kernel of ``a``.
+    the column count of ``a``.  Returns ``(value, direction)``: ``direction``
+    is a unit vector of the span that ``a`` shrinks the most, ``basis``
+    times the last right singular vector of ``a @ basis``; one SVD gives
+    both.  The empty basis yields ``(inf, None)`` (the restriction to the
+    zero subspace is vacuously injective); a value of 0 means the span
+    meets the kernel of ``a``.
     """
     a = np.asarray(a, dtype=float)
     basis = np.asarray(basis, dtype=float)
@@ -48,12 +53,14 @@ def restricted_min_singular(a: np.ndarray, basis: np.ndarray) -> float:
         )
     k = basis.shape[1]
     if k == 0:
-        return math.inf
-    if k > a.shape[0]:
-        # More directions than output dimensions: the restriction must be singular.
-        return 0.0
-    s = np.linalg.svd(a @ basis, compute_uv=False)
-    return float(s[-1])
+        return math.inf, None
+    # More directions than output dimensions: the restriction must be
+    # singular, and only the full set of right singular vectors holds a
+    # direction of its kernel.
+    wide = k > a.shape[0]
+    _, s, vt = np.linalg.svd(a @ basis, full_matrices=wide)
+    w = basis @ vt[-1]
+    return (0.0 if wide else float(s[-1])), w / np.linalg.norm(w)
 
 
 def psd_project(s: np.ndarray) -> np.ndarray:

@@ -105,15 +105,6 @@ def margin_tolerance(problem: ProblemSpec) -> float:
     return MARGIN_TOL_SCALE * problem.sigma_max
 
 
-def _witness_from_basis(phi: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    if basis.shape[1] == 0:
-        return None
-    _, _, vt = np.linalg.svd(phi @ basis)
-    w = basis @ vt[-1]
-    nw = float(np.linalg.norm(w))
-    return w / nw if nw > 0 else None
-
-
 def certify(
     problem: ProblemSpec,
     x: np.ndarray,
@@ -136,9 +127,9 @@ def certify(
         ) from None
     mt = margin_tolerance(problem) if margin_tol is None else float(margin_tol)
     basis = classification.v_basis
-    margin = restricted_min_singular(problem.phi, basis)
+    margin, direction = restricted_min_singular(problem.phi, basis)
     holds = margin > mt
-    witness = None if holds else _witness_from_basis(problem.phi, basis)
+    witness = None if holds else direction
     return StabilityCertificate(
         kind=reg.kind,
         holds=holds,

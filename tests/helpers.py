@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -376,3 +377,73 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
         if residual <= tol:
             converged = True
     return x, iterations, residual, fx
+
+
+# ---------------------------------------------------------------------------
+# the writers and factorizations that faster code replaced, kept as oracles
+
+
+def _write_json_loop(obj, out):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        out.append(format(f, ".17g") if math.isfinite(f) else "null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(k)))
+            out.append(":")
+            _write_json_loop(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        out.append("[")
+        for i, v in enumerate(seq):
+            if i:
+                out.append(",")
+            _write_json_loop(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dumps_canonical_loop(obj):
+    """Canonical report JSON written one element at a time, recursively."""
+    out = []
+    _write_json_loop(obj, out)
+    return "".join(out)
+
+
+def group_v_basis_gram_schmidt(analysis):
+    """A group classification's critical subspace by pivoted Gram-Schmidt."""
+    from stabcert.linalg import orthonormalize
+
+    n = analysis.partition.n
+    cols = []
+    for j in analysis.K:
+        w = np.zeros(n)
+        idx = analysis.partition.index_arrays[j]
+        w[idx] = analysis.y[idx]
+        cols.append(w)
+    return orthonormalize(cols, dim=n)
+
+
+def margin_and_witness_two_svds(phi, basis):
+    """Certificate margin from the singular values alone, then the witness
+    from a second, full SVD of ``phi @ basis``."""
+    k = basis.shape[1]
+    if k == 0:
+        return math.inf, None
+    margin = 0.0 if k > phi.shape[0] else float(np.linalg.svd(phi @ basis, compute_uv=False)[-1])
+    _, _, vt = np.linalg.svd(phi @ basis)
+    w = basis @ vt[-1]
+    return margin, w / np.linalg.norm(w)

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import dumps_canonical_loop
 from stabcert.cli import (
     bundled_example_non,
     dumps_canonical,
@@ -419,3 +423,121 @@ def test_module_runs_as_a_script(tmp_path):
     assert report["command"] == "certify"
     assert report["error"] is None
     assert report["certificate"]["holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _without_timing(report):
+    return {k: v for k, v in report.items() if k != "timing"}
+
+
+def test_second_run_builds_no_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    path = write_doc(tmp_path, doc())
+    run_capture(capsys, ["certify", path])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, report = run_capture(capsys, ["certify", path])
+    assert code == 0 and report["certificate"]["holds"] is True
+    assert built == []
+
+
+def test_flag_values_do_not_carry_over(tmp_path, capsys):
+    path = write_doc(tmp_path, doc())
+    _, first = run_capture(capsys, ["tilt-probe", path, "--samples", "3"])
+    _, second = run_capture(capsys, ["tilt-probe", path])
+    assert first["perturbation"]["samples"] == 3
+    assert second["perturbation"]["samples"] == 20
+
+
+def test_usage_error_help_and_version_leave_the_next_command_alone(tmp_path, capsys):
+    from stabcert import __version__
+
+    path = write_doc(tmp_path, doc())
+    _, expected = run_capture(capsys, ["certify", path])
+    for argv in (["certify", path, "--tol"], ["certify", path, "--samples", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage: stabcert" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["tilt-probe", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--samples" in helps[0]
+    code, report = run_capture(capsys, ["certify", path])
+    assert code == 0
+    assert _without_timing(report) == _without_timing(expected)
+
+
+def test_reproduce_reads_the_bundled_file_once(capsys, monkeypatch):
+    import hashlib
+    import pathlib
+    from importlib import resources
+
+    raw = resources.files("stabcert").joinpath("data/example_non.json").read_bytes()
+    opened = []
+    real_open = pathlib.Path.open
+
+    def counting(self, *args, **kwargs):
+        if self.name == "example_non.json":
+            opened.append(1)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counting)
+    code, report = run_capture(capsys, ["reproduce-example-non", "--b2", "-1.5"])
+    assert len(opened) == 1
+    assert code == 0
+    assert report["inputs_digest"] == hashlib.sha256(raw).hexdigest()
+    assert report["reproduction"]["matches"] is True
+    assert report["certificate"]["holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON against the element-by-element writer
+
+_reals = st.floats(allow_nan=True, allow_infinity=True)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _reals,
+    st.text(max_size=8),
+    _reals.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    arrays(np.float64, st.integers(0, 6), elements=_reals),
+    arrays(np.float64, st.integers(0, 6), elements=st.floats(-1e300, 1e300)),
+    arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3)), elements=_reals),
+    arrays(np.int64, st.integers(0, 4), elements=st.integers(-9, 9)),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_dumps_canonical_matches_the_recursive_writer(obj):
+    assert dumps_canonical(obj) == dumps_canonical_loop(obj)

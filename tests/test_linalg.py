@@ -53,15 +53,19 @@ class TestSvd:
 
 class TestRestrictedMinSingular:
     def test_identity_on_axis(self):
-        assert restricted_min_singular(np.eye(2), np.eye(2)[:, :1]) == pytest.approx(1.0)
+        value, direction = restricted_min_singular(np.eye(2), np.eye(2)[:, :1])
+        assert value == pytest.approx(1.0)
+        assert np.allclose(np.abs(direction), [1.0, 0.0])
 
     def test_detects_kernel_overlap(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         basis = np.array([[0.0], [1.0]])
-        assert restricted_min_singular(a, basis) == pytest.approx(0.0, abs=1e-14)
+        value, direction = restricted_min_singular(a, basis)
+        assert value == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(np.abs(direction), [0.0, 1.0])
 
     def test_empty_basis_is_infinite(self):
-        assert restricted_min_singular(np.eye(3), np.zeros((3, 0))) == np.inf
+        assert restricted_min_singular(np.eye(3), np.zeros((3, 0))) == (np.inf, None)
 
     def test_mismatched_ambient_dimension(self):
         with pytest.raises(ValueError):
@@ -71,7 +75,10 @@ class TestRestrictedMinSingular:
         # more directions than rows forces a kernel intersection
         a = np.ones((1, 3))
         q = orthonormalize([np.eye(3)[:, i] for i in range(3)])
-        assert restricted_min_singular(a, q) == pytest.approx(0.0, abs=1e-14)
+        value, direction = restricted_min_singular(a, q)
+        assert value == 0.0
+        assert np.linalg.norm(direction) == pytest.approx(1.0)
+        assert np.linalg.norm(a @ direction) == pytest.approx(0.0, abs=1e-14)
 
     def test_rotation_invariant(self):
         rng = np.random.default_rng(2)
@@ -79,9 +86,10 @@ class TestRestrictedMinSingular:
             a = rng.standard_normal((5, 4))
             q = random_orthogonal(rng, 4)
             basis = q[:, :2]
-            direct = restricted_min_singular(a, basis)
+            direct, direction = restricted_min_singular(a, basis)
             expected = np.linalg.svd(a @ basis, compute_uv=False)[-1]
             assert direct == pytest.approx(expected, rel=1e-12)
+            assert np.linalg.norm(a @ direction) == pytest.approx(direct, rel=1e-12)
 
 
 class TestPsdProject:

@@ -4,6 +4,8 @@ import pytest
 from helpers import (
     degenerate_group_instance,
     degenerate_nuclear_instance,
+    group_v_basis_gram_schmidt,
+    margin_and_witness_two_svds,
     random_group_instance,
     random_nuclear_instance,
 )
@@ -14,10 +16,11 @@ from stabcert.groupnorm import (
     inverse_subdiff_distance,
     subgrad_residual,
 )
-from stabcert.linalg import mutual_projection_residual
+from stabcert.linalg import mutual_projection_residual, restricted_min_singular
 from stabcert.nuclear import NuclearShape, is_subgradient_nuclear
 from stabcert.solver import ProblemSpec, dual_from_solution, prox_gradient_solve
 from stabcert.stability import (
+    CERT_TOL,
     certify,
     certify_phi_perturbed,
     empirical_lipschitz,
@@ -344,3 +347,62 @@ class TestTiltProbe:
         coarse = tilt_probe(spec, xbar.ravel(), radius_v=1e-1, samples=4, seed=5)
         fine = tilt_probe(spec, xbar.ravel(), radius_v=1e-3, samples=4, seed=5)
         assert fine.max_ratio >= 10.0 * coarse.max_ratio
+
+
+class TestCertifyFactorizations:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: degenerate_group_instance(rng, n=2), degenerate_nuclear_instance],
+        ids=["group", "nuclear"],
+    )
+    def test_failing_certify_factors_once(self, make, monkeypatch):
+        real = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for seed in range(8):
+            spec, xbar = make(np.random.default_rng(seed))
+            x = xbar.ravel()
+            assert spec.sigma_max > 0  # factored and cached before counting
+            y = dual_from_solution(spec, x)
+            before = len(calls)
+            spec.reg.classify(x, y, CERT_TOL)
+            in_classify = len(calls) - before
+            before = len(calls)
+            cert = certify(spec, x)
+            assert len(calls) - before == in_classify + 1
+            assert not cert.holds
+            # The restricted kernel is one-dimensional, so the witness is
+            # unique up to sign.
+            basis = cert.classification.v_basis
+            margin, witness = margin_and_witness_two_svds(spec.phi, basis)
+            assert cert.margin == pytest.approx(margin, abs=1e-12)
+            gap = min(np.abs(cert.witness - witness).max(), np.abs(cert.witness + witness).max())
+            assert gap <= 1e-10
+
+
+def test_group_v_basis_matches_gram_schmidt_on_the_acceptance_bank():
+    from test_acceptance import instance_bank
+
+    checked = 0
+    for entry in instance_bank():
+        if entry.kind != "group":
+            continue
+        analysis = entry.cert.classification
+        basis = analysis.v_basis
+        reference = group_v_basis_gram_schmidt(analysis)
+        assert basis.shape == reference.shape
+        assert mutual_projection_residual(basis, reference) <= 1e-12
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-15
+        for col, j in enumerate(analysis.K):
+            outside = np.ones(basis.shape[0], dtype=bool)
+            outside[entry.spec.reg.index_arrays[j]] = False
+            assert not basis[outside, col].any()
+        margin, _ = restricted_min_singular(entry.spec.phi, reference)
+        assert entry.cert.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+        checked += 1
+    assert checked == 100
