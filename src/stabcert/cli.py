@@ -20,6 +20,11 @@ identical inputs and flags produce byte-identical payloads apart from the
 ``timing`` entry.  Exit codes: 0 success, 2 certificate did not hold,
 1 any error.
 
+Each run builds one report, and the command fills in each section as soon
+as it is computed.  An error report therefore keeps ``inputs_digest`` once
+the problem file is read and valid, and every section finished before the
+error: a ``NotASolutionError`` from ``certify`` keeps ``solve``.
+
 The argument parser is built once per process, on the first :func:`run`,
 and reused by every later call; each call parses into a fresh namespace,
 so no flag value carries over from one command to the next.
@@ -384,22 +389,8 @@ def _audit_dict(rep: QGAuditReport) -> dict:
     return doc
 
 
-def _report_skeleton(command: str, digest: str | None) -> dict:
-    return {
-        "command": command,
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "inputs_digest": digest,
-        "solve": None,
-        "certificate": None,
-        "perturbation": None,
-        "audit": None,
-        "error": None,
-    }
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each fills in the sections of ``report`` and returns the exit code
 
 
 def _solver_opts(args, options: dict) -> dict:
@@ -408,30 +399,35 @@ def _solver_opts(args, options: dict) -> dict:
     return {"tol": tol, "max_iter": max_iter}
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
-    spec, options, digest = parse_problem(args.problem)
-    report = _report_skeleton("solve", digest)
-    result = prox_gradient_solve(spec, **_solver_opts(args, options))
-    report["solve"] = _solve_dict(result)
-    return report, 0
+def _load(args, report: dict) -> tuple[ProblemSpec, dict]:
+    spec, options, report["inputs_digest"] = parse_problem(args.problem)
+    return spec, options
 
 
-def _cmd_certify(args) -> tuple[dict, int]:
-    spec, options, digest = parse_problem(args.problem)
-    report = _report_skeleton("certify", digest)
+def _solve(spec: ProblemSpec, args, options: dict, report: dict) -> SolveResult:
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
     report["solve"] = _solve_dict(result)
+    return result
+
+
+def _cmd_solve(args, report: dict) -> int:
+    spec, options = _load(args, report)
+    _solve(spec, args, options, report)
+    return 0
+
+
+def _cmd_certify(args, report: dict) -> int:
+    spec, options = _load(args, report)
+    result = _solve(spec, args, options, report)
     cert_tol = args.tol if args.tol is not None else options.get("tol", CERT_TOL)
     cert = certify(spec, result.x, tol=cert_tol, margin_tol=options.get("margin_tol"))
     report["certificate"] = _certificate_dict(cert)
-    return report, 0 if cert.holds else 2
+    return 0 if cert.holds else 2
 
 
-def _cmd_qg_audit(args) -> tuple[dict, int]:
-    spec, options, digest = parse_problem(args.problem)
-    report = _report_skeleton("qg-audit", digest)
-    result = prox_gradient_solve(spec, **_solver_opts(args, options))
-    report["solve"] = _solve_dict(result)
+def _cmd_qg_audit(args, report: dict) -> int:
+    spec, options = _load(args, report)
+    result = _solve(spec, args, options, report)
     # Audits need a pair exactly on the subdifferential graph; solver output
     # is only optimal to its residual, so snap before sampling.
     snapped = snap_to_graph(spec.reg, result.x, result.y)
@@ -448,12 +444,11 @@ def _cmd_qg_audit(args) -> tuple[dict, int]:
     doc = _audit_dict(rep)
     doc["snap_distance"] = float(np.linalg.norm(snapped.x - result.x))
     report["audit"] = doc
-    return report, 0
+    return 0
 
 
-def _cmd_perturb(args) -> tuple[dict, int]:
-    spec, options, digest = parse_problem(args.problem)
-    report = _report_skeleton("perturb", digest)
+def _cmd_perturb(args, report: dict) -> int:
+    spec, options = _load(args, report)
     rep = empirical_lipschitz(
         spec,
         radius_b=args.radius,
@@ -464,14 +459,12 @@ def _cmd_perturb(args) -> tuple[dict, int]:
         **_solver_opts(args, options),
     )
     report["perturbation"] = _perturbation_dict(rep)
-    return report, 0
+    return 0
 
 
-def _cmd_tilt_probe(args) -> tuple[dict, int]:
-    spec, options, digest = parse_problem(args.problem)
-    report = _report_skeleton("tilt-probe", digest)
-    result = prox_gradient_solve(spec, **_solver_opts(args, options))
-    report["solve"] = _solve_dict(result)
+def _cmd_tilt_probe(args, report: dict) -> int:
+    spec, options = _load(args, report)
+    result = _solve(spec, args, options, report)
     rep = tilt_probe(
         spec,
         result.x,
@@ -482,31 +475,20 @@ def _cmd_tilt_probe(args) -> tuple[dict, int]:
         **_solver_opts(args, options),
     )
     report["perturbation"] = _perturbation_dict(rep)
-    return report, 0
+    return 0
 
 
 _EXAMPLE_NON = "data/example_non.json"
 
 
-def _read_example_non() -> tuple[ProblemSpec, dict, str]:
+def _cmd_reproduce_example_non(args, report: dict) -> int:
     raw = resources.files("stabcert").joinpath(_EXAMPLE_NON).read_bytes()
-    return _load_problem_bytes(raw, _EXAMPLE_NON)
-
-
-def bundled_example_non() -> tuple[ProblemSpec, dict]:
-    """The packaged reference instance used by ``reproduce-example-non``."""
-    spec, options, _ = _read_example_non()
-    return spec, options
-
-
-def _cmd_reproduce_example_non(args) -> tuple[dict, int]:
-    spec, _, digest = _read_example_non()
+    spec, _, report["inputs_digest"] = _load_problem_bytes(raw, _EXAMPLE_NON)
     b = spec.b.copy()
     b[1] = args.b2
     spec = ProblemSpec(spec.phi, b, spec.mu, spec.reg)
-    report = _report_skeleton("reproduce-example-non", digest)
-    result = prox_gradient_solve(spec, tol=args.tol if args.tol is not None else DEFAULT_TOL)
-    report["solve"] = _solve_dict(result)
+    # The command ignores the file's options: only --tol reaches the solver.
+    result = _solve(spec, args, {}, report)
     cert = certify(spec, result.x)
     report["certificate"] = _certificate_dict(cert)
     predicted = max(-args.b2 - 1.0, 0.0)
@@ -519,7 +501,7 @@ def _cmd_reproduce_example_non(args) -> tuple[dict, int]:
         "mismatch": mismatch,
         "matches": bool(mismatch <= 1e-6),
     }
-    return report, 0 if mismatch <= 1e-6 else 1
+    return 0 if mismatch <= 1e-6 else 1
 
 
 _COMMANDS = {
@@ -620,16 +602,23 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
+    report = {
+        "command": args.command,
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "inputs_digest": None,
+        "solve": None,
+        "certificate": None,
+        "perturbation": None,
+        "audit": None,
+        "error": None,
+    }
     try:
         _check_flags(args)
-        report, code = _COMMANDS[args.command](args)
-    except ProblemFormatError as exc:
-        report = _report_skeleton(args.command, None)
-        report["error"] = {"code": exc.code, "message": str(exc)}
-        code = 1
+        code = _COMMANDS[args.command](args, report)
     except StabcertError as exc:
-        report = _report_skeleton(args.command, None)
-        report["error"] = {"code": type(exc).__name__, "message": str(exc)}
+        name = getattr(exc, "code", type(exc).__name__)  # ProblemFormatError has a code
+        report["error"] = {"code": name, "message": str(exc)}
         code = 1
     report["timing"] = {"seconds": time.perf_counter() - start}
     text = dumps_canonical(report)

@@ -20,10 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleApproximationError, NotASubgradientError
-
-# A dual block counts as boundary-active when its norm is within this of 1;
-# a primal block counts as nonzero above this.
-UNIT_TOL = 1e-7
+from .linalg import UNIT_TOL
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,7 @@ def classify_groups(
 
 
 def inverse_subdiff_distance(
-    x: np.ndarray, ybar: np.ndarray, partition: GroupPartition, tol: float = UNIT_TOL
+    x: np.ndarray, ybar: np.ndarray, partition: GroupPartition
 ) -> float | np.ndarray:
     """Distance from ``x`` to the inverse image of ``ybar`` under the subdifferential.
 
@@ -277,7 +274,7 @@ def inverse_subdiff_distance(
     """
     x = np.asarray(x, dtype=float)
     ybar = np.asarray(ybar, dtype=float)
-    unit = block_norms(ybar, partition) >= 1.0 - tol
+    unit = block_norms(ybar, partition) >= 1.0 - UNIT_TOL
     xx = partition.block_sums(x * x)
     t = np.maximum(partition.block_sums(x * ybar), 0.0)
     d2 = np.where(unit, np.maximum(xx - t * t, 0.0), xx)
@@ -285,13 +282,7 @@ def inverse_subdiff_distance(
     return float(dist) if dist.ndim == 0 else dist
 
 
-def relative_approx_group(
-    x: np.ndarray,
-    y: np.ndarray,
-    partition: GroupPartition,
-    kref,
-    tol: float = UNIT_TOL,
-):
+def relative_approx_group(x: np.ndarray, y: np.ndarray, partition: GroupPartition, kref):
     """Split a subgradient into boundary and interior parts relative to ``kref``.
 
     ``kref`` lists reference boundary blocks.  Blocks of ``kref`` whose norm
@@ -305,14 +296,14 @@ def relative_approx_group(
     ``x_J != 0`` (its subgradient block is pinned) or a zero dual block
     cannot be normalized.
     """
-    analysis = classify_groups(x, y, partition, tol)
+    analysis = classify_groups(x, y, partition)
     y = analysis.y
     norms = analysis.y_norms
     kref = tuple(int(j) for j in kref)
     for j in kref:
         if not 0 <= j < len(partition.groups):
             raise ValueError(f"reference block {j} out of range")
-    push = [j for j in kref if norms[j] < 1.0 - tol]
+    push = [j for j in kref if norms[j] < 1.0 - UNIT_TOL]
     if not push:
         return 1.0, y.copy(), y.copy()
     for j in push:

@@ -16,6 +16,10 @@ from .errors import FactorizationError
 # Relative singular-value cutoff for numerical rank decisions.
 RANK_TOL = 1e-9
 
+# A dual block or singular value counts as unit when within this of 1; a
+# primal block counts as nonzero above this.
+UNIT_TOL = 1e-7
+
 
 def svd(a: np.ndarray):
     """Full singular value decomposition ``a = u @ diag(s) @ v.T``.

@@ -28,10 +28,7 @@ from .errors import (
     JointDecompositionError,
     NotASubgradientError,
 )
-from .linalg import RANK_TOL, psd_project, svd
-
-# A singular value of a dual matrix counts as unit when within this of 1.
-UNIT_TOL = 1e-7
+from .linalg import RANK_TOL, UNIT_TOL, psd_project, svd
 
 
 @dataclass(frozen=True)
@@ -283,17 +280,10 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     return dec
 
 
-def p_count(y: np.ndarray, tol: float = UNIT_TOL) -> int:
+def p_count(y: np.ndarray) -> int:
     """Number of unit singular values of a dual matrix."""
     s = np.linalg.svd(np.asarray(y, dtype=float), compute_uv=False)
-    return int(np.sum(s >= 1.0 - tol))
-
-
-def subdominant_gamma(y: np.ndarray, tol: float = UNIT_TOL) -> float:
-    """Largest singular value strictly below the unit block, 0 when there is none."""
-    s = np.linalg.svd(np.asarray(y, dtype=float), compute_uv=False)
-    below = s[s < 1.0 - tol]
-    return float(below[0]) if below.size else 0.0
+    return int(np.sum(s >= 1.0 - UNIT_TOL))
 
 
 def tangent_subspace_basis(dec: SimultaneousSVD) -> np.ndarray:
@@ -341,7 +331,7 @@ def inverse_subdiff_distance(x: np.ndarray, dec: SimultaneousSVD) -> float | np.
     return float(dist) if dist.ndim == 0 else dist
 
 
-def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int, tol: float = UNIT_TOL):
+def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int):
     """Split a dual matrix into boundary and interior parts relative to ``p_ref``.
 
     Given a subgradient pair whose dual has ``q < p_ref`` unit singular
@@ -356,7 +346,7 @@ def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int, tol: float
     singular spectrum, or a primal rank above ``q`` (those directions are
     pinned at 1 and cannot be shrunk).
     """
-    dec = simultaneous_svd(x, y, tol)
+    dec = simultaneous_svd(x, y)
     q = dec.p
     k = dec.k
     if p_ref < 0 or p_ref > k:
@@ -376,7 +366,7 @@ def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int, tol: float
         )
     sy = dec.singular_values_y()
     lam = float(sy[p_ref - 1])
-    if lam >= 1.0 - tol:
+    if lam >= 1.0 - UNIT_TOL:
         raise InfeasibleApproximationError(
             f"singular value {p_ref} of the dual is already at the unit threshold"
         )

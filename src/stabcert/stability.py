@@ -359,9 +359,9 @@ def empirical_lipschitz(
     Draws parameter points uniformly from the product ball around the
     instance (``mu`` clamped to stay at or above half its base value),
     solves each, and reports the largest solution-to-parameter distance
-    ratio over all pairs including the baseline.  With ``starts > 1`` each
-    sample is solved from several deterministic random starts and the
-    largest spread among the returned minimizers is reported.
+    ratio over all pairs including the baseline.  Each sample is solved
+    from the origin and from ``starts - 1`` deterministic random starts;
+    the largest spread among the returned minimizers is reported.
     """
     rng = np.random.default_rng(seed)
     base = prox_gradient_solve(problem, tol=tol, max_iter=max_iter)
@@ -374,16 +374,11 @@ def empirical_lipschitz(
     non_converged = 0 if base.converged else 1
     for i in range(samples):
         spec = problem.with_data(b_draws[i], float(mu_draws[i]))
-        if starts > 1:
-            start_points = [np.zeros(problem.n)] + _random_starts(rng, base.x, starts - 1)
-            results = multistart_solve(spec, start_points, tol=tol, max_iter=max_iter)
-            spread = max(spread, solution_spread(results))
-            non_converged += sum(not r.converged for r in results)
-            sols.append(results[0])
-        else:
-            r = prox_gradient_solve(spec, tol=tol, max_iter=max_iter)
-            non_converged += 0 if r.converged else 1
-            sols.append(r)
+        start_points = [np.zeros(problem.n)] + _random_starts(rng, base.x, starts - 1)
+        results = multistart_solve(spec, start_points, tol=tol, max_iter=max_iter)
+        spread = max(spread, solution_spread(results))
+        non_converged += sum(not r.converged for r in results)
+        sols.append(results[0])
         params.append((b_draws[i], float(mu_draws[i])))
     max_ratio = 0.0
     for i in range(len(sols)):
@@ -433,15 +428,11 @@ def tilt_probe(
     for i in range(samples):
         v = tilts[i]
         nv = float(np.linalg.norm(v))
-        if starts > 1:
-            start_points = [x.copy()] + _random_starts(rng, x, starts - 1)
-            results = multistart_solve(problem, start_points, v=v, tol=tol, max_iter=max_iter)
-            spread = max(spread, solution_spread(results))
-            non_converged += sum(not r.converged for r in results)
-            sol = results[0]
-        else:
-            sol = prox_gradient_solve(problem, v=v, tol=tol, max_iter=max_iter, x0=x.copy())
-            non_converged += 0 if sol.converged else 1
+        start_points = [x.copy()] + _random_starts(rng, x, starts - 1)
+        results = multistart_solve(problem, start_points, v=v, tol=tol, max_iter=max_iter)
+        spread = max(spread, solution_spread(results))
+        non_converged += sum(not r.converged for r in results)
+        sol = results[0]
         if nv > 1e-15:
             max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
     return PerturbationReport(

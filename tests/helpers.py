@@ -447,3 +447,55 @@ def margin_and_witness_two_svds(phi, basis):
     _, _, vt = np.linalg.svd(phi @ basis)
     w = basis @ vt[-1]
     return margin, w / np.linalg.norm(w)
+
+
+def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed):
+    """``empirical_lipschitz`` with one start: one solve per sample, from the
+    origin, and no draw of start points.  Returns the report's fields
+    ``(max_ratio, multivaluedness_spread, non_converged)``."""
+    from stabcert.solver import prox_gradient_solve
+    from stabcert.stability import _ball_samples
+
+    rng = np.random.default_rng(seed)
+    base = prox_gradient_solve(problem)
+    b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
+    mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
+    mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
+    params = [(problem.b, problem.mu)]
+    sols = [base.x]
+    non_converged = 0 if base.converged else 1
+    for i in range(samples):
+        r = prox_gradient_solve(problem.with_data(b_draws[i], float(mu_draws[i])))
+        non_converged += 0 if r.converged else 1
+        sols.append(r.x)
+        params.append((b_draws[i], float(mu_draws[i])))
+    max_ratio = 0.0
+    for i in range(len(sols)):
+        for j in range(i + 1, len(sols)):
+            dp = math.hypot(
+                float(np.linalg.norm(params[i][0] - params[j][0])),
+                params[i][1] - params[j][1],
+            )
+            if dp >= 1e-15:
+                max_ratio = max(max_ratio, float(np.linalg.norm(sols[i] - sols[j])) / dp)
+    return max_ratio, 0.0, non_converged
+
+
+def tilt_probe_single_start(problem, x, radius_v, samples, seed):
+    """``tilt_probe`` with one start: one solve per tilt, from ``x``, and no
+    draw of start points.  Returns the report's fields ``(max_ratio,
+    multivaluedness_spread, non_converged)``."""
+    from stabcert.solver import prox_gradient_solve
+    from stabcert.stability import _ball_samples
+
+    rng = np.random.default_rng(seed)
+    tilts = _ball_samples(rng, problem.n, samples, radius_v)
+    max_ratio = 0.0
+    non_converged = 0
+    for v in tilts:
+        sol = prox_gradient_solve(problem, v=v, x0=x.copy())
+        non_converged += 0 if sol.converged else 1
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-15:
+            max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
+    return max_ratio, 0.0, non_converged

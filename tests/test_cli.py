@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import dumps_canonical_loop
 from stabcert.cli import (
-    bundled_example_non,
     dumps_canonical,
     load_problem_dict,
     parse_problem,
@@ -227,15 +229,21 @@ class TestCommands:
         code, report = run_capture(capsys, ["solve", str(path)])
         assert code == 1
         assert report["error"]["code"] == "MALFORMED_JSON"
+        assert report["inputs_digest"] is None
         assert report["solve"] is None
         assert report["certificate"] is None
 
     def test_not_a_solution_error_code(self, tmp_path, capsys):
-        # unreachable tolerance turns the certify gate into an error
+        # unreachable tolerance turns the certify gate into an error; the
+        # report keeps the digest and the solve that shows why
         path = write_doc(tmp_path, doc(options={"max_iter": 2}))
         code, report = run_capture(capsys, ["certify", path, "--tol", "1e-14"])
         assert code == 1
         assert report["error"]["code"] == "NotASolutionError"
+        assert report["inputs_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert report["solve"]["converged"] is False
+        assert report["solve"]["iterations"] == 2
+        assert report["certificate"] is None
 
     def test_reports_deterministic_modulo_timing(self, tmp_path, capsys):
         path = write_doc(tmp_path, doc())
@@ -293,7 +301,7 @@ class TestCommands:
         assert report["certificate"]["holds"] is True
 
     def test_bundled_example_loads(self):
-        spec, options = bundled_example_non()
+        spec, options, _ = parse_problem(resources.files("stabcert") / "data/example_non.json")
         assert spec.phi.shape == (2, 3)
         assert spec.mu == 1.0
         assert options == {}
@@ -322,6 +330,7 @@ def test_out_of_range_numbers_give_json_error(tmp_path, capsys, argv, options, c
     exit_code, report = run_capture(capsys, [path if a == "P" else a for a in argv])
     assert exit_code == 1
     assert report["error"]["code"] == code
+    assert report["inputs_digest"] is None and report["solve"] is None
     assert report["certificate"] is None and report["audit"] is None
 
 
@@ -405,7 +414,6 @@ def test_module_runs_as_a_script(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import stabcert
 
@@ -486,9 +494,7 @@ def test_usage_error_help_and_version_leave_the_next_command_alone(tmp_path, cap
 
 
 def test_reproduce_reads_the_bundled_file_once(capsys, monkeypatch):
-    import hashlib
     import pathlib
-    from importlib import resources
 
     raw = resources.files("stabcert").joinpath("data/example_non.json").read_bytes()
     opened = []

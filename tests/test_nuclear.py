@@ -20,7 +20,6 @@ from stabcert.nuclear import (
     prox_nuclear,
     relative_approx_nuclear,
     simultaneous_svd,
-    subdominant_gamma,
     tangent_subspace_basis,
 )
 
@@ -153,10 +152,11 @@ class TestCountsAndGamma:
         assert p_count(np.diag([0.8, 0.3])) == 0
         assert p_count(np.zeros((2, 2))) == 0
 
-    def test_subdominant_gamma(self):
-        assert subdominant_gamma(np.diag([1.0, 0.5])) == pytest.approx(0.5)
-        assert subdominant_gamma(np.diag([1.0, 1.0])) == 0.0
-        assert subdominant_gamma(np.diag([0.8, 0.3])) == pytest.approx(0.8)
+    def test_gamma(self):
+        zero = np.zeros((2, 2))
+        assert simultaneous_svd(zero, np.diag([1.0, 0.5])).gamma == pytest.approx(0.5)
+        assert simultaneous_svd(zero, np.diag([1.0, 1.0])).gamma == 0.0
+        assert simultaneous_svd(zero, np.diag([0.8, 0.3])).gamma == pytest.approx(0.8)
 
 
 class TestTangentBasis:
@@ -253,7 +253,7 @@ class TestQuadraticGrowthInvariant:
             n2 = int(rng.integers(1, 5))
             xbar, ybar = random_nuclear_graph_pair(rng, n1, n2)
             dec = simultaneous_svd(xbar, ybar)
-            gamma = subdominant_gamma(ybar)
+            gamma = dec.gamma
             for _ in range(5):
                 x = xbar + rng.standard_normal((n1, n2)) * rng.uniform(0.1, 2.0)
                 nn = nuclear_norm(x)

@@ -4,10 +4,12 @@ import pytest
 from helpers import (
     degenerate_group_instance,
     degenerate_nuclear_instance,
+    empirical_lipschitz_single_start,
     group_v_basis_gram_schmidt,
     margin_and_witness_two_svds,
     random_group_instance,
     random_nuclear_instance,
+    tilt_probe_single_start,
 )
 from stabcert.errors import NotASolutionError
 from stabcert.groupnorm import (
@@ -347,6 +349,25 @@ class TestTiltProbe:
         coarse = tilt_probe(spec, xbar.ravel(), radius_v=1e-1, samples=4, seed=5)
         fine = tilt_probe(spec, xbar.ravel(), radius_v=1e-3, samples=4, seed=5)
         assert fine.max_ratio >= 10.0 * coarse.max_ratio
+
+
+class TestSingleStartProbes:
+    """With one start each sample is one solve, from the origin for perturb
+    and from ``x`` for tilt, with zero spread."""
+
+    @pytest.mark.parametrize(
+        "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_single_solve_loop(self, make, seed):
+        spec = make(np.random.default_rng(70 + seed))
+        rep = empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
+        fields = (rep.max_ratio, rep.multivaluedness_spread, rep.non_converged)
+        assert fields == empirical_lipschitz_single_start(spec, 0.1, 0.05, 5, seed)
+        x = prox_gradient_solve(spec).x
+        rep = tilt_probe(spec, x, radius_v=1e-3, samples=5, seed=seed)
+        fields = (rep.max_ratio, rep.multivaluedness_spread, rep.non_converged)
+        assert fields == tilt_probe_single_start(spec, x, 1e-3, 5, seed)
 
 
 class TestCertifyFactorizations:
