@@ -342,6 +342,7 @@ def _solve_dict(result: SolveResult) -> dict:
         "x": result.x,
         "y": result.y,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
         "fixed_point_residual": result.fixed_point_residual,
         "objective": result.objective,
         "converged": result.converged,

@@ -81,6 +81,11 @@ class GroupPartition:
         ids = self.seg + g * np.arange(rows)[:, None]
         return np.bincount(ids.ravel(), weights=v.ravel(), minlength=g * rows).reshape(rows, g)
 
+    @cached_property
+    def same_block(self) -> np.ndarray:
+        """``(n, n)`` mask of coordinate pairs that share a block."""
+        return self.seg[:, None] == self.seg[None, :]
+
     @staticmethod
     def singletons(n: int) -> "GroupPartition":
         return GroupPartition(n, tuple((i,) for i in range(n)))
@@ -91,6 +96,10 @@ class GroupPartition:
     def prox(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
         """``(point, value)``: the prox and the group norm of its point."""
         return prox_group(x, t, self)
+
+    def prox_jacobian(self, w: np.ndarray, t: float) -> np.ndarray:
+        """``(n, n)`` Jacobian of ``prox(., t)`` at ``w``; see :func:`prox_group_jacobian`."""
+        return prox_group_jacobian(w, t, self)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :func:`subgrad_residual`."""
@@ -120,14 +129,14 @@ class GroupPartition:
         """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``, per row."""
         return np.linalg.norm(rows, axis=1)
 
-    def growth_slacks(self, rows, scale, xbar, ybar, gbar, ref: "GroupAnalysis") -> dict:
+    def growth_slacks(self, rows, scale, xbar, ybar, ref: "GroupAnalysis") -> dict:
         """Growth slack at each sample row.
 
         The regularizer gap minus the modulus times the squared distance to
-        the inverse image of ``ybar``.  ``ref`` classifies the reference pair
-        and ``gbar`` is its value; ``scale`` holds the rows' ``||x||_2``.
+        the inverse image of ``ybar``.  ``ref`` classifies the reference pair;
+        ``scale`` holds the rows' ``||x||_2``.
         """
-        lhs = group_norm(rows, self) - gbar - (rows - xbar) @ ybar
+        lhs = group_norm(rows, self) - group_norm(xbar, self) - (rows - xbar) @ ybar
         dist = inverse_subdiff_distance(rows, ybar, self)
         return {"group_growth": lhs - (1.0 - ref.gamma) / (2.0 * scale) * dist * dist}
 
@@ -218,6 +227,25 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.n
     # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
     point = np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
     return point, float(np.maximum(nx - t, 0.0).sum())
+
+
+def prox_group_jacobian(w: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray:
+    """Jacobian of the blockwise soft threshold at ``w``, an ``(n, n)`` matrix.
+
+    Block diagonal: ``(1 - t/||w_J||) I + (t/||w_J||) u u^T`` with
+    ``u = w_J / ||w_J||`` on blocks with ``||w_J|| > t``, and zero on the
+    rest.  At a kink (``||w_J|| == t``) that picks the zero element of the
+    generalized Jacobian.
+    """
+    w = np.asarray(w, dtype=float)
+    nx = block_norms(w, partition)
+    keep = nx > t
+    # t / ||w_J||, zero off the kept blocks, per coordinate.
+    ratio = np.where(keep, t / np.where(keep, nx, 1.0), 0.0)[partition.seg]
+    unit = w / np.where(keep, nx, 1.0)[partition.seg]
+    jac = np.where(partition.same_block, np.outer(ratio * unit, unit), 0.0)
+    jac.flat[:: w.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
+    return jac
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:

@@ -69,6 +69,10 @@ class NuclearShape:
         point, value = prox_nuclear(self.as_matrix(x), t)
         return self.as_vector(point), value
 
+    def prox_jacobian(self, w: np.ndarray, t: float) -> np.ndarray:
+        """``(n, n)`` Jacobian of ``prox(., t)`` at ``w``; see :func:`prox_nuclear_jacobian`."""
+        return prox_nuclear_jacobian(self.as_matrix(w), t)
+
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :class:`SubgradientCheck`."""
         return is_subgradient_nuclear(self.as_matrix(x), self.as_matrix(y)).residual
@@ -94,15 +98,15 @@ class NuclearShape:
         """Sample scale of the growth moduli: ``||X||_*``, per row."""
         return nuclear_norm(rows.reshape(-1, self.n1, self.n2))
 
-    def growth_slacks(self, rows, scale, xbar, ybar, gbar, ref: "SimultaneousSVD") -> dict:
+    def growth_slacks(self, rows, scale, xbar, ybar, ref: "SimultaneousSVD") -> dict:
         """Growth slack of each modulus at each sample row.
 
         The regularizer gap minus the modulus times the squared distance to
-        the inverse image of ``ybar``.  ``ref`` factors the reference pair and
-        ``gbar`` is its value; ``scale`` holds the rows' ``||X||_*``, which
-        the gap reuses.
+        the inverse image of ``ybar``.  ``ref`` factors the reference pair,
+        and the sum of its ``sigma_x`` is the reference value; ``scale``
+        holds the rows' ``||X||_*``, which the gap reuses.
         """
-        lhs = scale - gbar - (rows - xbar) @ ybar
+        lhs = scale - float(ref.sigma_x.sum()) - (rows - xbar) @ ybar
         dist = inverse_subdiff_distance(rows.reshape(-1, self.n1, self.n2), ref)
         d2 = dist * dist
         g = ref.gamma
@@ -144,6 +148,50 @@ def prox_nuclear(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     shrunk = np.maximum(s - t, 0.0)
     return (u * shrunk) @ vt, float(shrunk.sum())
+
+
+def prox_nuclear_jacobian(w: np.ndarray, t: float) -> np.ndarray:
+    """Jacobian of singular value thresholding at ``w``, on row-major vectorizations.
+
+    With ``w = U diag(s) V^T`` in full frames (``n1 <= n2``; a tall ``w``
+    is handled through its transpose) and ``f(s) = max(s - t, 0)``, the
+    derivative in direction ``H`` is ``U D V^T`` where, for
+    ``Ht = U^T H V = [A | B]`` with ``A`` square, ``D`` applies the divided
+    differences ``(f(s_i) - f(s_j)) / (s_i - s_j)`` to the symmetric part
+    of ``A``, ``(f(s_i) + f(s_j)) / (s_i + s_j)`` to its skew part and
+    ``f(s_i) / s_i`` to the rows of ``B``.  Equal singular values take
+    ``f'``, and ``f'(t)`` is taken as 0: the zero element at a kink.  The
+    result is symmetric with spectrum in ``[0, 1]``: every pair of mixed
+    entries sees the two divided differences as its eigenvalues.
+    """
+    w = np.asarray(w, dtype=float)
+    n1, n2 = w.shape
+    tall = n1 > n2
+    k, c = (n2, n1) if tall else (n1, n2)
+    u, s, vt = np.linalg.svd(w.T if tall else w)
+    f = np.maximum(s - t, 0.0)
+    above = s > t
+    # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
+    mixed = above[:, None] != above[None, :]
+    gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
+    sym = np.where(mixed, (f[:, None] - f[None, :]) / gap, (above[:, None] & above[None, :]) * 1.0)
+    total = s[:, None] + s[None, :]
+    skew = np.where(total > 0.0, (f[:, None] + f[None, :]) / np.where(total > 0.0, total, 1.0), 0.0)
+    # Frame coefficients: out[i, j] = a[i, j] * h[i, j] + b[i, j] * h[j, i].
+    a = np.empty((k, c))
+    b = np.zeros((k, c))
+    a[:, :k] = 0.5 * (sym + skew)
+    b[:, :k] = 0.5 * (sym - skew)
+    a[:, k:] = np.where(above, f / np.where(above, s, 1.0), 0.0)[:, None]
+    idx = np.arange(k * c).reshape(k, c)
+    swap = idx.copy()
+    swap[:, :k] = idx[:, :k].T
+    frames = np.kron(u, vt.T)
+    if tall:
+        # Entry (i, j) of w is entry (j, i) of its transpose.
+        frames = frames[idx.T.ravel()]
+    ft = frames.T
+    return frames @ (a.reshape(-1, 1) * ft + b.reshape(-1, 1) * ft[swap.ravel()])
 
 
 def is_subgradient_nuclear(

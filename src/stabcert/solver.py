@@ -14,8 +14,18 @@ residual ``||x - T(x)||`` of the forward-backward map
 momentum point; the prox also returns ``g`` at its point, so the objective
 needs no separate norm evaluation.  ``T`` is nonexpansive at step ``1/L``,
 so ``||m - T(m)||`` bounds the residual at ``T(m)``; once that bound is
-below the tolerance, one more prox confirms the true residual.  Hitting the
-iteration cap sets a flag on the result instead of raising.
+below the tolerance, one more prox confirms the true residual.
+
+Once FISTA has settled the active blocks or rank, it only polishes a smooth
+problem, which Newton does in a step or two.  So at the first iteration
+whose step moves the iterate by at most ``NEWTON_SWITCH``, the solver makes
+one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
+``z - T(z)``, with the regularizer's ``prox_jacobian`` as the generalized
+Jacobian of the prox.  The Newton point is kept only when its true residual
+is below the tolerance and its objective is no higher than that of the
+FISTA point the attempt began at; otherwise FISTA goes on as if the attempt
+had not been made.  ``max_iter`` caps FISTA iterations and Newton steps
+together.  Hitting the cap sets a flag on the result instead of raising.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ Regularizer = GroupPartition | NuclearShape
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
+# FISTA hands over to Newton once a step moves the iterate by at most this,
+# and the one Newton attempt of a solve takes at most this many steps.
+NEWTON_SWITCH = 1e-3
+NEWTON_STEPS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +125,15 @@ class ProblemSpec:
 @dataclass
 class SolveResult:
     """Solver output.  ``y = -(1/mu) phi^T (phi x - b)`` excludes any tilt;
-    ``objective`` is the value of the solved (possibly tilted) objective."""
+    ``objective`` is the value of the solved (possibly tilted) objective.
+    ``iterations`` counts FISTA iterations and Newton steps together;
+    ``newton_steps`` counts the Newton steps, whether or not their point
+    was kept."""
 
     x: np.ndarray
     y: np.ndarray
     iterations: int
+    newton_steps: int
     fixed_point_residual: float
     objective: float
     converged: bool
@@ -157,11 +175,31 @@ def prox_gradient_solve(
     on and that step ``T(z)`` serves a restart from ``z``.  The restart
     (when the momentum step raises the objective) takes the descent step
     ``T(x)``, reusing it when known.  The objective adds the smooth part
-    to the value the prox returns; ``g`` itself is evaluated once, at the
-    start point.  ``fixed_point_residual`` is the true residual at the
-    returned ``x``, also when ``max_iter`` ends the solve.  Never raises on
-    slow convergence; the result's ``converged`` flag and final residual
-    tell the story.
+    to the value the prox returns; ``g`` itself is evaluated at the start
+    point, and once more at a Newton point that reaches ``tol``.
+
+    At the first iteration whose step moves the iterate by at most
+    ``NEWTON_SWITCH``, one prox at ``z`` gives its true residual and, unless
+    that passes, one Newton attempt starts from ``z``:
+    each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``, with
+    ``J`` the prox Jacobian at the forward step ``w`` of ``y``, and costs
+    one Jacobian, one linear solve and one prox.  The attempt ends at the
+    first point whose true residual is at most ``tol``; that point is
+    returned if its objective, with the fit taken as a sum of squares, is
+    no higher than ``z``'s.  The objective is coercive, so this keeps the
+    point in a bounded sublevel set: a near-singular system can throw a
+    step 1e15 or more away, where the forward step and the shrink both round to
+    the point itself and the residual reads 0.  A singular system, a
+    non-finite step, a failed check or ``NEWTON_STEPS`` steps without
+    reaching ``tol`` throw the attempt away, and FISTA goes on from ``z``.
+    There is one attempt per solve.  ``iterations`` counts FISTA
+    iterations and Newton steps, ``newton_steps`` the latter, and
+    ``max_iter`` caps the sum.
+
+    ``fixed_point_residual`` is the true residual at the returned ``x``,
+    also when ``max_iter`` ends the solve.  Never raises on slow
+    convergence; the result's ``converged`` flag and final residual tell
+    the story.
     """
     n = problem.n
     v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
@@ -187,6 +225,36 @@ def prox_gradient_solve(
         """``(T(z), g(T(z)))``."""
         return reg.prox(z - step * (gz - lin), step)
 
+    def polish(z, gz, fz, tz, budget):
+        """One Newton attempt from ``z``, whose step ``T(z)`` is ``tz``.
+
+        Returns the steps taken and, when the guard accepts the Newton
+        point ``p``, ``(p, objective, (T(p), g(T(p))), residual)``; else
+        ``None``.
+        """
+        y, gy, ty = z, gz, tz
+        eye = np.eye(n)
+        for steps in range(1, budget + 1):
+            try:
+                jac = reg.prox_jacobian(y - step * (gy - lin), step)
+                d = np.linalg.solve(eye - jac + step * (jac @ gram), ty - y)
+            except np.linalg.LinAlgError:
+                return steps, None
+            if not np.isfinite(d).all():
+                return steps, None
+            y = y + d
+            gy = gram @ y
+            py = pg_step(y, gy)
+            ty = py[0]
+            residual = float(np.linalg.norm(y - ty))
+            if residual <= tol:
+                # The fit as a sum of squares: at a far-off point the smooth
+                # formula's 0.5 y^T gram y - lin^T y cancels into garbage.
+                fit = problem.phi @ y - problem.b
+                fy = float(fit @ fit) / (2.0 * problem.mu) - float(v @ y) + reg.value(y)
+                return steps, ((y, fy, py, residual) if fy <= fz else None)
+        return budget, None
+
     gx = gram @ x
     fx = smooth(x, gx) + reg.value(x)
     # px is T(x) when known: at the start, and after a confirmation at x.
@@ -195,7 +263,7 @@ def prox_gradient_solve(
     converged = residual <= tol
     momentum, gm = x, gx
     tk = 1.0
-    iterations = 0
+    iterations = newton_steps = 0
     while not converged and iterations < max_iter:
         # After the start or a restart the momentum point is x itself, whose
         # step may be known.
@@ -214,10 +282,22 @@ def prox_gradient_solve(
                 fz = smooth(z, gz) + gval
         iterations += 1
         px = None
-        if float(np.linalg.norm(base - z)) <= tol:
+        moved = float(np.linalg.norm(base - z))
+        # One attempt per solve, and each attempt takes at least one step.
+        newton_due = not newton_steps and moved <= NEWTON_SWITCH and iterations < max_iter
+        if moved <= tol or newton_due:
             px = pg_step(z, gz)
             residual = float(np.linalg.norm(z - px[0]))
             converged = residual <= tol
+            if newton_due and not converged:
+                budget = min(NEWTON_STEPS, max_iter - iterations)
+                steps, polished = polish(z, gz, fz, px[0], budget)
+                iterations += steps
+                newton_steps += steps
+                if polished is not None:
+                    x, fx, px, residual = polished
+                    converged = True
+                    break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / t_next
         if beta == 0.0:  # at the start and after a restart
@@ -235,6 +315,7 @@ def prox_gradient_solve(
         x=x,
         y=dual_from_solution(problem, x),
         iterations=iterations,
+        newton_steps=newton_steps,
         fixed_point_residual=residual,
         objective=fx,
         converged=converged,

@@ -272,7 +272,6 @@ def qg_audit(
     ybar = np.asarray(ybar, dtype=float).reshape(-1)
     if ref is None:
         ref = reg.classify(xbar, ybar, CERT_TOL)
-    gbar = reg.value(xbar)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
     scales = reg.growth_scale(draws)
@@ -285,7 +284,7 @@ def qg_audit(
         mins = dict.fromkeys(reg.growth_names, 0.0)
         min_slack = 0.0
     else:
-        slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, gbar, ref)
+        slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, ref)
         table = np.column_stack([slacks[name] for name in reg.growth_names])
         col_min, min_slack, at = _scan_minima(table)
         mins = {name: float(v) for name, v in zip(reg.growth_names, col_min)}

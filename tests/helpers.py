@@ -296,7 +296,6 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     ybar = np.asarray(ybar, dtype=float).reshape(-1)
     ref = reg.classify(xbar, ybar, CERT_TOL)
-    gbar = reg.value(xbar)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
     mins = dict.fromkeys(reg.growth_names, math.inf)
@@ -310,7 +309,7 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
         if scale <= AUDIT_NORM_FLOOR:
             continue
         used += 1
-        batch = reg.growth_slacks(row[None, :], np.array([scale]), xbar, ybar, gbar, ref)
+        batch = reg.growth_slacks(row[None, :], np.array([scale]), xbar, ybar, ref)
         slacks = {name: float(v[0]) for name, v in batch.items()}
         for name in mins:
             s = slacks[name]
@@ -330,10 +329,12 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     return used, mins, min_slack, worst, conj_min, conj_worst
 
 
-def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
+def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=None):
     """FISTA with function-value restart, recomputing every product and prox,
     evaluating the norm at every iterate and the true residual after every
-    step.
+    step.  With ``switch`` set, it also stops after the first step that moves
+    the iterate by at most ``switch`` from the point it was taken at: the
+    iteration where the solver hands over to Newton.
 
     Returns ``(x, iterations, residual, objective)``.
     """
@@ -360,22 +361,24 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None):
     tk = 1.0
     fx = fval(x)
     residual = float(np.linalg.norm(x - pg_step(x)))
-    converged = residual <= tol
     iterations = 0
-    while not converged and iterations < max_iter:
+    while residual > tol and iterations < max_iter:
+        base = momentum
         x_new = pg_step(momentum)
         f_new = fval(x_new)
         if f_new > fx:
+            base = x
             x_new = pg_step(x)
             f_new = fval(x_new)
             tk = 1.0
+        moved = float(np.linalg.norm(base - x_new))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         momentum = x_new + ((tk - 1.0) / t_next) * (x_new - x)
         x, fx, tk = x_new, f_new, t_next
         iterations += 1
         residual = float(np.linalg.norm(x - pg_step(x)))
-        if residual <= tol:
-            converged = True
+        if switch is not None and moved <= switch:
+            break
     return x, iterations, residual, fx
 
 

@@ -36,7 +36,7 @@ from stabcert.groupnorm import inverse_subdiff_distance as group_distance
 from stabcert.linalg import psd_project
 from stabcert.nuclear import NuclearShape, nuclear_norm, simultaneous_svd
 from stabcert.nuclear import inverse_subdiff_distance as nuclear_distance
-from stabcert.solver import ProblemSpec, objective, prox_gradient_solve
+from stabcert.solver import NEWTON_STEPS, NEWTON_SWITCH, ProblemSpec, objective, prox_gradient_solve
 from stabcert.stability import _ball_samples, certify, empirical_lipschitz, qg_audit
 
 RTOL = 1e-12
@@ -224,11 +224,12 @@ class TestBatchedAudit:
 
 
 class CountingProx:
-    """A regularizer that counts its prox and value calls."""
+    """A regularizer that counts its prox, Jacobian and value calls."""
 
     def __init__(self, reg):
         self.reg = reg
         self.prox_calls = 0
+        self.jacobian_calls = 0
         self.value_calls = 0
 
     def __getattr__(self, name):
@@ -237,6 +238,10 @@ class CountingProx:
     def prox(self, x, t):
         self.prox_calls += 1
         return self.reg.prox(x, t)
+
+    def prox_jacobian(self, w, t):
+        self.jacobian_calls += 1
+        return self.reg.prox_jacobian(w, t)
 
     def value(self, x):
         self.value_calls += 1
@@ -261,8 +266,11 @@ KINDS = {"group": random_group_instance, "nuclear": random_nuclear_instance}
 class TestSolverLoop:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_one_prox_per_iteration_and_the_oracle_solution(self, kind):
+        # One prox per FISTA iteration and one per Newton step, plus the
+        # prox that opens the Newton attempt; g is evaluated at the start
+        # and once more only at an accepted Newton point.
         rng = np.random.default_rng(17)
-        prox_calls = iterations = 0
+        prox_calls = iterations = polished = 0
         for _ in range(12):
             base = KINDS[kind](rng)
             reg = CountingProx(base.reg)
@@ -271,7 +279,9 @@ class TestSolverLoop:
             x0 = rng.standard_normal(spec.n)
             res = prox_gradient_solve(spec, v=v, x0=x0)
             assert res.converged
-            assert reg.value_calls == 1
+            assert reg.jacobian_calls == res.newton_steps <= NEWTON_STEPS
+            assert reg.value_calls <= 1 + (res.newton_steps > 0)
+            polished += res.newton_steps > 0
             prox_calls += reg.prox_calls
             iterations += res.iterations
             x, _, _, _ = fista_loop(base, v=v, x0=x0)
@@ -282,26 +292,40 @@ class TestSolverLoop:
             expected = objective(base, res.x) - float(v @ res.x)
             assert res.objective == pytest.approx(expected, rel=1e-12)
         assert prox_calls < 1.5 * iterations
+        assert polished >= 10
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_iterates_follow_the_plain_loop(self, kind):
-        # Same steps, momentum and restarts as fista_loop, up to rounding:
-        # gram @ momentum by linearity, g from the prox.
+        # Same steps, momentum and restarts as fista_loop, up to rounding
+        # (gram @ momentum by linearity, g from the prox), up to the switch
+        # iteration; from there the Newton attempt reaches the oracle
+        # solution.
         rng = np.random.default_rng(19)
-        compared = 0
+        compared = polished = 0
         for _ in range(8):
             spec = KINDS[kind](rng)
             v = rng.standard_normal(spec.n) * 1e-2
             x0 = rng.standard_normal(spec.n)
-            for k in (1, 4, 12):
+            _, switch, _, _ = fista_loop(spec, v=v, x0=x0, tol=0.0, switch=NEWTON_SWITCH)
+            for k in (1, 4, 12, switch):
+                if k > switch:
+                    continue
                 x, iterations, _, _ = fista_loop(spec, v=v, x0=x0, tol=0.0, max_iter=k)
-                if iterations < k:
-                    break  # an exact fixed point: the stopping rules differ
                 res = prox_gradient_solve(spec, v=v, x0=x0, tol=0.0, max_iter=k)
-                assert res.iterations == k
+                assert res.iterations == iterations == k
+                assert res.newton_steps == 0
                 close(res.x, x)
                 compared += 1
+            res = prox_gradient_solve(spec, v=v, x0=x0)
+            assert res.converged
+            if res.newton_steps:
+                # Accepted at once: the attempt began at the switch iteration.
+                assert res.iterations == switch + res.newton_steps
+                polished += 1
+            x, _, _, _ = fista_loop(spec, v=v, x0=x0)
+            assert np.linalg.norm(res.x - x) <= 1e-8
         assert compared >= 20
+        assert polished >= 6
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_iteration_cap_reports_the_true_residual(self, kind):

@@ -174,7 +174,18 @@ class TestCommands:
         assert report["command"] == "solve"
         assert report["error"] is None
         assert len(report["inputs_digest"]) == 64
+        assert list(report["solve"]) == [
+            "x",
+            "y",
+            "iterations",
+            "newton_steps",
+            "fixed_point_residual",
+            "objective",
+            "converged",
+        ]
         assert report["solve"]["converged"] is True
+        assert report["solve"]["fixed_point_residual"] <= 1e-10
+        assert 1 <= report["solve"]["newton_steps"] < report["solve"]["iterations"]
         assert np.allclose(report["solve"]["x"], [0.0, 1.0, 0.0], atol=1e-8)
         assert report["solve"]["objective"] == pytest.approx(2.0)
 
@@ -243,6 +254,7 @@ class TestCommands:
         assert report["inputs_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert report["solve"]["converged"] is False
         assert report["solve"]["iterations"] == 2
+        assert report["solve"]["newton_steps"] == 0
         assert report["certificate"] is None
 
     def test_reports_deterministic_modulo_timing(self, tmp_path, capsys):
