@@ -23,7 +23,10 @@ identical inputs and flags produce byte-identical payloads apart from the
 Each run builds one report, and the command fills in each section as soon
 as it is computed.  An error report therefore keeps ``inputs_digest`` once
 the problem file is read and valid, and every section finished before the
-error: a ``NotASolutionError`` from ``certify`` keeps ``solve``.
+error: a ``NotASolutionError`` from ``certify`` keeps ``solve``.  When the
+``--out`` file cannot be written, the report still goes to stdout, with
+``error`` set to ``OUTPUT_NOT_WRITABLE`` unless an earlier error already
+holds it, and the exit code is 1.
 
 The argument parser is built once per process, on the first :func:`run`,
 and reused by every later call; each call parses into a fresh namespace,
@@ -624,7 +627,13 @@ def run(argv=None) -> int:
     report["timing"] = {"seconds": time.perf_counter() - start}
     text = dumps_canonical(report)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            if report["error"] is None:
+                report["error"] = {"code": "OUTPUT_NOT_WRITABLE", "message": str(exc)}
+                text = dumps_canonical(report)
+            code = 1
     print(text)
     return code
 

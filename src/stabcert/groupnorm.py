@@ -97,9 +97,10 @@ class GroupPartition:
         """``(point, value)``: the prox and the group norm of its point."""
         return prox_group(x, t, self)
 
-    def prox_jacobian(self, w: np.ndarray, t: float) -> np.ndarray:
-        """``(n, n)`` Jacobian of ``prox(., t)`` at ``w``; see :func:`prox_group_jacobian`."""
-        return prox_group_jacobian(w, t, self)
+    def prox_newton(self, w: np.ndarray, t: float):
+        """``(point, value, jacobian)``: ``prox(w, t)`` and a callable that
+        builds its ``(n, n)`` Jacobian; see :func:`prox_group_newton`."""
+        return prox_group_newton(w, t, self)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :func:`subgrad_residual`."""
@@ -212,11 +213,12 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.ndarray, float]:
-    """Blockwise soft threshold ``x_J * max(1 - t/||x_J||, 0)``, and its group norm.
+def _shrink(x: np.ndarray, t: float, partition: GroupPartition):
+    """Block norms of ``x`` and its blockwise soft threshold at ``t``.
 
-    The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
-    it costs no second pass over the blocks.
+    Returns ``(nx, keep, point, value)``; the one kernel behind
+    :func:`prox_group` and :func:`prox_group_newton`, so their points and
+    values are the same bytes.
     """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
@@ -226,26 +228,41 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.n
     factor = 1.0 - t / np.where(keep, nx, 1.0)
     # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
     point = np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
-    return point, float(np.maximum(nx - t, 0.0).sum())
+    return nx, keep, point, float(np.maximum(nx - t, 0.0).sum())
 
 
-def prox_group_jacobian(w: np.ndarray, t: float, partition: GroupPartition) -> np.ndarray:
-    """Jacobian of the blockwise soft threshold at ``w``, an ``(n, n)`` matrix.
+def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.ndarray, float]:
+    """Blockwise soft threshold ``x_J * max(1 - t/||x_J||, 0)``, and its group norm.
 
-    Block diagonal: ``(1 - t/||w_J||) I + (t/||w_J||) u u^T`` with
-    ``u = w_J / ||w_J||`` on blocks with ``||w_J|| > t``, and zero on the
-    rest.  At a kink (``||w_J|| == t``) that picks the zero element of the
-    generalized Jacobian.
+    The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
+    it costs no second pass over the blocks.
+    """
+    _, _, point, value = _shrink(x, t, partition)
+    return point, value
+
+
+def prox_group_newton(w: np.ndarray, t: float, partition: GroupPartition):
+    """``(point, value, jacobian)``: :func:`prox_group` at ``w``, and a
+    zero-argument callable that builds its ``(n, n)`` Jacobian from the
+    same block norms.
+
+    The Jacobian is block diagonal: ``(1 - t/||w_J||) I + (t/||w_J||) u u^T``
+    with ``u = w_J / ||w_J||`` on blocks with ``||w_J|| > t``, and zero on
+    the rest.  At a kink (``||w_J|| == t``) that picks the zero element of
+    the generalized Jacobian.
     """
     w = np.asarray(w, dtype=float)
-    nx = block_norms(w, partition)
-    keep = nx > t
-    # t / ||w_J||, zero off the kept blocks, per coordinate.
-    ratio = np.where(keep, t / np.where(keep, nx, 1.0), 0.0)[partition.seg]
-    unit = w / np.where(keep, nx, 1.0)[partition.seg]
-    jac = np.where(partition.same_block, np.outer(ratio * unit, unit), 0.0)
-    jac.flat[:: w.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
-    return jac
+    nx, keep, point, value = _shrink(w, t, partition)
+
+    def jacobian() -> np.ndarray:
+        # t / ||w_J||, zero off the kept blocks, per coordinate.
+        ratio = np.where(keep, t / np.where(keep, nx, 1.0), 0.0)[partition.seg]
+        unit = w / np.where(keep, nx, 1.0)[partition.seg]
+        jac = np.where(partition.same_block, np.outer(ratio * unit, unit), 0.0)
+        jac.flat[:: w.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
+        return jac
+
+    return point, value, jacobian
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:
@@ -257,11 +274,15 @@ def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) ->
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nx = block_norms(x, partition)
+    return _residual(x, y, block_norms(x, partition), block_norms(y, partition), partition)
+
+
+def _residual(x, y, nx, ny, partition: GroupPartition) -> float:
+    """:func:`subgrad_residual` given the block norms ``nx`` and ``ny``."""
     support = nx > 0.0
     diff = y - x / np.where(support, nx, 1.0)[partition.seg]
     on = partition.block_sums(diff * diff)
-    off = np.maximum(block_norms(y, partition) - 1.0, 0.0)
+    off = np.maximum(ny - 1.0, 0.0)
     return float(np.sqrt(np.where(support, on, off * off).sum()))
 
 
@@ -273,17 +294,18 @@ def classify_groups(
     Raises :class:`NotASubgradientError` when ``y`` is not a subgradient of
     the group norm at ``x`` within ``tol``.
     """
-    res = subgrad_residual(x, y, partition)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_norms = block_norms(x, partition)
+    y_norms = block_norms(y, partition)
+    res = _residual(x, y, x_norms, y_norms, partition)
     if res > tol:
         raise NotASubgradientError(
             f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}"
         )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_norms = block_norms(y, partition)
-    x_norms = block_norms(x, partition)
     K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol)
-    H = tuple(j for j in range(len(partition.groups)) if j not in set(K))
+    boundary = set(K)
+    H = tuple(j for j in range(len(partition.groups)) if j not in boundary)
     I = tuple(j for j, nj in enumerate(x_norms) if nj > tol)
     gamma = max((float(y_norms[j]) for j in H), default=0.0)
     return GroupAnalysis(K, H, I, gamma, y_norms, res, y.copy(), partition)

@@ -69,9 +69,11 @@ class NuclearShape:
         point, value = prox_nuclear(self.as_matrix(x), t)
         return self.as_vector(point), value
 
-    def prox_jacobian(self, w: np.ndarray, t: float) -> np.ndarray:
-        """``(n, n)`` Jacobian of ``prox(., t)`` at ``w``; see :func:`prox_nuclear_jacobian`."""
-        return prox_nuclear_jacobian(self.as_matrix(w), t)
+    def prox_newton(self, w: np.ndarray, t: float):
+        """``(point, value, jacobian)``: ``prox(w, t)`` and a callable that
+        builds its ``(n, n)`` Jacobian; see :func:`prox_nuclear_newton`."""
+        point, value, jacobian = prox_nuclear_newton(self.as_matrix(w), t)
+        return self.as_vector(point), value, jacobian
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :class:`SubgradientCheck`."""
@@ -136,62 +138,83 @@ def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def prox_nuclear(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """Singular value soft threshold with level ``t``, and its nuclear norm.
+def _shrink(x: np.ndarray, t: float):
+    """Thin SVD of ``x`` and its singular value soft threshold at ``t``.
 
-    The norm is the sum of the shrunk singular values,
-    ``sum(max(s - t, 0))``, so it costs no second SVD.
+    Returns ``(u, s, vt, point, value)``; the one kernel behind
+    :func:`prox_nuclear` and :func:`prox_nuclear_newton`, so their points
+    and values are the same bytes.
     """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     shrunk = np.maximum(s - t, 0.0)
-    return (u * shrunk) @ vt, float(shrunk.sum())
+    return u, s, vt, (u * shrunk) @ vt, float(shrunk.sum())
 
 
-def prox_nuclear_jacobian(w: np.ndarray, t: float) -> np.ndarray:
-    """Jacobian of singular value thresholding at ``w``, on row-major vectorizations.
+def prox_nuclear(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """Singular value soft threshold with level ``t``, and its nuclear norm.
 
-    With ``w = U diag(s) V^T`` in full frames (``n1 <= n2``; a tall ``w``
-    is handled through its transpose) and ``f(s) = max(s - t, 0)``, the
-    derivative in direction ``H`` is ``U D V^T`` where, for
-    ``Ht = U^T H V = [A | B]`` with ``A`` square, ``D`` applies the divided
-    differences ``(f(s_i) - f(s_j)) / (s_i - s_j)`` to the symmetric part
-    of ``A``, ``(f(s_i) + f(s_j)) / (s_i + s_j)`` to its skew part and
-    ``f(s_i) / s_i`` to the rows of ``B``.  Equal singular values take
-    ``f'``, and ``f'(t)`` is taken as 0: the zero element at a kink.  The
-    result is symmetric with spectrum in ``[0, 1]``: every pair of mixed
-    entries sees the two divided differences as its eigenvalues.
+    The norm is the sum of the shrunk singular values,
+    ``sum(max(s - t, 0))``, so it costs no second SVD.
     """
-    w = np.asarray(w, dtype=float)
-    n1, n2 = w.shape
-    tall = n1 > n2
-    k, c = (n2, n1) if tall else (n1, n2)
-    u, s, vt = np.linalg.svd(w.T if tall else w)
-    f = np.maximum(s - t, 0.0)
-    above = s > t
-    # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
-    mixed = above[:, None] != above[None, :]
-    gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
-    sym = np.where(mixed, (f[:, None] - f[None, :]) / gap, (above[:, None] & above[None, :]) * 1.0)
-    total = s[:, None] + s[None, :]
-    skew = np.where(total > 0.0, (f[:, None] + f[None, :]) / np.where(total > 0.0, total, 1.0), 0.0)
-    # Frame coefficients: out[i, j] = a[i, j] * h[i, j] + b[i, j] * h[j, i].
-    a = np.empty((k, c))
-    b = np.zeros((k, c))
-    a[:, :k] = 0.5 * (sym + skew)
-    b[:, :k] = 0.5 * (sym - skew)
-    a[:, k:] = np.where(above, f / np.where(above, s, 1.0), 0.0)[:, None]
-    idx = np.arange(k * c).reshape(k, c)
-    swap = idx.copy()
-    swap[:, :k] = idx[:, :k].T
-    frames = np.kron(u, vt.T)
-    if tall:
-        # Entry (i, j) of w is entry (j, i) of its transpose.
-        frames = frames[idx.T.ravel()]
-    ft = frames.T
-    return frames @ (a.reshape(-1, 1) * ft + b.reshape(-1, 1) * ft[swap.ravel()])
+    _, _, _, point, value = _shrink(x, t)
+    return point, value
+
+
+def prox_nuclear_newton(w: np.ndarray, t: float):
+    """``(point, value, jacobian)``: :func:`prox_nuclear` at ``w``, and a
+    zero-argument callable that builds its ``(n, n)`` Jacobian on row-major
+    vectorizations from the same thin SVD.
+
+    With ``w = U diag(s) V^T`` (thin, ``k = min(n1, n2)``) and
+    ``f(s) = max(s - t, 0)``, the derivative in direction ``H`` applies, in
+    the frames, the divided differences ``(f(s_i) - f(s_j)) / (s_i - s_j)``
+    to the symmetric part of ``U^T H V``, ``(f(s_i) + f(s_j)) / (s_i + s_j)``
+    to its skew part, and ``g = f(s) / s`` to the part of ``H`` outside the
+    column space of ``V`` (wide ``w``) or of ``U`` (tall ``w``).  Equal
+    singular values take ``f'``, and ``f'(t)`` is taken as 0: the zero
+    element at a kink.  On vectorizations that is
+    ``F (diag(a) + diag(b) swap) F^T`` with ``F = kron(U, V)`` and ``swap``
+    the permutation ``(i, j) -> (j, i)``, plus
+    ``kron(U diag(g) U^T, I - V V^T)`` for a wide ``w`` or
+    ``kron(I - U U^T, V diag(g) V^T)`` for a tall one.  The result is
+    symmetric with spectrum in ``[0, 1]``: every pair of mixed entries sees
+    the two divided differences as its eigenvalues.
+    """
+    u, s, vt, point, value = _shrink(w, t)
+
+    def jacobian() -> np.ndarray:
+        n1, n2 = u.shape[0], vt.shape[1]
+        k = s.size
+        f = np.maximum(s - t, 0.0)
+        above = s > t
+        # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
+        mixed = above[:, None] != above[None, :]
+        gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
+        sym = np.where(mixed, (f[:, None] - f[None, :]) / gap, (above[:, None] & above[None, :]) * 1.0)
+        # f is 0 wherever s is not above t, so a zero denominator meets a zero numerator.
+        total = s[:, None] + s[None, :]
+        skew = (f[:, None] + f[None, :]) / np.where(total > 0.0, total, 1.0)
+        v = vt.T
+        frames = (u[:, None, :, None] * v[None, :, None, :]).reshape(n1 * n2, k * k)
+        # Row (i, j) of ft is frame column (i, j); its transpose swaps to (j, i).
+        ft = frames.T.reshape(k, k, n1 * n2)
+        a = 0.5 * (sym + skew)
+        b = 0.5 * (sym - skew)
+        mix = a[:, :, None] * ft + b[:, :, None] * ft.transpose(1, 0, 2)
+        jac = frames @ mix.reshape(k * k, n1 * n2)
+        if n1 != n2:
+            g = f / np.where(above, s, 1.0)
+            if n1 < n2:
+                left, right = (u * g) @ u.T, np.eye(n2) - v @ vt
+            else:
+                left, right = np.eye(n1) - u @ u.T, (v * g) @ vt
+            jac += (left[:, None, :, None] * right[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+        return jac
+
+    return point, value, jacobian
 
 
 def is_subgradient_nuclear(

@@ -20,12 +20,14 @@ Once FISTA has settled the active blocks or rank, it only polishes a smooth
 problem, which Newton does in a step or two.  So at the first iteration
 whose step moves the iterate by at most ``NEWTON_SWITCH``, the solver makes
 one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
-``z - T(z)``, with the regularizer's ``prox_jacobian`` as the generalized
-Jacobian of the prox.  The Newton point is kept only when its true residual
-is below the tolerance and its objective is no higher than that of the
-FISTA point the attempt began at; otherwise FISTA goes on as if the attempt
-had not been made.  ``max_iter`` caps FISTA iterations and Newton steps
-together.  Hitting the cap sets a flag on the result instead of raising.
+``z - T(z)``.  The regularizer's ``prox_newton`` gives the prox at each
+Newton point together with the generalized Jacobian of the prox there,
+built from the same factorization and only when one more step needs it.
+The Newton point is kept only when its true residual is below the
+tolerance and its objective is no higher than that of the FISTA point the
+attempt began at; otherwise FISTA goes on as if the attempt had not been
+made.  ``max_iter`` caps FISTA iterations and Newton steps together.
+Hitting the cap sets a flag on the result instead of raising.
 """
 
 from __future__ import annotations
@@ -182,8 +184,11 @@ def prox_gradient_solve(
     ``NEWTON_SWITCH``, one prox at ``z`` gives its true residual and, unless
     that passes, one Newton attempt starts from ``z``:
     each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``, with
-    ``J`` the prox Jacobian at the forward step ``w`` of ``y``, and costs
-    one Jacobian, one linear solve and one prox.  The attempt ends at the
+    ``J`` the prox Jacobian at the forward step ``w`` of ``y``.  The prox
+    that gave ``T(y)`` also holds the factorization ``J`` is built from
+    (``prox_newton``), so a step costs one Jacobian build, one linear solve
+    and one prox: an attempt of ``s`` steps factors ``s + 1`` points, and
+    no Jacobian is built at the point it ends on.  The attempt ends at the
     first point whose true residual is at most ``tol``; that point is
     returned if its objective, with the fit taken as a sum of squares, is
     no higher than ``z``'s.  The objective is coercive, so this keeps the
@@ -225,34 +230,33 @@ def prox_gradient_solve(
         """``(T(z), g(T(z)))``."""
         return reg.prox(z - step * (gz - lin), step)
 
-    def polish(z, gz, fz, tz, budget):
-        """One Newton attempt from ``z``, whose step ``T(z)`` is ``tz``.
+    def polish(z, fz, tz, jacobian, budget):
+        """One Newton attempt from ``z``, whose step ``T(z)`` is ``tz`` and
+        ``jacobian`` builds the prox Jacobian at its forward step.
 
         Returns the steps taken and, when the guard accepts the Newton
         point ``p``, ``(p, objective, (T(p), g(T(p))), residual)``; else
         ``None``.
         """
-        y, gy, ty = z, gz, tz
+        y, ty = z, tz
         eye = np.eye(n)
+        fwd = eye - step * gram
         for steps in range(1, budget + 1):
             try:
-                jac = reg.prox_jacobian(y - step * (gy - lin), step)
-                d = np.linalg.solve(eye - jac + step * (jac @ gram), ty - y)
+                d = np.linalg.solve(eye - jacobian() @ fwd, ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
             if not np.isfinite(d).all():
                 return steps, None
             y = y + d
-            gy = gram @ y
-            py = pg_step(y, gy)
-            ty = py[0]
+            ty, gty, jacobian = reg.prox_newton(y - step * (gram @ y - lin), step)
             residual = float(np.linalg.norm(y - ty))
             if residual <= tol:
                 # The fit as a sum of squares: at a far-off point the smooth
                 # formula's 0.5 y^T gram y - lin^T y cancels into garbage.
                 fit = problem.phi @ y - problem.b
                 fy = float(fit @ fit) / (2.0 * problem.mu) - float(v @ y) + reg.value(y)
-                return steps, ((y, fy, py, residual) if fy <= fz else None)
+                return steps, ((y, fy, (ty, gty), residual) if fy <= fz else None)
         return budget, None
 
     gx = gram @ x
@@ -286,12 +290,16 @@ def prox_gradient_solve(
         # One attempt per solve, and each attempt takes at least one step.
         newton_due = not newton_steps and moved <= NEWTON_SWITCH and iterations < max_iter
         if moved <= tol or newton_due:
-            px = pg_step(z, gz)
+            if newton_due:
+                tz, gtz, jacobian = reg.prox_newton(z - step * (gz - lin), step)
+                px = tz, gtz
+            else:
+                px = pg_step(z, gz)
             residual = float(np.linalg.norm(z - px[0]))
             converged = residual <= tol
             if newton_due and not converged:
                 budget = min(NEWTON_STEPS, max_iter - iterations)
-                steps, polished = polish(z, gz, fz, px[0], budget)
+                steps, polished = polish(z, fz, tz, jacobian, budget)
                 iterations += steps
                 newton_steps += steps
                 if polished is not None:

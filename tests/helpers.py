@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from stabcert.groupnorm import GroupPartition
+from stabcert.errors import NotASubgradientError
+from stabcert.groupnorm import GroupAnalysis, GroupPartition, block_norms, subgrad_residual
 from stabcert.nuclear import NuclearShape
 from stabcert.solver import ProblemSpec
 
@@ -232,6 +233,26 @@ def subgrad_residual_loop(x, y, partition):
     return float(np.sqrt(total))
 
 
+def classify_groups_twice(x, y, partition, tol=1e-7):
+    """``classify_groups`` as it was: the residual takes the block norms of
+    both vectors, which are then taken again, and ``set(K)`` is rebuilt for
+    every block."""
+    res = subgrad_residual(x, y, partition)
+    if res > tol:
+        raise NotASubgradientError(
+            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}"
+        )
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    y_norms = block_norms(y, partition)
+    x_norms = block_norms(x, partition)
+    K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol)
+    H = tuple(j for j in range(len(partition.groups)) if j not in set(K))
+    I = tuple(j for j, nj in enumerate(x_norms) if nj > tol)
+    gamma = max((float(y_norms[j]) for j in H), default=0.0)
+    return GroupAnalysis(K, H, I, gamma, y_norms, res, y.copy(), partition)
+
+
 def group_distance_loop(x, ybar, partition, tol=1e-7):
     x = np.asarray(x, dtype=float)
     ybar = np.asarray(ybar, dtype=float)
@@ -380,6 +401,39 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=Non
         if switch is not None and moved <= switch:
             break
     return x, iterations, residual, fx
+
+
+class CountingProx:
+    """A regularizer that counts its prox, fused prox, Jacobian build and
+    value calls."""
+
+    def __init__(self, reg):
+        self.reg = reg
+        self.prox_calls = 0
+        self.newton_calls = 0
+        self.jacobian_builds = 0
+        self.value_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.reg, name)
+
+    def prox(self, x, t):
+        self.prox_calls += 1
+        return self.reg.prox(x, t)
+
+    def prox_newton(self, w, t):
+        self.newton_calls += 1
+        point, value, jacobian = self.reg.prox_newton(w, t)
+
+        def build():
+            self.jacobian_builds += 1
+            return jacobian()
+
+        return point, value, build
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.reg.value(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CountingProx,
     block_norms_loop,
     fista_loop,
     group_distance_loop,
@@ -223,31 +224,6 @@ class TestBatchedAudit:
         assert np.array_equal(rep.worst_sample, draws[27])
 
 
-class CountingProx:
-    """A regularizer that counts its prox, Jacobian and value calls."""
-
-    def __init__(self, reg):
-        self.reg = reg
-        self.prox_calls = 0
-        self.jacobian_calls = 0
-        self.value_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self.reg, name)
-
-    def prox(self, x, t):
-        self.prox_calls += 1
-        return self.reg.prox(x, t)
-
-    def prox_jacobian(self, w, t):
-        self.jacobian_calls += 1
-        return self.reg.prox_jacobian(w, t)
-
-    def value(self, x):
-        self.value_calls += 1
-        return self.reg.value(x)
-
-
 def forward_backward(spec, v):
     """``T(z) = prox_{g/L}(z - (gram z - phi^T b / mu - v) / L)``, as the solver builds it."""
     lin = spec.phi_tb + v
@@ -268,7 +244,9 @@ class TestSolverLoop:
     def test_one_prox_per_iteration_and_the_oracle_solution(self, kind):
         # One prox per FISTA iteration and one per Newton step, plus the
         # prox that opens the Newton attempt; g is evaluated at the start
-        # and once more only at an accepted Newton point.
+        # and once more only at an accepted Newton point.  The Newton
+        # points take the fused prox, and each step builds one Jacobian:
+        # none at the point the attempt ends on.
         rng = np.random.default_rng(17)
         prox_calls = iterations = polished = 0
         for _ in range(12):
@@ -279,10 +257,14 @@ class TestSolverLoop:
             x0 = rng.standard_normal(spec.n)
             res = prox_gradient_solve(spec, v=v, x0=x0)
             assert res.converged
-            assert reg.jacobian_calls == res.newton_steps <= NEWTON_STEPS
+            assert reg.jacobian_builds == res.newton_steps <= NEWTON_STEPS
+            if res.newton_steps:
+                assert reg.newton_calls == res.newton_steps + 1
+            else:
+                assert reg.newton_calls <= 1
             assert reg.value_calls <= 1 + (res.newton_steps > 0)
             polished += res.newton_steps > 0
-            prox_calls += reg.prox_calls
+            prox_calls += reg.prox_calls + reg.newton_calls
             iterations += res.iterations
             x, _, _, _ = fista_loop(base, v=v, x0=x0)
             assert np.linalg.norm(res.x - x) <= 1e-8

@@ -272,6 +272,22 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert out_file.read_text() == printed
 
+    def test_unwritable_out_file_still_prints_the_report(self, tmp_path, capsys):
+        path = write_doc(tmp_path, doc())
+        out_file = tmp_path / "missing" / "report.json"
+        code, report = run_capture(capsys, ["solve", path, "--out", str(out_file)])
+        assert code == 1
+        assert not out_file.exists()
+        assert report["error"]["code"] == "OUTPUT_NOT_WRITABLE"
+        assert str(out_file) in report["error"]["message"]
+        # The sections computed before the write are kept.
+        assert report["inputs_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert report["solve"]["converged"] is True
+        # An earlier error is the one reported.
+        code, report = run_capture(capsys, ["solve", path, "--tol", "-1", "--out", str(out_file)])
+        assert code == 1
+        assert report["error"]["code"] == "UsageError"
+
     def test_qg_audit_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, doc())
         code, report = run_capture(

@@ -1,10 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import group_ray_distance_oracle, random_group_graph_pair, random_partition
+from helpers import (
+    classify_groups_twice,
+    group_ray_distance_oracle,
+    random_group_graph_pair,
+    random_partition,
+)
 from stabcert.errors import InfeasibleApproximationError, NotASubgradientError
 from stabcert.groupnorm import (
     GroupPartition,
@@ -112,6 +119,29 @@ class TestClassify:
         assert info.H == ()
         assert info.I == (0,)
         assert info.gamma == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-2]))
+    def test_same_result_as_norms_taken_twice(self, seed, noise):
+        # Pairs on the graph, and pairs moved off it by up to and beyond
+        # the tolerance: the fields agree byte for byte, and so do errors.
+        rng = np.random.default_rng(seed)
+        part = random_partition(rng, int(rng.integers(1, 9)))
+        x, y = random_group_graph_pair(rng, part)
+        x = x + noise * rng.standard_normal(part.n)
+        y = y + noise * rng.standard_normal(part.n)
+        try:
+            expected = classify_groups_twice(x, y, part)
+        except NotASubgradientError as exc:
+            with pytest.raises(NotASubgradientError, match=re.escape(str(exc))):
+                classify_groups(x, y, part)
+            return
+        got = classify_groups(x, y, part)
+        assert (got.K, got.H, got.I) == (expected.K, expected.H, expected.I)
+        assert got.gamma == expected.gamma and got.residual == expected.residual
+        assert got.y_norms.tobytes() == expected.y_norms.tobytes()
+        assert got.y.tobytes() == expected.y.tobytes()
+        assert got.partition is part
 
     def test_rejects_off_graph_pairs(self):
         with pytest.raises(NotASubgradientError):

@@ -1,7 +1,8 @@
-"""The prox Jacobians against central differences, and the contract of the
-solver's Newton finish: it keeps ``converged`` honest, counts its steps in
-``iterations`` and falls back to FISTA where the Newton system is singular
-or its point is not trusted."""
+"""The prox Jacobians against central differences, the fused prox against
+the plain one, and the contract of the solver's Newton finish: it keeps
+``converged`` honest, counts its steps in ``iterations``, factors each
+Newton point once and falls back to FISTA where the Newton system is
+singular or its point is not trusted."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CountingProx,
     fista_loop,
     random_group_instance,
     random_nuclear_instance,
@@ -29,6 +31,11 @@ from stabcert.solver import (
 
 seeds = st.integers(0, 2**32 - 1)
 SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]
+
+
+def jacobian(reg, w, t):
+    """The prox Jacobian at ``w``, built from the fused prox."""
+    return reg.prox_newton(w, t)[2]()
 
 
 def central_differences(reg, w, t, h=1e-6):
@@ -79,7 +86,7 @@ class TestProxJacobian:
     @given(st.sampled_from(["group", "nuclear"]), seeds, st.floats(0.1, 2.0))
     def test_matches_central_differences(self, kind, seed, t):
         reg, w = points(kind, seed, t)
-        jac = reg.prox_jacobian(w, t)
+        jac = jacobian(reg, w, t)
         assert jac.shape == (reg.n, reg.n)
         np.testing.assert_allclose(jac, central_differences(reg, w, t), rtol=0.0, atol=1e-7)
 
@@ -91,7 +98,7 @@ class TestProxJacobian:
         rng = np.random.default_rng(seed)
         reg = (random_group_instance if kind == "group" else random_nuclear_instance)(rng).reg
         w = rng.standard_normal(reg.n) * rng.uniform(0.1, 3.0)
-        jac = reg.prox_jacobian(w, t)
+        jac = jacobian(reg, w, t)
         np.testing.assert_allclose(jac, jac.T, rtol=0.0, atol=1e-12)
         eig = np.linalg.eigvalsh(0.5 * (jac + jac.T))
         assert eig.min() >= -1e-12 and eig.max() <= 1.0 + 1e-12
@@ -100,29 +107,66 @@ class TestProxJacobian:
     def test_nuclear_repeated_values_and_transpose(self, shape):
         rng = np.random.default_rng(sum(shape))
         reg, w = nuclear_point(rng, shape, 0.5)
-        jac = reg.prox_jacobian(w, 0.5)
+        jac = jacobian(reg, w, 0.5)
         np.testing.assert_allclose(jac, central_differences(reg, w, 0.5), rtol=0.0, atol=1e-7)
         # The transposed problem has the transposed Jacobian.
         swap = np.arange(reg.n).reshape(reg.n1, reg.n2).T.ravel()
-        flipped = NuclearShape(reg.n2, reg.n1).prox_jacobian(w[swap], 0.5)
+        flipped = jacobian(NuclearShape(reg.n2, reg.n1), w[swap], 0.5)
         np.testing.assert_allclose(flipped, jac[np.ix_(swap, swap)], rtol=0.0, atol=1e-12)
 
     def test_zero_element_at_a_kink(self):
         part = GroupPartition(3, ((0,), (1, 2)))
-        jac = part.prox_jacobian(np.array([0.5, 3.0, 4.0]), 0.5)
+        jac = jacobian(part, np.array([0.5, 3.0, 4.0]), 0.5)
         assert np.all(jac[0] == 0.0) and np.all(jac[:, 0] == 0.0)
         unit = np.array([0.6, 0.8])
         expected = (1.0 - 0.1) * np.eye(2) + 0.1 * np.outer(unit, unit)
         np.testing.assert_allclose(jac[1:, 1:], expected, rtol=0.0, atol=1e-15)
         # A nuclear singular value at the threshold: that direction is dropped.
-        assert np.all(NuclearShape(1, 1).prox_jacobian(np.array([0.5]), 0.5) == 0.0)
+        assert np.all(jacobian(NuclearShape(1, 1), np.array([0.5]), 0.5) == 0.0)
+
+
+class TestFusedProx:
+    """``prox_newton`` returns the very point and value of ``prox``."""
+
+    @staticmethod
+    def assert_same(reg, w, t):
+        point, value = reg.prox(w, t)
+        fused, fused_value, _ = reg.prox_newton(w, t)
+        assert fused.tobytes() == point.tobytes()
+        assert fused_value == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["group", "nuclear"]), seeds, st.floats(0.0, 3.0))
+    def test_same_bytes_as_the_prox(self, kind, seed, t):
+        reg, w = points(kind, seed, t)
+        self.assert_same(reg, w, t)
+        self.assert_same(reg, w * np.random.default_rng(seed).uniform(0.1, 10.0), t)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nuclear_at_the_threshold_and_repeated_values(self, shape):
+        n1, n2 = shape
+        k = min(n1, n2)
+        reg = NuclearShape(n1, n2)
+        for t in (0.0, 0.5, 1.3):
+            # Diagonal: the SVD returns the entries as they are, one at t.
+            w = np.zeros(shape)
+            w[np.arange(k), np.arange(k)] = [t, 2.0 * t, 0.5 * t][:k]
+            self.assert_same(reg, w.ravel(), t)
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            self.assert_same(*nuclear_point(rng, shape, 0.5), 0.5)
+
+    def test_group_at_the_threshold(self):
+        part = GroupPartition(4, ((0,), (1, 2), (3,)))
+        for t in (0.0, 0.5, 1.3):
+            self.assert_same(part, np.array([t, 3.0 * t, 4.0 * t, -0.5 * t]), t)
 
 
 def newton_matrix(spec, x):
     """``I - J(w) (I - step gram)`` at ``x``, ``w`` the forward step from ``x``."""
     step = spec.mu / spec.sigma_max**2
     w = x - step * (spec.gram @ x - spec.phi_tb)
-    jac = spec.reg.prox_jacobian(w, step)
+    jac = jacobian(spec.reg, w, step)
     return np.eye(spec.n) - jac @ (np.eye(spec.n) - step * spec.gram)
 
 
@@ -151,6 +195,36 @@ def blind_nuclear(rng, n):
 
 
 class TestNewtonFinish:
+    def test_one_factorization_per_nuclear_newton_point(self, monkeypatch):
+        # Every SVD of a nuclear solve is a prox (plain or fused) or a value:
+        # the Jacobian reuses the factorization of the fused prox, so an
+        # attempt of s steps factors s + 1 points.
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        rng = np.random.default_rng(31)
+        steps = 0
+        for _ in range(16):
+            base = random_nuclear_instance(rng)
+            reg = CountingProx(base.reg)
+            spec = ProblemSpec(base.phi, base.b, base.mu, reg)
+            spec.sigma_max  # factor phi before counting
+            x0 = rng.standard_normal(spec.n)
+            monkeypatch.setattr(np.linalg, "svd", counted)
+            calls.clear()
+            res = prox_gradient_solve(spec, x0=x0)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert res.converged
+            assert len(calls) == reg.prox_calls + reg.newton_calls + reg.value_calls
+            if res.newton_steps:
+                assert reg.newton_calls == res.newton_steps + 1
+            steps += res.newton_steps
+        assert steps >= 16
+
     def test_rank_one_designs_from_random_starts_agree(self):
         # One row, random starts: the Newton system is singular along the
         # design's null space, and near it a step can land ~1e15 away, where
