@@ -403,6 +403,11 @@ def _solver_opts(args, options: dict) -> dict:
     return {"tol": tol, "max_iter": max_iter}
 
 
+def _cert_tol(args, options: dict) -> float:
+    """Certificate tolerance: ``--tol``, then the file's ``tol``, then ``CERT_TOL``."""
+    return args.tol if args.tol is not None else options.get("tol", CERT_TOL)
+
+
 def _load(args, report: dict) -> tuple[ProblemSpec, dict]:
     spec, options, report["inputs_digest"] = parse_problem(args.problem)
     return spec, options
@@ -423,7 +428,7 @@ def _cmd_solve(args, report: dict) -> int:
 def _cmd_certify(args, report: dict) -> int:
     spec, options = _load(args, report)
     result = _solve(spec, args, options, report)
-    cert_tol = args.tol if args.tol is not None else options.get("tol", CERT_TOL)
+    cert_tol = _cert_tol(args, options)
     cert = certify(spec, result.x, tol=cert_tol, margin_tol=options.get("margin_tol"))
     report["certificate"] = _certificate_dict(cert)
     return 0 if cert.holds else 2
@@ -491,9 +496,10 @@ def _cmd_reproduce_example_non(args, report: dict) -> int:
     b = spec.b.copy()
     b[1] = args.b2
     spec = ProblemSpec(spec.phi, b, spec.mu, spec.reg)
-    # The command ignores the file's options: only --tol reaches the solver.
+    # The command ignores the file's options: only --tol reaches the solver
+    # and the certificate.
     result = _solve(spec, args, {}, report)
-    cert = certify(spec, result.x)
+    cert = certify(spec, result.x, tol=_cert_tol(args, {}))
     report["certificate"] = _certificate_dict(cert)
     predicted = max(-args.b2 - 1.0, 0.0)
     observed = float(result.x[2])

@@ -93,14 +93,11 @@ class GroupPartition:
     def value(self, x: np.ndarray) -> float:
         return group_norm(x, self)
 
-    def prox(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """``(point, value)``: the prox and the group norm of its point."""
+    def prox(self, x: np.ndarray, t: float):
+        """``(point, value, jacobian)``: the prox, the group norm of its point
+        and a callable that builds its ``(n, n)`` Jacobian; see
+        :func:`prox_group`."""
         return prox_group(x, t, self)
-
-    def prox_newton(self, w: np.ndarray, t: float):
-        """``(point, value, jacobian)``: ``prox(w, t)`` and a callable that
-        builds its ``(n, n)`` Jacobian; see :func:`prox_group_newton`."""
-        return prox_group_newton(w, t, self)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Optimality residual of the pair; see :func:`subgrad_residual`."""
@@ -213,12 +210,17 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def _shrink(x: np.ndarray, t: float, partition: GroupPartition):
-    """Block norms of ``x`` and its blockwise soft threshold at ``t``.
+def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
+    """``(point, value, jacobian)``: the blockwise soft threshold
+    ``x_J * max(1 - t/||x_J||, 0)``, its group norm, and a zero-argument
+    callable that builds its ``(n, n)`` Jacobian from the same block norms.
 
-    Returns ``(nx, keep, point, value)``; the one kernel behind
-    :func:`prox_group` and :func:`prox_group_newton`, so their points and
-    values are the same bytes.
+    The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
+    it costs no second pass over the blocks.  The Jacobian is block
+    diagonal: ``(1 - t/||x_J||) I + (t/||x_J||) u u^T`` with
+    ``u = x_J / ||x_J||`` on blocks with ``||x_J|| > t``, and zero on the
+    rest.  At a kink (``||x_J|| == t``) that picks the zero element of the
+    generalized Jacobian.
     """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
@@ -228,41 +230,16 @@ def _shrink(x: np.ndarray, t: float, partition: GroupPartition):
     factor = 1.0 - t / np.where(keep, nx, 1.0)
     # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
     point = np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
-    return nx, keep, point, float(np.maximum(nx - t, 0.0).sum())
-
-
-def prox_group(x: np.ndarray, t: float, partition: GroupPartition) -> tuple[np.ndarray, float]:
-    """Blockwise soft threshold ``x_J * max(1 - t/||x_J||, 0)``, and its group norm.
-
-    The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
-    it costs no second pass over the blocks.
-    """
-    _, _, point, value = _shrink(x, t, partition)
-    return point, value
-
-
-def prox_group_newton(w: np.ndarray, t: float, partition: GroupPartition):
-    """``(point, value, jacobian)``: :func:`prox_group` at ``w``, and a
-    zero-argument callable that builds its ``(n, n)`` Jacobian from the
-    same block norms.
-
-    The Jacobian is block diagonal: ``(1 - t/||w_J||) I + (t/||w_J||) u u^T``
-    with ``u = w_J / ||w_J||`` on blocks with ``||w_J|| > t``, and zero on
-    the rest.  At a kink (``||w_J|| == t``) that picks the zero element of
-    the generalized Jacobian.
-    """
-    w = np.asarray(w, dtype=float)
-    nx, keep, point, value = _shrink(w, t, partition)
 
     def jacobian() -> np.ndarray:
-        # t / ||w_J||, zero off the kept blocks, per coordinate.
+        # t / ||x_J||, zero off the kept blocks, per coordinate.
         ratio = np.where(keep, t / np.where(keep, nx, 1.0), 0.0)[partition.seg]
-        unit = w / np.where(keep, nx, 1.0)[partition.seg]
+        unit = x / np.where(keep, nx, 1.0)[partition.seg]
         jac = np.where(partition.same_block, np.outer(ratio * unit, unit), 0.0)
-        jac.flat[:: w.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
+        jac.flat[:: x.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
         return jac
 
-    return point, value, jacobian
+    return point, float(np.maximum(nx - t, 0.0).sum()), jacobian
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:

@@ -64,15 +64,11 @@ class NuclearShape:
     def value(self, x: np.ndarray) -> float:
         return nuclear_norm(self.as_matrix(x))
 
-    def prox(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """``(point, value)``: the prox and the nuclear norm of its point."""
-        point, value = prox_nuclear(self.as_matrix(x), t)
-        return self.as_vector(point), value
-
-    def prox_newton(self, w: np.ndarray, t: float):
-        """``(point, value, jacobian)``: ``prox(w, t)`` and a callable that
-        builds its ``(n, n)`` Jacobian; see :func:`prox_nuclear_newton`."""
-        point, value, jacobian = prox_nuclear_newton(self.as_matrix(w), t)
+    def prox(self, x: np.ndarray, t: float):
+        """``(point, value, jacobian)``: the prox, the nuclear norm of its
+        point and a callable that builds its ``(n, n)`` Jacobian on
+        vectorizations; see :func:`prox_nuclear`."""
+        point, value, jacobian = prox_nuclear(self.as_matrix(x), t)
         return self.as_vector(point), value, jacobian
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -138,57 +134,38 @@ def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def _shrink(x: np.ndarray, t: float):
-    """Thin SVD of ``x`` and its singular value soft threshold at ``t``.
+def prox_nuclear(x: np.ndarray, t: float):
+    """``(point, value, jacobian)``: the singular value soft threshold of
+    ``x`` at level ``t``, its nuclear norm, and a zero-argument callable
+    that builds its ``(n, n)`` Jacobian on row-major vectorizations from
+    the same thin SVD.
 
-    Returns ``(u, s, vt, point, value)``; the one kernel behind
-    :func:`prox_nuclear` and :func:`prox_nuclear_newton`, so their points
-    and values are the same bytes.
+    The norm is the sum of the shrunk singular values,
+    ``sum(max(s - t, 0))``, so it costs no second SVD.  With
+    ``x = U diag(s) V^T`` (thin, ``k = min(n1, n2)``) and
+    ``f(s) = max(s - t, 0)``, the derivative in direction ``H`` applies, in
+    the frames, the divided differences ``(f(s_i) - f(s_j)) / (s_i - s_j)``
+    to the symmetric part of ``U^T H V``, ``(f(s_i) + f(s_j)) / (s_i + s_j)``
+    to its skew part, and ``g = f(s) / s`` to the part of ``H`` outside the
+    column space of ``V`` (wide ``x``) or of ``U`` (tall ``x``).  Equal
+    singular values take ``f'``, and ``f'(t)`` is taken as 0: the zero
+    element at a kink.  On vectorizations that is
+    ``F (diag(a) + diag(b) swap) F^T`` with ``F = kron(U, V)`` and ``swap``
+    the permutation ``(i, j) -> (j, i)``, plus
+    ``kron(U diag(g) U^T, I - V V^T)`` for a wide ``x`` or
+    ``kron(I - U U^T, V diag(g) V^T)`` for a tall one.  The result is
+    symmetric with spectrum in ``[0, 1]``: every pair of mixed entries sees
+    the two divided differences as its eigenvalues.
     """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    shrunk = np.maximum(s - t, 0.0)
-    return u, s, vt, (u * shrunk) @ vt, float(shrunk.sum())
-
-
-def prox_nuclear(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """Singular value soft threshold with level ``t``, and its nuclear norm.
-
-    The norm is the sum of the shrunk singular values,
-    ``sum(max(s - t, 0))``, so it costs no second SVD.
-    """
-    _, _, _, point, value = _shrink(x, t)
-    return point, value
-
-
-def prox_nuclear_newton(w: np.ndarray, t: float):
-    """``(point, value, jacobian)``: :func:`prox_nuclear` at ``w``, and a
-    zero-argument callable that builds its ``(n, n)`` Jacobian on row-major
-    vectorizations from the same thin SVD.
-
-    With ``w = U diag(s) V^T`` (thin, ``k = min(n1, n2)``) and
-    ``f(s) = max(s - t, 0)``, the derivative in direction ``H`` applies, in
-    the frames, the divided differences ``(f(s_i) - f(s_j)) / (s_i - s_j)``
-    to the symmetric part of ``U^T H V``, ``(f(s_i) + f(s_j)) / (s_i + s_j)``
-    to its skew part, and ``g = f(s) / s`` to the part of ``H`` outside the
-    column space of ``V`` (wide ``w``) or of ``U`` (tall ``w``).  Equal
-    singular values take ``f'``, and ``f'(t)`` is taken as 0: the zero
-    element at a kink.  On vectorizations that is
-    ``F (diag(a) + diag(b) swap) F^T`` with ``F = kron(U, V)`` and ``swap``
-    the permutation ``(i, j) -> (j, i)``, plus
-    ``kron(U diag(g) U^T, I - V V^T)`` for a wide ``w`` or
-    ``kron(I - U U^T, V diag(g) V^T)`` for a tall one.  The result is
-    symmetric with spectrum in ``[0, 1]``: every pair of mixed entries sees
-    the two divided differences as its eigenvalues.
-    """
-    u, s, vt, point, value = _shrink(w, t)
+    f = np.maximum(s - t, 0.0)  # the shrunk singular values
 
     def jacobian() -> np.ndarray:
         n1, n2 = u.shape[0], vt.shape[1]
         k = s.size
-        f = np.maximum(s - t, 0.0)
         above = s > t
         # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
         mixed = above[:, None] != above[None, :]
@@ -214,7 +191,7 @@ def prox_nuclear_newton(w: np.ndarray, t: float):
             jac += (left[:, None, :, None] * right[None, :, None, :]).reshape(n1 * n2, n1 * n2)
         return jac
 
-    return point, value, jacobian
+    return (u * f) @ vt, float(f.sum()), jacobian
 
 
 def is_subgradient_nuclear(

@@ -20,9 +20,9 @@ Once FISTA has settled the active blocks or rank, it only polishes a smooth
 problem, which Newton does in a step or two.  So at the first iteration
 whose step moves the iterate by at most ``NEWTON_SWITCH``, the solver makes
 one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
-``z - T(z)``.  The regularizer's ``prox_newton`` gives the prox at each
-Newton point together with the generalized Jacobian of the prox there,
-built from the same factorization and only when one more step needs it.
+``z - T(z)``.  The regularizer's one ``prox`` returns, with each point,
+a builder for the generalized Jacobian of the prox there from the same
+factorization; the solver calls it only when one more step needs it.
 The Newton point is kept only when its true residual is below the
 tolerance and its objective is no higher than that of the FISTA point the
 attempt began at; otherwise FISTA goes on as if the attempt had not been
@@ -185,8 +185,8 @@ def prox_gradient_solve(
     that passes, one Newton attempt starts from ``z``:
     each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``, with
     ``J`` the prox Jacobian at the forward step ``w`` of ``y``.  The prox
-    that gave ``T(y)`` also holds the factorization ``J`` is built from
-    (``prox_newton``), so a step costs one Jacobian build, one linear solve
+    that gave ``T(y)`` also returns a builder for ``J`` from its own
+    factorization, so a step costs one Jacobian build, one linear solve
     and one prox: an attempt of ``s`` steps factors ``s + 1`` points, and
     no Jacobian is built at the point it ends on.  The attempt ends at the
     first point whose true residual is at most ``tol``; that point is
@@ -226,22 +226,23 @@ def prox_gradient_solve(
     def smooth(z: np.ndarray, gz: np.ndarray) -> float:
         return 0.5 * float(z @ gz) - float(lin @ z) + const
 
-    def pg_step(z: np.ndarray, gz: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(T(z), g(T(z)))``."""
+    def pg_step(z: np.ndarray, gz: np.ndarray):
+        """``(T(z), g(T(z)), jacobian)``, the last building the prox
+        Jacobian at the forward step of ``z``."""
         return reg.prox(z - step * (gz - lin), step)
 
-    def polish(z, fz, tz, jacobian, budget):
-        """One Newton attempt from ``z``, whose step ``T(z)`` is ``tz`` and
-        ``jacobian`` builds the prox Jacobian at its forward step.
+    def polish(z, fz, py, budget):
+        """One Newton attempt from ``z``, whose ``pg_step`` is ``py``.
 
         Returns the steps taken and, when the guard accepts the Newton
-        point ``p``, ``(p, objective, (T(p), g(T(p))), residual)``; else
+        point ``p``, ``(p, objective, pg_step(p), residual)``; else
         ``None``.
         """
-        y, ty = z, tz
+        y = z
         eye = np.eye(n)
         fwd = eye - step * gram
         for steps in range(1, budget + 1):
+            ty, _, jacobian = py
             try:
                 d = np.linalg.solve(eye - jacobian() @ fwd, ty - y)
             except np.linalg.LinAlgError:
@@ -249,14 +250,14 @@ def prox_gradient_solve(
             if not np.isfinite(d).all():
                 return steps, None
             y = y + d
-            ty, gty, jacobian = reg.prox_newton(y - step * (gram @ y - lin), step)
-            residual = float(np.linalg.norm(y - ty))
+            py = pg_step(y, gram @ y)
+            residual = float(np.linalg.norm(y - py[0]))
             if residual <= tol:
                 # The fit as a sum of squares: at a far-off point the smooth
                 # formula's 0.5 y^T gram y - lin^T y cancels into garbage.
                 fit = problem.phi @ y - problem.b
                 fy = float(fit @ fit) / (2.0 * problem.mu) - float(v @ y) + reg.value(y)
-                return steps, ((y, fy, (ty, gty), residual) if fy <= fz else None)
+                return steps, ((y, fy, py, residual) if fy <= fz else None)
         return budget, None
 
     gx = gram @ x
@@ -272,7 +273,7 @@ def prox_gradient_solve(
         # After the start or a restart the momentum point is x itself, whose
         # step may be known.
         base = momentum
-        z, gval = px if momentum is x and px is not None else pg_step(momentum, gm)
+        z, gval, _ = px if momentum is x and px is not None else pg_step(momentum, gm)
         gz = gram @ z
         fz = smooth(z, gz) + gval
         if fz > fx:
@@ -281,7 +282,7 @@ def prox_gradient_solve(
             tk = 1.0
             if base is not x:
                 base = x
-                z, gval = px if px is not None else pg_step(x, gx)
+                z, gval, _ = px if px is not None else pg_step(x, gx)
                 gz = gram @ z
                 fz = smooth(z, gz) + gval
         iterations += 1
@@ -290,16 +291,12 @@ def prox_gradient_solve(
         # One attempt per solve, and each attempt takes at least one step.
         newton_due = not newton_steps and moved <= NEWTON_SWITCH and iterations < max_iter
         if moved <= tol or newton_due:
-            if newton_due:
-                tz, gtz, jacobian = reg.prox_newton(z - step * (gz - lin), step)
-                px = tz, gtz
-            else:
-                px = pg_step(z, gz)
+            px = pg_step(z, gz)
             residual = float(np.linalg.norm(z - px[0]))
             converged = residual <= tol
             if newton_due and not converged:
                 budget = min(NEWTON_STEPS, max_iter - iterations)
-                steps, polished = polish(z, fz, tz, jacobian, budget)
+                steps, polished = polish(z, fz, px, budget)
                 iterations += steps
                 newton_steps += steps
                 if polished is not None:

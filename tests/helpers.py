@@ -404,13 +404,11 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=Non
 
 
 class CountingProx:
-    """A regularizer that counts its prox, fused prox, Jacobian build and
-    value calls."""
+    """A regularizer that counts its prox, Jacobian build and value calls."""
 
     def __init__(self, reg):
         self.reg = reg
         self.prox_calls = 0
-        self.newton_calls = 0
         self.jacobian_builds = 0
         self.value_calls = 0
 
@@ -419,11 +417,7 @@ class CountingProx:
 
     def prox(self, x, t):
         self.prox_calls += 1
-        return self.reg.prox(x, t)
-
-    def prox_newton(self, w, t):
-        self.newton_calls += 1
-        point, value, jacobian = self.reg.prox_newton(w, t)
+        point, value, jacobian = self.reg.prox(x, t)
 
         def build():
             self.jacobian_builds += 1

@@ -81,7 +81,7 @@ class TestGroupKernels:
             close(group_distance(r, y, part), group_distance_loop(r, y, part))
             close(subgrad_residual(r, y, part), subgrad_residual_loop(r, y, part))
             for t in (0.0, float(rng.uniform(0.0, 2.0)), 1e3):
-                (out, _), ref = prox_group(r, t, part), prox_group_loop(r, t, part)
+                (out, _, _), ref = prox_group(r, t, part), prox_group_loop(r, t, part)
                 close(out, ref)
                 assert np.array_equal(np.signbit(out), np.signbit(ref))
             xs, ys, _ = part.snap(r, y)
@@ -89,6 +89,16 @@ class TestGroupKernels:
             close(xs, xr)
             close(ys, yr)
             assert np.array_equal(xs == 0.0, xr == 0.0)
+
+    def test_prox_at_the_threshold_matches_the_loop(self):
+        # Blocks whose norm is exactly t, above it and below it; a negative
+        # entry at t must come out as +0.0, not -0.0.
+        part = GroupPartition(4, ((0,), (1, 2), (3,)))
+        for t in (0.0, 0.5, 1.3):
+            x = np.array([-t, 3.0 * t, 4.0 * t, -0.5 * t])
+            out, value, _ = prox_group(x, t, part)
+            assert out.tobytes() == prox_group_loop(x, t, part).tobytes()
+            assert value == pytest.approx(group_norm_loop(out, part), rel=1e-12, abs=1e-12)
 
     def test_block_ids(self):
         part = GroupPartition(5, ((3, 0), (4,), (1, 2)))
@@ -244,9 +254,8 @@ class TestSolverLoop:
     def test_one_prox_per_iteration_and_the_oracle_solution(self, kind):
         # One prox per FISTA iteration and one per Newton step, plus the
         # prox that opens the Newton attempt; g is evaluated at the start
-        # and once more only at an accepted Newton point.  The Newton
-        # points take the fused prox, and each step builds one Jacobian:
-        # none at the point the attempt ends on.
+        # and once more only at an accepted Newton point.  Each Newton step
+        # builds one Jacobian: none at the point the attempt ends on.
         rng = np.random.default_rng(17)
         prox_calls = iterations = polished = 0
         for _ in range(12):
@@ -258,13 +267,9 @@ class TestSolverLoop:
             res = prox_gradient_solve(spec, v=v, x0=x0)
             assert res.converged
             assert reg.jacobian_builds == res.newton_steps <= NEWTON_STEPS
-            if res.newton_steps:
-                assert reg.newton_calls == res.newton_steps + 1
-            else:
-                assert reg.newton_calls <= 1
             assert reg.value_calls <= 1 + (res.newton_steps > 0)
             polished += res.newton_steps > 0
-            prox_calls += reg.prox_calls + reg.newton_calls
+            prox_calls += reg.prox_calls
             iterations += res.iterations
             x, _, _, _ = fista_loop(base, v=v, x0=x0)
             assert np.linalg.norm(res.x - x) <= 1e-8
@@ -342,7 +347,7 @@ class TestSolverLoop:
         rng = np.random.default_rng(seed)
         reg = KINDS[kind](rng).reg
         x = rng.standard_normal(reg.n) * scale
-        point, value = reg.prox(x, t * scale)
+        point, value, _ = reg.prox(x, t * scale)
         # Near the threshold the point's norm is a difference, so rounding
         # is measured against the norm of the input.
         assert value == pytest.approx(reg.value(point), rel=1e-12, abs=1e-12 * reg.value(x))

@@ -328,6 +328,16 @@ class TestCommands:
         assert rep["observed_x3"] == pytest.approx(0.5, abs=1e-6)
         assert report["certificate"]["holds"] is True
 
+    def test_reproduce_certifies_at_the_given_tol(self, capsys):
+        # At tol 1e-4 the solve stops with a KKT residual near 3e-6, which
+        # the certificate accepts only at the same tolerance.
+        argv = ["reproduce-example-non", "--b2", "0.5", "--tol", "1e-4"]
+        code, report = run_capture(capsys, argv)
+        assert code == 0
+        assert report["error"] is None
+        assert report["certificate"]["tolerances"]["kkt_tol"] == 1e-4
+        assert report["reproduction"]["matches"] is True
+
     def test_bundled_example_loads(self):
         spec, options, _ = parse_problem(resources.files("stabcert") / "data/example_non.json")
         assert spec.phi.shape == (2, 3)

@@ -1,8 +1,7 @@
-"""The prox Jacobians against central differences, the fused prox against
-the plain one, and the contract of the solver's Newton finish: it keeps
-``converged`` honest, counts its steps in ``iterations``, factors each
-Newton point once and falls back to FISTA where the Newton system is
-singular or its point is not trusted."""
+"""The prox Jacobians against central differences, and the contract of the
+solver's Newton finish: it keeps ``converged`` honest, counts its steps in
+``iterations``, factors each Newton point once and falls back to FISTA
+where the Newton system is singular or its point is not trusted."""
 
 import numpy as np
 import pytest
@@ -34,8 +33,8 @@ SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]
 
 
 def jacobian(reg, w, t):
-    """The prox Jacobian at ``w``, built from the fused prox."""
-    return reg.prox_newton(w, t)[2]()
+    """The prox Jacobian at ``w``, built from the factorization of the prox."""
+    return reg.prox(w, t)[2]()
 
 
 def central_differences(reg, w, t, h=1e-6):
@@ -125,43 +124,6 @@ class TestProxJacobian:
         assert np.all(jacobian(NuclearShape(1, 1), np.array([0.5]), 0.5) == 0.0)
 
 
-class TestFusedProx:
-    """``prox_newton`` returns the very point and value of ``prox``."""
-
-    @staticmethod
-    def assert_same(reg, w, t):
-        point, value = reg.prox(w, t)
-        fused, fused_value, _ = reg.prox_newton(w, t)
-        assert fused.tobytes() == point.tobytes()
-        assert fused_value == value
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["group", "nuclear"]), seeds, st.floats(0.0, 3.0))
-    def test_same_bytes_as_the_prox(self, kind, seed, t):
-        reg, w = points(kind, seed, t)
-        self.assert_same(reg, w, t)
-        self.assert_same(reg, w * np.random.default_rng(seed).uniform(0.1, 10.0), t)
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_nuclear_at_the_threshold_and_repeated_values(self, shape):
-        n1, n2 = shape
-        k = min(n1, n2)
-        reg = NuclearShape(n1, n2)
-        for t in (0.0, 0.5, 1.3):
-            # Diagonal: the SVD returns the entries as they are, one at t.
-            w = np.zeros(shape)
-            w[np.arange(k), np.arange(k)] = [t, 2.0 * t, 0.5 * t][:k]
-            self.assert_same(reg, w.ravel(), t)
-        rng = np.random.default_rng(sum(shape))
-        for _ in range(20):
-            self.assert_same(*nuclear_point(rng, shape, 0.5), 0.5)
-
-    def test_group_at_the_threshold(self):
-        part = GroupPartition(4, ((0,), (1, 2), (3,)))
-        for t in (0.0, 0.5, 1.3):
-            self.assert_same(part, np.array([t, 3.0 * t, 4.0 * t, -0.5 * t]), t)
-
-
 def newton_matrix(spec, x):
     """``I - J(w) (I - step gram)`` at ``x``, ``w`` the forward step from ``x``."""
     step = spec.mu / spec.sigma_max**2
@@ -196,9 +158,9 @@ def blind_nuclear(rng, n):
 
 class TestNewtonFinish:
     def test_one_factorization_per_nuclear_newton_point(self, monkeypatch):
-        # Every SVD of a nuclear solve is a prox (plain or fused) or a value:
-        # the Jacobian reuses the factorization of the fused prox, so an
-        # attempt of s steps factors s + 1 points.
+        # Every SVD of a nuclear solve is a prox or a value: each Newton
+        # step builds one Jacobian from the factorization of its prox, so
+        # an attempt of s steps factors s + 1 points.
         svd = np.linalg.svd
         calls = []
 
@@ -219,9 +181,8 @@ class TestNewtonFinish:
             res = prox_gradient_solve(spec, x0=x0)
             monkeypatch.setattr(np.linalg, "svd", svd)
             assert res.converged
-            assert len(calls) == reg.prox_calls + reg.newton_calls + reg.value_calls
-            if res.newton_steps:
-                assert reg.newton_calls == res.newton_steps + 1
+            assert len(calls) == reg.prox_calls + reg.value_calls
+            assert reg.jacobian_builds == res.newton_steps
             steps += res.newton_steps
         assert steps >= 16
 

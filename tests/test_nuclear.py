@@ -45,8 +45,25 @@ class TestNormAndProx:
         assert nuclear_norm(a) == pytest.approx(7.0)
 
     def test_prox_thresholds_spectrum(self):
-        out, _ = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
+        out, _, _ = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+        # Against the closed form u diag(max(s - t, 0)) v^T of u diag(s) v^T.
+        rng = np.random.default_rng(22)
+        for n1, n2 in [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]:
+            k = min(n1, n2)
+            eye1, eye2 = np.eye(n1)[:, :k], np.eye(n2)[:, :k]
+            # Diagonal, one value exactly at t (the SVD returns it as it
+            # is), then random frames with repeated values.
+            cases = [(eye1, np.array([t, 2.0 * t, 0.5 * t])[:k], eye2, t) for t in (0.0, 0.5, 1.3)]
+            for _ in range(20):
+                s = np.sort(rng.choice([0.0, 0.2, 0.5, 1.1, 2.0], size=k))[::-1]
+                u, v = random_orthogonal(rng, n1)[:, :k], random_orthogonal(rng, n2)[:, :k]
+                cases.append((u, s, v, 0.5))
+            for u, s, v, t in cases:
+                point, value, _ = prox_nuclear((u * s) @ v.T, t)
+                f = np.maximum(s - t, 0.0)
+                assert np.allclose(point, (u * f) @ v.T, atol=1e-12)
+                assert value == pytest.approx(f.sum(), rel=1e-12, abs=1e-12)
 
     def test_prox_nonexpansive(self):
         rng = np.random.default_rng(20)
@@ -62,7 +79,7 @@ class TestNormAndProx:
         for _ in range(50):
             a = rng.standard_normal((3, 3)) * rng.uniform(0.1, 4.0)
             t = float(rng.uniform(1e-3, 3.0))
-            p, _ = prox_nuclear(a, t)
+            p, _, _ = prox_nuclear(a, t)
             y = (a - p) / t
             check = is_subgradient_nuclear(
                 p, y, tol=1e-12 * (1.0 + np.linalg.norm(a) / t)

@@ -30,7 +30,7 @@ def test_regularizer_contract(kind):
 
         z = rng.standard_normal(reg.n) * 2.0
         t = float(rng.uniform(0.2, 2.0))
-        p, _ = reg.prox(z, t)
+        p, _, _ = reg.prox(z, t)
         assert p.shape == (reg.n,)
         # the prox residual (z - p) / t is a subgradient at p
         assert reg.residual(p, (z - p) / t) <= 1e-10
