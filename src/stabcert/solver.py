@@ -23,8 +23,8 @@ one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
 ``z - T(z)``.  The regularizer's one ``prox`` returns, with each point,
 a builder for the generalized Jacobian of the prox there from the same
 factorization; the solver calls it only when one more step needs it.
-The Newton point is kept only when its true residual is below the
-tolerance and its objective is no higher than that of the FISTA point the
+Once a Newton point's true residual is below the tolerance, its prox point
+is kept if its objective is no higher than that of the FISTA point the
 attempt began at; otherwise FISTA goes on as if the attempt had not been
 made.  ``max_iter`` caps FISTA iterations and Newton steps together.
 Hitting the cap sets a flag on the result instead of raising.
@@ -99,6 +99,13 @@ class ProblemSpec:
         return float(np.linalg.svd(self.phi, compute_uv=False)[0]) if self.phi.size else 0.0
 
     @cached_property
+    def step(self) -> float:
+        """The solver's step ``1/L``, ``L = sigma_max^2 / mu``; 1 for a zero
+        operator, where any step is valid for the pure prox iteration."""
+        lip = self.sigma_max * self.sigma_max / self.mu
+        return 1.0 / lip if lip > 0.0 else 1.0
+
+    @cached_property
     def phi_t_phi(self) -> np.ndarray:
         """``phi^T phi``, independent of ``b`` and ``mu``."""
         return self.phi.T @ self.phi
@@ -107,6 +114,12 @@ class ProblemSpec:
     def gram(self) -> np.ndarray:
         """``phi^T phi / mu``, the Hessian of the fit term."""
         return self.phi_t_phi / self.mu
+
+    @cached_property
+    def forward_jacobian(self) -> np.ndarray:
+        """``I - step gram``, the Jacobian of the forward step
+        ``z -> z - step (gram z - phi^T b / mu)``."""
+        return np.eye(self.n) - self.step * self.gram
 
     @cached_property
     def phi_tb(self) -> np.ndarray:
@@ -154,6 +167,17 @@ def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return -(problem.phi.T @ (problem.phi @ x - problem.b)) / problem.mu
 
 
+def newton_matrix(problem: ProblemSpec, jacobian: np.ndarray) -> np.ndarray:
+    """``I - J (I - step gram)``, the Jacobian of ``z - T(z)`` where ``J``
+    is the prox Jacobian at the forward step of ``z``.
+
+    The solver's Newton steps solve with it, and at a solution it maps the
+    solution map's derivative to the data's first-order change (see
+    :func:`stabcert.stability.empirical_lipschitz`).
+    """
+    return np.eye(problem.n) - jacobian @ problem.forward_jacobian
+
+
 def prox_gradient_solve(
     problem: ProblemSpec,
     v: np.ndarray | None = None,
@@ -177,21 +201,27 @@ def prox_gradient_solve(
     on and that step ``T(z)`` serves a restart from ``z``.  The restart
     (when the momentum step raises the objective) takes the descent step
     ``T(x)``, reusing it when known.  The objective adds the smooth part
-    to the value the prox returns; ``g`` itself is evaluated at the start
-    point, and once more at a Newton point that reaches ``tol``.
+    to the value the prox returns; ``g`` itself is evaluated only at the
+    start point.
 
     At the first iteration whose step moves the iterate by at most
     ``NEWTON_SWITCH``, one prox at ``z`` gives its true residual and, unless
     that passes, one Newton attempt starts from ``z``:
-    each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``, with
-    ``J`` the prox Jacobian at the forward step ``w`` of ``y``.  The prox
-    that gave ``T(y)`` also returns a builder for ``J`` from its own
-    factorization, so a step costs one Jacobian build, one linear solve
-    and one prox: an attempt of ``s`` steps factors ``s + 1`` points, and
-    no Jacobian is built at the point it ends on.  The attempt ends at the
-    first point whose true residual is at most ``tol``; that point is
-    returned if its objective, with the fit taken as a sum of squares, is
-    no higher than ``z``'s.  The objective is coercive, so this keeps the
+    each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``
+    (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
+    step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns a
+    builder for ``J`` from its own factorization, so a step costs one
+    Jacobian build, one linear solve and one prox, and no Jacobian is
+    built at the point the attempt ends on.  The attempt ends at the
+    first ``y`` whose true residual is at most ``tol``.  It returns the
+    prox point ``p = T(y)``, not ``y``: ``y`` can sit a rounding error off
+    a zero block whose dual has unit norm, where no subgradient exists.
+    ``p`` is kept if its objective, with the fit taken as a sum of squares
+    and ``g(p)`` as the prox returned it, is no higher than ``z``'s; one
+    more prox then gives ``p``'s true residual, which nonexpansiveness
+    bounds by ``y``'s (should rounding leave it above ``tol``, FISTA
+    restarts from ``p``).  A kept attempt of ``s`` steps thus factors
+    ``s + 2`` points.  The objective is coercive, so the guard keeps the
     point in a bounded sublevel set: a near-singular system can throw a
     step 1e15 or more away, where the forward step and the shrink both round to
     the point itself and the residual reads 0.  A singular system, a
@@ -216,11 +246,7 @@ def prox_gradient_solve(
     # Combined linear term: grad of the smooth tilted part is gram @ x - lin.
     lin = problem.phi_tb + v
     const = float(problem.b @ problem.b) / (2.0 * problem.mu)
-    smax = problem.sigma_max
-    lip = smax * smax / problem.mu
-    if lip <= 0.0:
-        lip = 1.0  # zero operator: any step is valid for the pure prox iteration
-    step = 1.0 / lip
+    step = problem.step
 
     # Both take ``gz = gram @ z``, which the loop carries for every point.
     def smooth(z: np.ndarray, gz: np.ndarray) -> float:
@@ -234,30 +260,34 @@ def prox_gradient_solve(
     def polish(z, fz, py, budget):
         """One Newton attempt from ``z``, whose ``pg_step`` is ``py``.
 
-        Returns the steps taken and, when the guard accepts the Newton
-        point ``p``, ``(p, objective, pg_step(p), residual)``; else
-        ``None``.
+        Returns the steps taken and, when the guard accepts the prox point
+        ``p = T(y)`` of the last Newton iterate ``y``,
+        ``(p, gram @ p, objective, pg_step(p), residual)``; else ``None``.
         """
         y = z
-        eye = np.eye(n)
-        fwd = eye - step * gram
         for steps in range(1, budget + 1):
             ty, _, jacobian = py
             try:
-                d = np.linalg.solve(eye - jacobian() @ fwd, ty - y)
+                d = np.linalg.solve(newton_matrix(problem, jacobian()), ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
             if not np.isfinite(d).all():
                 return steps, None
             y = y + d
             py = pg_step(y, gram @ y)
-            residual = float(np.linalg.norm(y - py[0]))
-            if residual <= tol:
+            if float(np.linalg.norm(y - py[0])) <= tol:
+                # T(y), not y: y can sit a rounding error off a zero block
+                # whose dual has unit norm, which is no solution at all.
                 # The fit as a sum of squares: at a far-off point the smooth
-                # formula's 0.5 y^T gram y - lin^T y cancels into garbage.
-                fit = problem.phi @ y - problem.b
-                fy = float(fit @ fit) / (2.0 * problem.mu) - float(v @ y) + reg.value(y)
-                return steps, ((y, fy, py, residual) if fy <= fz else None)
+                # formula's 0.5 p^T gram p - lin^T p cancels into garbage.
+                p, gp, _ = py
+                fit = problem.phi @ p - problem.b
+                fp = float(fit @ fit) / (2.0 * problem.mu) - float(v @ p) + gp
+                if fp > fz:
+                    return steps, None
+                gram_p = gram @ p
+                pp = pg_step(p, gram_p)
+                return steps, (p, gram_p, fp, pp, float(np.linalg.norm(p - pp[0])))
         return budget, None
 
     gx = gram @ x
@@ -300,9 +330,12 @@ def prox_gradient_solve(
                 iterations += steps
                 newton_steps += steps
                 if polished is not None:
-                    x, fx, px, residual = polished
-                    converged = True
-                    break
+                    # T is nonexpansive, so only rounding can leave the
+                    # residual above tol; then FISTA restarts from x.
+                    x, gx, fx, px, residual = polished
+                    converged = residual <= tol
+                    momentum, gm, tk = x, gx, 1.0
+                    continue
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / t_next
         if beta == 0.0:  # at the start and after a restart

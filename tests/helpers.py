@@ -501,22 +501,46 @@ def margin_and_witness_two_svds(phi, basis):
 
 
 def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed):
-    """``empirical_lipschitz`` with one start: one solve per sample, from the
-    origin, and no draw of start points.  Returns the report's fields
+    """``empirical_lipschitz`` with one start: one solve per sample, and no
+    draw of start points.  The start is the first-order prediction
+    ``x + D [db; dmu]``, with ``D`` solved from the differentiated fixed
+    point equation written out here, unless the prediction is not finite,
+    has a higher objective than the base solution ``x`` on the sample's
+    problem, or the system for ``D`` is rank deficient or gives a
+    non-finite ``D``; then it is ``x``.  Returns the report's fields
     ``(max_ratio, multivaluedness_spread, non_converged)``."""
-    from stabcert.solver import prox_gradient_solve
+    from stabcert.solver import objective, prox_gradient_solve
     from stabcert.stability import _ball_samples
 
     rng = np.random.default_rng(seed)
     base = prox_gradient_solve(problem)
+    x = base.x
+    # x = prox_{t g}(x - t grad), differentiated in (b, mu) at fixed t.
+    t = problem.step
+    grad = problem.gram @ x - problem.phi_tb
+    jac = problem.reg.prox(x - t * grad, t)[2]()
+    eye = np.eye(problem.n)
+    lhs = eye - jac @ (eye - t * problem.gram)
+    rhs = (t / problem.mu) * (jac @ np.column_stack([problem.phi.T, grad]))
+    d = None
+    if np.linalg.matrix_rank(lhs) == problem.n:
+        d = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        if not np.isfinite(d).all():
+            d = None
     b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
     mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
     params = [(problem.b, problem.mu)]
-    sols = [base.x]
+    sols = [x]
     non_converged = 0 if base.converged else 1
     for i in range(samples):
-        r = prox_gradient_solve(problem.with_data(b_draws[i], float(mu_draws[i])))
+        spec = problem.with_data(b_draws[i], float(mu_draws[i]))
+        start = x
+        if d is not None:
+            guess = x + d @ np.append(b_draws[i] - problem.b, spec.mu - problem.mu)
+            if np.isfinite(guess).all() and objective(spec, guess) <= objective(spec, x):
+                start = guess
+        r = prox_gradient_solve(spec, x0=start)
         non_converged += 0 if r.converged else 1
         sols.append(r.x)
         params.append((b_draws[i], float(mu_draws[i])))

@@ -27,6 +27,7 @@ from stabcert.solver import (
     prox_gradient_solve,
     solution_spread,
 )
+from stabcert.stability import certify
 
 seeds = st.integers(0, 2**32 - 1)
 SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]
@@ -185,6 +186,23 @@ class TestNewtonFinish:
             assert reg.jacobian_builds == res.newton_steps
             steps += res.newton_steps
         assert steps >= 16
+
+    def test_scaled_reference_instance_returns_a_prox_point(self):
+        # The bundled instance with (b, mu) scaled by 1e3.  The Newton
+        # iterate that reaches tol has x[2] = -2.7e-13 in a block whose
+        # dual has norm exactly 1, so certify rejected it (residual 2.0);
+        # its prox point has that block at exact 0.
+        phi = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
+        spec = ProblemSpec(phi, 1e3 * np.array([2.0, -1.0]), 1e3, GroupPartition(3, ((0, 1), (2,))))
+        res = prox_gradient_solve(spec)
+        assert res.converged and res.newton_steps >= 1
+        assert res.x[2] == 0.0
+        step = spec.step
+        point = spec.reg.prox(res.x - step * (spec.gram @ res.x - spec.phi_tb), step)[0]
+        assert res.fixed_point_residual == float(np.linalg.norm(res.x - point))
+        assert res.objective == pytest.approx(objective(spec, res.x), rel=1e-12)
+        cert = certify(spec, res.x)
+        assert cert.holds and cert.kkt_residual <= 1e-12
 
     def test_rank_one_designs_from_random_starts_agree(self):
         # One row, random starts: the Newton system is singular along the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CountingProx,
     degenerate_group_instance,
     degenerate_nuclear_instance,
     empirical_lipschitz_single_start,
@@ -23,6 +24,7 @@ from stabcert.nuclear import NuclearShape, is_subgradient_nuclear
 from stabcert.solver import ProblemSpec, dual_from_solution, prox_gradient_solve
 from stabcert.stability import (
     CERT_TOL,
+    _solution_derivative,
     certify,
     certify_phi_perturbed,
     empirical_lipschitz,
@@ -323,6 +325,100 @@ class TestEmpiricalLipschitz:
         assert rep.multivaluedness_spread <= 1e-6
 
 
+def strictly_certified(spec, x):
+    """Certified with strict complementarity and the dual off the unit
+    sphere elsewhere: the solution map is smooth near the instance."""
+    cert = certify(spec, x)
+    c = cert.classification
+    strict = len(c.K) == len(c.I) if spec.reg.kind == "group" else c.r == c.p
+    return cert.holds and strict and c.gamma < 0.99
+
+
+def first_starts(monkeypatch):
+    """Record ``(spec, first start)`` of every sample of ``empirical_lipschitz``."""
+    import stabcert.stability as stability
+
+    seen = []
+    real = stability.multistart_solve
+
+    def spy(spec, starts, **kwargs):
+        seen.append((spec, starts[0]))
+        return real(spec, starts, **kwargs)
+
+    monkeypatch.setattr(stability, "multistart_solve", spy)
+    return seen
+
+
+class TestSolutionDerivative:
+    @pytest.mark.parametrize(
+        "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
+    )
+    def test_matches_central_differences_of_solves(self, make):
+        h = 1e-5
+        checked = 0
+        for seed in range(30):
+            spec = make(np.random.default_rng(seed))
+            x = prox_gradient_solve(spec, tol=1e-14).x
+            if not strictly_certified(spec, x):
+                continue
+            d = _solution_derivative(spec, x)
+            assert d.shape == (spec.n, spec.m + 1)
+            for j in range(spec.m + 1):
+                e = np.zeros(spec.m + 1)
+                e[j] = h
+                ends = []
+                for sign in (1.0, -1.0):
+                    moved = spec.with_data(spec.b + sign * e[:-1], spec.mu + sign * e[-1])
+                    res = prox_gradient_solve(moved, tol=1e-14, x0=x)
+                    assert res.converged
+                    ends.append(res.x)
+                np.testing.assert_allclose(
+                    d[:, j], (ends[0] - ends[1]) / (2.0 * h), rtol=0.0, atol=1e-7
+                )
+            checked += 1
+        assert checked >= 25
+
+    @pytest.mark.parametrize(
+        "make", [degenerate_group_instance, degenerate_nuclear_instance], ids=["group", "nuclear"]
+    )
+    def test_degenerate_instances_start_at_the_base_solution(self, make, monkeypatch):
+        # A segment of minimizers makes the system for D singular.
+        seen = first_starts(monkeypatch)
+        for seed in range(6):
+            spec, _ = make(np.random.default_rng(seed))
+            x = prox_gradient_solve(spec).x
+            assert _solution_derivative(spec, x) is None
+            seen.clear()
+            rep = empirical_lipschitz(spec, 0.1, 0.05, samples=4, seed=seed, starts=2)
+            assert len(seen) == 4
+            assert all(np.array_equal(start, x) for _, start in seen)
+            assert np.isfinite(rep.max_ratio) and rep.non_converged == 0
+
+    @pytest.mark.parametrize(
+        "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
+    )
+    def test_first_solve_takes_fewer_prox_calls_than_from_the_origin(self, make, monkeypatch):
+        seen = first_starts(monkeypatch)
+        checked = 0
+        for seed in range(12):
+            plain = make(np.random.default_rng(seed))
+            spec = ProblemSpec(plain.phi, plain.b, plain.mu, CountingProx(plain.reg))
+            x = prox_gradient_solve(spec).x
+            if not x.any() or not strictly_certified(plain, x):
+                continue
+            seen.clear()
+            empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
+            for sample, start in seen:
+                calls = []
+                for x0 in (start, np.zeros(spec.n)):
+                    spec.reg.prox_calls = 0
+                    assert prox_gradient_solve(sample, x0=x0).converged
+                    calls.append(spec.reg.prox_calls)
+                assert calls[0] < calls[1]
+            checked += 1
+        assert checked >= 6
+
+
 class TestTiltProbe:
     def test_zero_radius(self):
         rep = tilt_probe(pairs_problem(), XBAR, radius_v=0.0, samples=3)
@@ -352,8 +448,9 @@ class TestTiltProbe:
 
 
 class TestSingleStartProbes:
-    """With one start each sample is one solve, from the origin for perturb
-    and from ``x`` for tilt, with zero spread."""
+    """With one start each sample is one solve, with zero spread: for
+    perturb from the first-order prediction of its solution (or from the
+    base solution where the prediction is rejected), for tilt from ``x``."""
 
     @pytest.mark.parametrize(
         "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
