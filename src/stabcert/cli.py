@@ -299,11 +299,21 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     return spec, clean
 
 
+def _check_solver_constants(spec: ProblemSpec) -> None:
+    """``NOT_FINITE`` unless the step ``1/L`` is positive and ``gram``, ``phi_tb``
+    and ``||b||^2 / (2 mu)`` are finite, which the spec keeps for the solve."""
+    with np.errstate(over="ignore"):
+        ok = spec.step > 0.0 and np.isfinite(spec.gram).all() and np.isfinite(spec.phi_tb).all()
+        if not (ok and math.isfinite(float(spec.b @ spec.b) / (2.0 * spec.mu))):
+            raise ProblemFormatError("NOT_FINITE", "phi, b and mu overflow the solver's constants")
+
+
 def parse_problem(path) -> tuple[ProblemSpec, dict, str]:
     """Read and validate a problem file: UTF-8 JSON.
 
     Returns the problem, its options and the SHA-256 of the file's bytes
-    (the report's ``inputs_digest``), all from one read.
+    (the report's ``inputs_digest``), all from one read.  Data whose solver
+    constants overflow is rejected with ``NOT_FINITE``.
     """
     try:
         raw = Path(path).read_bytes()
@@ -319,6 +329,7 @@ def _load_problem_bytes(raw: bytes, source) -> tuple[ProblemSpec, dict, str]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProblemFormatError("MALFORMED_JSON", f"{source}: {exc}") from exc
     spec, options = load_problem_dict(data)
+    _check_solver_constants(spec)
     return spec, options, hashlib.sha256(raw).hexdigest()
 
 
@@ -495,7 +506,7 @@ def _cmd_reproduce_example_non(args, report: dict) -> int:
     spec, _, report["inputs_digest"] = _load_problem_bytes(raw, _EXAMPLE_NON)
     b = spec.b.copy()
     b[1] = args.b2
-    spec = ProblemSpec(spec.phi, b, spec.mu, spec.reg)
+    spec = spec.with_data(b, spec.mu)
     # The command ignores the file's options: only --tol reaches the solver
     # and the certificate.
     result = _solve(spec, args, {}, report)

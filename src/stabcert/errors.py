@@ -10,7 +10,12 @@ class FactorizationError(StabcertError):
 
 
 class NotASubgradientError(StabcertError):
-    """A claimed (point, subgradient) pair violates the subdifferential relation."""
+    """A claimed (point, subgradient) pair violates the subdifferential relation
+    by ``residual``, the subgradient residual that the check measured."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NotASolutionError(StabcertError):

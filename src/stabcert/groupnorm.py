@@ -99,10 +99,6 @@ class GroupPartition:
         :func:`prox_group`."""
         return prox_group(x, t, self)
 
-    def residual(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Optimality residual of the pair; see :func:`subgrad_residual`."""
-        return subgrad_residual(x, y, self)
-
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "GroupAnalysis":
         return classify_groups(x, y, self, tol)
 
@@ -268,8 +264,8 @@ def classify_groups(
 ) -> GroupAnalysis:
     """Classify the blocks of a subgradient pair and build the critical subspace.
 
-    Raises :class:`NotASubgradientError` when ``y`` is not a subgradient of
-    the group norm at ``x`` within ``tol``.
+    Raises :class:`NotASubgradientError`, with the residual it measured,
+    when ``y`` is not a subgradient of the group norm at ``x`` within ``tol``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -278,7 +274,7 @@ def classify_groups(
     res = _residual(x, y, x_norms, y_norms, partition)
     if res > tol:
         raise NotASubgradientError(
-            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}"
+            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
         )
     K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol)
     boundary = set(K)

@@ -71,10 +71,6 @@ class NuclearShape:
         point, value, jacobian = prox_nuclear(self.as_matrix(x), t)
         return self.as_vector(point), value, jacobian
 
-    def residual(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Optimality residual of the pair; see :class:`SubgradientCheck`."""
-        return is_subgradient_nuclear(self.as_matrix(x), self.as_matrix(y)).residual
-
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
 
@@ -288,9 +284,9 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     """Recover joint singular frames of a subgradient pair.
 
     Three factorizations: the spectra of ``x`` and ``y`` give the
-    subgradient test (a failure raises :class:`NotASubgradientError`), the
-    rank ``r`` and the unit count ``p``; the frames of ``x + y``
-    diagonalize both matrices at once.  A reconstruction residual above
+    subgradient test (a failure raises :class:`NotASubgradientError` with
+    the check's residual), the rank ``r`` and the unit count ``p``; the
+    frames of ``x + y`` diagonalize both matrices at once.  A reconstruction residual above
     ``1e-6 * (1 + norm)`` on either matrix raises
     :class:`JointDecompositionError`; valid pairs land near machine
     precision.
@@ -305,7 +301,8 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     if not check.ok:
         raise NotASubgradientError(
             "pair fails the subgradient test "
-            f"(spectral gap {check.spectral_gap:.3e}, fenchel gap {check.fenchel_gap:.3e})"
+            f"(spectral gap {check.spectral_gap:.3e}, fenchel gap {check.fenchel_gap:.3e})",
+            check.residual,
         )
     ubar, _, vbar = svd(x + y)
     r = int(np.sum(sx > RANK_TOL * sx[0])) if sx.size and sx[0] > 0 else 0

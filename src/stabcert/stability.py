@@ -115,16 +115,17 @@ def certify(
     """Certificate at solution ``x`` (a vector; nuclear problems also take the matrix).
 
     Raises :class:`NotASolutionError` when the optimality residual at ``x``
-    exceeds ``tol``.
+    exceeds ``tol``; the residual it reports is the one the failed
+    classification measured.
     """
     reg = problem.reg
     x = np.asarray(x, dtype=float).reshape(-1)
     y = dual_from_solution(problem, x)
     try:
         classification = reg.classify(x, y, tol)
-    except NotASubgradientError:
+    except NotASubgradientError as exc:
         raise NotASolutionError(
-            f"optimality residual {reg.residual(x, y):.3e} exceeds tolerance {tol:.3e}"
+            f"optimality residual {exc.residual:.3e} exceeds tolerance {tol:.3e}"
         ) from None
     mt = margin_tolerance(problem) if margin_tol is None else float(margin_tol)
     basis = classification.v_basis
@@ -159,21 +160,6 @@ def certify_phi_perturbed(
     return dataclasses.replace(cert, parameter_scope="(phi, b, mu)")
 
 
-def restricted_hessian_min_eig(hessian: np.ndarray, basis: np.ndarray) -> float:
-    """Smallest eigenvalue of ``basis^T H basis`` for an explicit Hessian.
-
-    General smooth fit terms plug in here in place of ``phi^T phi / mu``;
-    positivity over the critical subspace is the same certificate.
-    """
-    hessian = np.asarray(hessian, dtype=float)
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape[1] == 0:
-        return math.inf
-    m = basis.T @ hessian @ basis
-    m = (m + m.T) / 2.0
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class SnappedPair:
     """A pair on the subdifferential graph and its classification.
@@ -192,18 +178,16 @@ class SnappedPair:
         return iter((self.x, self.y))
 
 
-def snap_to_graph(
-    reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL
-) -> SnappedPair:
+def snap_to_graph(reg: Regularizer, x: np.ndarray, y: np.ndarray) -> SnappedPair:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
     pair that lies on the graph to working precision.  The regularizer's
-    ``snap`` does it: group blocks are pinned to exact unit directions or
-    zeroed, nuclear pairs are rebuilt from their joint frames.  Returns
-    vectors, with the classification of the snapped pair.
+    ``snap`` does it at ``CERT_TOL``: group blocks are pinned to exact unit
+    directions or zeroed, nuclear pairs are rebuilt from their joint
+    frames.  Returns vectors, with the classification of the snapped pair.
     """
-    return SnappedPair(*reg.snap(x, y, tol))
+    return SnappedPair(*reg.snap(x, y, CERT_TOL))
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -334,14 +318,26 @@ def second_quotient_probe(
     return num / (0.5 * t * t)
 
 
-def _random_starts(
-    rng: np.random.Generator, center: np.ndarray, count: int
-) -> list[np.ndarray]:
+def _sample_solves(rng, cases, center, starts, tol, max_iter):
+    """Solve every sample of a probe from several starts.
+
+    Each case ``(spec, v, first)`` is solved with tilt ``v`` from ``first``
+    and from ``starts - 1`` random starts, drawn from ``rng`` case by case
+    in the ball of radius ``1 + ||center||`` around ``center``.  Returns the
+    first start's solution of each case, the largest spread among the
+    solutions of one case and the count of unconverged solves.
+    """
     scale = 1.0 + float(np.linalg.norm(center))
-    return [
-        center + row
-        for row in _ball_samples(rng, center.size, count, scale)
-    ]
+    firsts = []
+    spread = 0.0
+    non_converged = 0
+    for spec, v, first in cases:
+        others = center + _ball_samples(rng, center.size, starts - 1, scale)
+        results = multistart_solve(spec, [first, *others], v=v, tol=tol, max_iter=max_iter)
+        spread = max(spread, solution_spread(results))
+        non_converged += sum(not r.converged for r in results)
+        firsts.append(results[0])
+    return firsts, spread, non_converged
 
 
 def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | None:
@@ -413,27 +409,25 @@ def empirical_lipschitz(
     b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
     mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
-    params = [(problem.b, problem.mu)]
-    sols = [base]
-    spread = 0.0
-    non_converged = 0 if base.converged else 1
-    for i in range(samples):
-        spec = problem.with_data(b_draws[i], float(mu_draws[i]))
-        first = base.x
+    params = [(problem.b, problem.mu)] + [(b, float(mu)) for b, mu in zip(b_draws, mu_draws)]
+
+    def case(b: np.ndarray, mu: float):
+        """The sample's problem, no tilt, and its first start."""
+        spec = problem.with_data(b, mu)
         if derivative is not None:
-            change = np.append(b_draws[i] - problem.b, spec.mu - problem.mu)
-            predicted = base.x + derivative @ change
+            predicted = base.x + derivative @ np.append(b - problem.b, mu - problem.mu)
             # objective(spec, base.x), with g(base.x) taken once for all samples.
             resid = spec.phi @ base.x - spec.b
             at_base = float(resid @ resid) / (2.0 * spec.mu) + base_value
             if np.isfinite(predicted).all() and objective(spec, predicted) <= at_base:
-                first = predicted
-        start_points = [first] + _random_starts(rng, base.x, starts - 1)
-        results = multistart_solve(spec, start_points, tol=tol, max_iter=max_iter)
-        spread = max(spread, solution_spread(results))
-        non_converged += sum(not r.converged for r in results)
-        sols.append(results[0])
-        params.append((b_draws[i], float(mu_draws[i])))
+                return spec, None, predicted
+        return spec, None, base.x
+
+    firsts, spread, non_converged = _sample_solves(
+        rng, (case(b, mu) for b, mu in params[1:]), base.x, starts, tol, max_iter
+    )
+    sols = [base] + firsts
+    non_converged += not base.converged
     max_ratio = 0.0
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
@@ -476,17 +470,12 @@ def tilt_probe(
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     tilts = _ball_samples(rng, problem.n, samples, radius_v)
+    sols, spread, non_converged = _sample_solves(
+        rng, [(problem, v, x) for v in tilts], x, starts, tol, max_iter
+    )
     max_ratio = 0.0
-    spread = 0.0
-    non_converged = 0
-    for i in range(samples):
-        v = tilts[i]
+    for v, sol in zip(tilts, sols):
         nv = float(np.linalg.norm(v))
-        start_points = [x.copy()] + _random_starts(rng, x, starts - 1)
-        results = multistart_solve(problem, start_points, v=v, tol=tol, max_iter=max_iter)
-        spread = max(spread, solution_spread(results))
-        non_converged += sum(not r.converged for r in results)
-        sol = results[0]
         if nv > 1e-15:
             max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
     return PerturbationReport(

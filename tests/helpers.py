@@ -240,7 +240,7 @@ def classify_groups_twice(x, y, partition, tol=1e-7):
     res = subgrad_residual(x, y, partition)
     if res > tol:
         raise NotASubgradientError(
-            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}"
+            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
         )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -419,6 +419,71 @@ NUCLEAR_DOC = {
 }
 
 
+# The CI smoke's 2x2 nuclear problem, whose solve takes the nuclear Newton path.
+SMOKE_NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": [
+        [1.0, 0.2, 0.0, 0.3],
+        [0.0, 1.0, 0.5, 0.0],
+        [0.4, 0.0, 1.0, 0.2],
+        [0.0, 0.3, 0.0, 1.0],
+        [0.5, 0.5, 0.5, 0.5],
+    ],
+    "b": [2.0, -1.0, 0.5, 1.5, 1.0],
+    "mu": 2.7,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+EXAMPLE_DOC = json.loads(
+    resources.files("stabcert").joinpath("data/example_non.json").read_bytes()
+)
+
+
+@pytest.mark.parametrize(
+    "problem,message",
+    [
+        (EXAMPLE_DOC, "optimality residual 3.791e-01 exceeds tolerance 1.000e-14"),
+        (SMOKE_NUCLEAR_DOC, "optimality residual 1.000e-05 exceeds tolerance 1.000e-14"),
+    ],
+    ids=["group", "nuclear"],
+)
+def test_capped_solve_reports_the_residual_classification_measured(
+    tmp_path, capsys, problem, message
+):
+    path = write_doc(tmp_path, dict(problem, options={"max_iter": 2}))
+    exit_code, report = run_capture(capsys, ["certify", path, "--tol", "1e-14"])
+    assert exit_code == 1
+    assert report["error"] == {"code": "NotASolutionError", "message": message}
+
+
+def _overflow_phi(problem):
+    d = copy.deepcopy(problem)
+    d["phi"][0][0] = 1e200
+    return d
+
+
+def _overflow_b(problem):
+    d = copy.deepcopy(problem)
+    d["b"][0] = 1e200
+    d["mu"] = 1.0
+    return d
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "qg-audit", "perturb", "tilt-probe"])
+@pytest.mark.parametrize("overflow", [_overflow_phi, _overflow_b], ids=["phi", "b"])
+@pytest.mark.parametrize("problem", [BASE_DOC, SMOKE_NUCLEAR_DOC], ids=["group", "nuclear"])
+def test_overflowing_solver_constants_give_json_error(
+    tmp_path, capsys, problem, overflow, command
+):
+    # Finite data whose step 1/L underflows to 0 or whose ||b||^2 overflows:
+    # the solve would otherwise stop at once and call its start converged.
+    path = write_doc(tmp_path, overflow(problem))
+    extra = ["--samples", "2"] if command != "solve" and command != "certify" else []
+    exit_code, report = run_capture(capsys, [command, path] + extra)
+    assert exit_code == 1
+    assert report["error"]["code"] == "NOT_FINITE"
+    assert report["inputs_digest"] is None and report["solve"] is None
+
+
 def test_undecodable_file_gives_json_error(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + json.dumps(BASE_DOC).encode("utf-16-le"))
@@ -529,6 +594,22 @@ def test_usage_error_help_and_version_leave_the_next_command_alone(tmp_path, cap
     code, report = run_capture(capsys, ["certify", path])
     assert code == 0
     assert _without_timing(report) == _without_timing(expected)
+
+
+def test_reproduce_factors_phi_once(capsys, monkeypatch):
+    phi = np.array(EXAMPLE_DOC["phi"])
+    real = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == phi.shape and np.array_equal(a, phi):
+            calls.append(1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    code, report = run_capture(capsys, ["reproduce-example-non", "--b2", "-1.5"])
+    assert code == 0 and report["certificate"]["holds"] is True
+    assert len(calls) == 1
 
 
 def test_reproduce_reads_the_bundled_file_once(capsys, monkeypatch):

@@ -133,8 +133,9 @@ class TestClassify:
         try:
             expected = classify_groups_twice(x, y, part)
         except NotASubgradientError as exc:
-            with pytest.raises(NotASubgradientError, match=re.escape(str(exc))):
+            with pytest.raises(NotASubgradientError, match=re.escape(str(exc))) as got:
                 classify_groups(x, y, part)
+            assert got.value.residual == exc.residual
             return
         got = classify_groups(x, y, part)
         assert (got.K, got.H, got.I) == (expected.K, expected.H, expected.I)

@@ -33,13 +33,13 @@ def test_regularizer_contract(kind):
         p, _, _ = reg.prox(z, t)
         assert p.shape == (reg.n,)
         # the prox residual (z - p) / t is a subgradient at p
-        assert reg.residual(p, (z - p) / t) <= 1e-10
+        assert reg.classify(p, (z - p) / t, 1e-10).residual <= 1e-10
         assert reg.value(z) == reference_value(reg, z)
 
         res = prox_gradient_solve(spec)
         xs, ys = snap_to_graph(reg, res.x, res.y)
         assert xs.shape == ys.shape == (reg.n,)
-        assert reg.residual(xs, ys) <= 1e-12
+        assert reg.classify(xs, ys, 1e-12).residual <= 1e-12
 
         cert = certify(spec, xs)
         assert cert.kind == kind

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from helpers import (
     random_nuclear_instance,
     tilt_probe_single_start,
 )
-from stabcert.errors import NotASolutionError
+from stabcert.errors import NotASolutionError, NotASubgradientError
 from stabcert.groupnorm import (
     GroupPartition,
     group_norm,
@@ -30,7 +32,6 @@ from stabcert.stability import (
     empirical_lipschitz,
     margin_tolerance,
     qg_audit,
-    restricted_hessian_min_eig,
     second_quotient_probe,
     snap_to_graph,
     tilt_probe,
@@ -149,19 +150,6 @@ class TestCertifyNuclear:
         a = certify(spec, np.diag([2.0, 0.0]))
         b = certify(spec, np.diag([2.0, 0.0]).ravel())
         assert a.margin == b.margin and a.subspace_dim == b.subspace_dim
-
-
-class TestHessianRestriction:
-    def test_matches_margin_on_reference(self):
-        cert = certify(pairs_problem(), XBAR)
-        h = PHI.T @ PHI  # quadratic-part hessian times mu
-        basis = cert.classification.v_basis
-        assert restricted_hessian_min_eig(h, basis) == pytest.approx(
-            cert.margin**2, abs=1e-9
-        )
-
-    def test_empty_basis(self):
-        assert restricted_hessian_min_eig(np.eye(3), np.zeros((3, 0))) == np.inf
 
 
 class TestSnapToGraph:
@@ -501,6 +489,34 @@ class TestCertifyFactorizations:
             assert cert.margin == pytest.approx(margin, abs=1e-12)
             gap = min(np.abs(cert.witness - witness).max(), np.abs(cert.witness + witness).max())
             assert gap <= 1e-10
+
+
+    def test_nuclear_error_path_factors_the_pair_once(self, monkeypatch):
+        # The failed classification measured the residual that the
+        # NotASolutionError reports: the spectra of x and y, two SVDs.
+        real = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        checked = 0
+        for seed in range(10):
+            spec = random_nuclear_instance(np.random.default_rng(seed))
+            x = prox_gradient_solve(spec, tol=1e-14, max_iter=2).x
+            try:
+                spec.reg.classify(x, dual_from_solution(spec, x), 1e-14)
+                continue
+            except NotASubgradientError as exc:
+                residual = exc.residual
+            before = len(calls)
+            with pytest.raises(NotASolutionError, match=re.escape(f"residual {residual:.3e} ")):
+                certify(spec, x, tol=1e-14)
+            assert len(calls) - before == 2
+            checked += 1
+        assert checked >= 5
 
 
 def test_group_v_basis_matches_gram_schmidt_on_the_acceptance_bank():
