@@ -16,7 +16,6 @@ from .stability import (
     QGAuditReport,
     StabilityCertificate,
     certify,
-    certify_phi_perturbed,
     empirical_lipschitz,
     qg_audit,
     second_quotient_probe,
@@ -36,7 +35,6 @@ __all__ = [
     "multistart_solve",
     "objective",
     "certify",
-    "certify_phi_perturbed",
     "qg_audit",
     "second_quotient_probe",
     "empirical_lipschitz",

@@ -333,20 +333,6 @@ def _load_problem_bytes(raw: bytes, source) -> tuple[ProblemSpec, dict, str]:
     return spec, options, hashlib.sha256(raw).hexdigest()
 
 
-def serialize_problem(problem: ProblemSpec, options: dict | None = None) -> dict:
-    """Canonical dictionary form of a problem; inverse of :func:`load_problem_dict`."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "phi": problem.phi,
-        "b": problem.b,
-        "mu": problem.mu,
-        "reg": problem.reg.as_dict(),
-    }
-    if options:
-        doc["options"] = dict(sorted(options.items()))
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -372,7 +358,7 @@ def _certificate_dict(cert: StabilityCertificate) -> dict:
         "kkt_residual": cert.kkt_residual,
         "witness": cert.witness,
         "kind": cert.kind,
-        "parameter_scope": cert.parameter_scope,
+        "parameter_scope": "(b, mu)",
         "classification": cert.classification.as_dict(),
         "tolerances": dict(sorted(cert.tolerances.items())),
     }
@@ -507,6 +493,8 @@ def _cmd_reproduce_example_non(args, report: dict) -> int:
     b = spec.b.copy()
     b[1] = args.b2
     spec = spec.with_data(b, spec.mu)
+    # --b2 can overflow ||b||^2 just as a problem file's b can.
+    _check_solver_constants(spec)
     # The command ignores the file's options: only --tol reaches the solver
     # and the certificate.
     result = _solve(spec, args, {}, report)

@@ -134,10 +134,6 @@ class GroupPartition:
         dist = inverse_subdiff_distance(rows, ybar, self)
         return {"group_growth": lhs - (1.0 - ref.gamma) / (2.0 * scale) * dist * dist}
 
-    def as_dict(self) -> dict:
-        """Problem-file form: 1-based variable indices."""
-        return {"kind": self.kind, "groups": [[i + 1 for i in g] for g in self.groups]}
-
 
 @dataclass(frozen=True, eq=False)
 class GroupAnalysis:

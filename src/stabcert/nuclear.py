@@ -111,10 +111,6 @@ class NuclearShape:
             "nuclear_growth_conjecture": lhs - ((1.0 - g) / 2.0 / scale) * d2,
         }
 
-    def as_dict(self) -> dict:
-        """Problem-file form."""
-        return {"kind": self.kind, "shape": [self.n1, self.n2]}
-
 
 class SubgradientCheck(NamedTuple):
     ok: bool

@@ -24,8 +24,8 @@ one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
 a builder for the generalized Jacobian of the prox there from the same
 factorization; the solver calls it only when one more step needs it.
 Once a Newton point's true residual is below the tolerance, its prox point
-is kept if its objective is no higher than that of the FISTA point the
-attempt began at; otherwise FISTA goes on as if the attempt had not been
+is kept if its objective exceeds that of the FISTA point the attempt began
+at by at most 4 ulps; otherwise FISTA goes on as if the attempt had not been
 made.  ``max_iter`` caps FISTA iterations and Newton steps together.
 Hitting the cap sets a flag on the result instead of raising.
 """
@@ -217,7 +217,8 @@ def prox_gradient_solve(
     prox point ``p = T(y)``, not ``y``: ``y`` can sit a rounding error off
     a zero block whose dual has unit norm, where no subgradient exists.
     ``p`` is kept if its objective, with the fit taken as a sum of squares
-    and ``g(p)`` as the prox returned it, is no higher than ``z``'s; one
+    and ``g(p)`` as the prox returned it, exceeds ``z``'s by at most
+    ``4 * spacing(|f(z)|)``, so that rounding alone cannot reject it; one
     more prox then gives ``p``'s true residual, which nonexpansiveness
     bounds by ``y``'s (should rounding leave it above ``tol``, FISTA
     restarts from ``p``).  A kept attempt of ``s`` steps thus factors
@@ -283,7 +284,7 @@ def prox_gradient_solve(
                 p, gp, _ = py
                 fit = problem.phi @ p - problem.b
                 fp = float(fit @ fit) / (2.0 * problem.mu) - float(v @ p) + gp
-                if fp > fz:
+                if fp > fz + 4.0 * np.spacing(abs(fz)):
                     return steps, None
                 gram_p = gram @ p
                 pp = pg_step(p, gram_p)

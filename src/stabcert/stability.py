@@ -7,9 +7,7 @@ the symmetric top block of the joint frames; the regularizer's ``classify``
 builds it) and measures the smallest singular value there.  A positive
 margin certifies that the solution map is single valued and Lipschitz in
 the data ``(b, mu)`` near the instance; a zero margin comes with a witness
-direction along which uniqueness fails.  The same kernel test covers
-perturbations of the design operator itself, reported under a wider
-parameter scope.
+direction along which uniqueness fails.
 
 Everything else here is empirical cross-examination of that verdict:
 quadratic-growth audits of the regularizer, finite-difference curvature
@@ -18,7 +16,6 @@ probes, and sampled Lipschitz/tilt experiments on the solver.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -70,7 +67,6 @@ class StabilityCertificate:
     classification: GroupAnalysis | SimultaneousSVD
     witness: np.ndarray | None
     tolerances: dict
-    parameter_scope: str = "(b, mu)"
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,8 @@ class QGAuditReport:
     seed: int
     slack_by_constant: dict
     min_slack: float
-    worst_sample: np.ndarray | None
     passed: bool
     conjecture_min_slack: float | None = None
-    conjecture_worst_sample: np.ndarray | None = None
 
 
 def margin_tolerance(problem: ProblemSpec) -> float:
@@ -145,21 +139,6 @@ def certify(
     )
 
 
-def certify_phi_perturbed(
-    problem: ProblemSpec,
-    x: np.ndarray,
-    tol: float = CERT_TOL,
-    margin_tol: float | None = None,
-) -> StabilityCertificate:
-    """Same kernel test, reported as covering design-operator perturbations too.
-
-    The margin computation is identical; a positive verdict extends to
-    joint perturbations of ``(phi, b, mu)``.
-    """
-    cert = certify(problem, x, tol, margin_tol)
-    return dataclasses.replace(cert, parameter_scope="(phi, b, mu)")
-
-
 @dataclass(frozen=True, eq=False)
 class SnappedPair:
     """A pair on the subdifferential graph and its classification.
@@ -199,29 +178,6 @@ def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -
     return radius * scale * z / norms
 
 
-def _scan_minima(table: np.ndarray):
-    """Minimum of each column of a slack table, and where the overall minimum sits.
-
-    Rows are samples in draw order, columns the audited constants, and the
-    scan runs row by row, columns in order.  A column turns NaN for good at
-    its first slack that is not finite and does not strictly lower the
-    column minimum (NaN, +inf, or a second -inf); its later slacks no longer
-    count towards the overall minimum.  Returns the column minima, the
-    overall minimum over the slacks that count, and the row where it first
-    occurs (``None`` when none counts).
-    """
-    neg_inf = table == -np.inf
-    poison = ~(table < np.inf) | (neg_inf & (np.cumsum(neg_inf, axis=0) > 1))
-    poisoned = poison.any(axis=0)
-    first_poison = np.where(poisoned, poison.argmax(axis=0), table.shape[0])
-    live = np.arange(table.shape[0])[:, None] < first_poison
-    counted = np.where(live, table, np.inf)
-    col_min = np.where(poisoned, np.nan, counted.min(axis=0))
-    k = int(np.argmin(counted))  # first occurrence in row-major (scan) order
-    low = float(counted.flat[k])
-    return col_min, low, (k // table.shape[1] if low < math.inf else None)
-
-
 def qg_audit(
     reg: Regularizer,
     xbar: np.ndarray,
@@ -241,13 +197,13 @@ def qg_audit(
     ``(1 - gamma) / (2 ||x||)`` in the group case, both
     ``(1 - gamma^2) / (2 ||X||_* (1 + (1 + gamma)^2))`` and
     ``(1 - gamma) / (5 ||X||_*)`` in the nuclear case.  Near-zero samples
-    are excluded.  All samples are evaluated as one batch; the report is
-    that of a scan in draw order: ``worst_sample`` is the first sample that
-    reaches the minimum.  A non-finite slack (an overflowing sample) fails
-    the audit: NaN and +inf make their constant and ``min_slack`` NaN,
-    -inf is a minimum.  ``include_conjecture`` additionally tracks the
-    sharper untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``; a dip
-    there is a counterexample candidate, not a failure.  ``ref`` is the
+    are excluded.  All samples are evaluated as one batch, and each
+    constant reports its minimum slack over them.  A non-finite slack (an
+    overflowing sample) fails the audit: NaN, +inf or -inf make their
+    constant and ``min_slack`` NaN.  ``include_conjecture`` additionally
+    tracks the sharper untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``,
+    whose minimum skips NaN and +inf slacks; a dip there is a
+    counterexample candidate, not a failure.  ``ref`` is the
     classification of ``(xbar, ybar)`` when the caller has it (a
     :class:`SnappedPair` carries it); otherwise the pair is classified
     here.
@@ -263,7 +219,6 @@ def qg_audit(
     kept = ~(scales <= AUDIT_NORM_FLOOR)  # a NaN scale stays in, and fails
     rows = draws[kept]
     used = rows.shape[0]
-    worst = conj_worst = None
     conj_min = math.inf
     if used == 0:
         mins = dict.fromkeys(reg.growth_names, 0.0)
@@ -271,18 +226,12 @@ def qg_audit(
     else:
         slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, ref)
         table = np.column_stack([slacks[name] for name in reg.growth_names])
-        col_min, min_slack, at = _scan_minima(table)
+        col_min = np.where(np.isfinite(table).all(axis=0), table.min(axis=0), np.nan)
         mins = {name: float(v) for name, v in zip(reg.growth_names, col_min)}
-        if np.isnan(col_min).any():
-            min_slack = math.nan
-        if at is not None:
-            worst = rows[at].copy()
+        min_slack = float(col_min.min())  # NaN when any constant is
         if conjecture:
-            conj = np.where(slacks[conjecture] < np.inf, slacks[conjecture], np.inf)
-            k = int(np.argmin(conj))
-            conj_min = float(conj[k])
-            if conj_min < math.inf:
-                conj_worst = rows[k].copy()
+            conj = slacks[conjecture]
+            conj_min = float(np.where(conj < np.inf, conj, np.inf).min())
     return QGAuditReport(
         kind=reg.kind,
         samples=samples,
@@ -291,10 +240,8 @@ def qg_audit(
         seed=seed,
         slack_by_constant=mins,
         min_slack=min_slack,
-        worst_sample=worst,
         passed=min_slack >= AUDIT_SLACK_FLOOR,
         conjecture_min_slack=conj_min if conjecture else None,
-        conjecture_worst_sample=conj_worst if conjecture else None,
     )
 
 

@@ -308,8 +308,9 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     """The audit as a scan over the samples, one row at a time.
 
     Draws as ``qg_audit`` does and takes each row's scale and slacks from
-    the regularizer, one row per call.  Returns ``(used, slack_by_constant,
-    min_slack, worst_sample, conjecture_min_slack, conjecture_worst_sample)``.
+    the regularizer, one row per call.  A constant turns NaN for good at
+    its first slack that is not finite.  Returns ``(used,
+    slack_by_constant, min_slack, conjecture_min_slack)``.
     """
     from stabcert.stability import AUDIT_NORM_FLOOR, CERT_TOL, _ball_samples
 
@@ -320,10 +321,7 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
     mins = dict.fromkeys(reg.growth_names, math.inf)
-    min_slack = math.inf
-    worst = None
     conj_min = math.inf
-    conj_worst = None
     used = 0
     for row in draws:
         scale = float(reg.growth_scale(row[None, :])[0])
@@ -334,20 +332,17 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
         slacks = {name: float(v[0]) for name, v in batch.items()}
         for name in mins:
             s = slacks[name]
-            if s < mins[name]:
-                mins[name] = s
-                if s < min_slack:
-                    min_slack, worst = s, row.copy()
-            elif not math.isfinite(s):
+            if not math.isfinite(s):
                 mins[name] = math.nan
+            elif s < mins[name]:
+                mins[name] = s
         if conjecture and slacks[conjecture] < conj_min:
-            conj_min, conj_worst = slacks[conjecture], row.copy()
+            conj_min = slacks[conjecture]
     if used == 0:
-        min_slack = 0.0
-        mins = dict.fromkeys(mins, 0.0)
-    elif any(math.isnan(v) for v in mins.values()):
-        min_slack = math.nan
-    return used, mins, min_slack, worst, conj_min, conj_worst
+        return used, dict.fromkeys(mins, 0.0), 0.0, conj_min
+    if any(math.isnan(v) for v in mins.values()):
+        return used, mins, math.nan, conj_min
+    return used, mins, min(mins.values()), conj_min
 
 
 def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=None):

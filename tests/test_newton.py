@@ -204,6 +204,20 @@ class TestNewtonFinish:
         cert = certify(spec, res.x)
         assert cert.holds and cert.kkt_residual <= 1e-12
 
+    def test_guard_keeps_a_finish_a_few_ulps_above(self):
+        # A 1x2 instance scaled by 1e3: the Newton prox point is a fixed
+        # point of T, but its objective reads a few ulps above that of the
+        # FISTA point the attempt began at.  An exact comparison threw it
+        # away, and FISTA took 4 more iterations to residual 6.8e-13.
+        phi = np.array([[-0.9246979696322104, 0.06873796859826908]])
+        part = GroupPartition(2, ((1,), (0,)))
+        spec = ProblemSpec(phi, np.array([-1081.4341902337476]), 374.1385807154498, part)
+        res = prox_gradient_solve(spec)
+        assert res.converged and res.newton_steps == 1
+        assert res.iterations == 7
+        assert res.fixed_point_residual == 0.0
+        assert certify(spec, res.x).holds
+
     def test_rank_one_designs_from_random_starts_agree(self):
         # One row, random starts: the Newton system is singular along the
         # design's null space, and near it a step can land ~1e15 away, where
