@@ -32,6 +32,7 @@ Hitting the cap sets a flag on the result instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,6 +153,12 @@ class SolveResult:
     fixed_point_residual: float
     objective: float
     converged: bool
+
+
+def _norm(d: np.ndarray) -> float:
+    """``||d||`` for a vector, the bits of ``np.linalg.norm(d)``, which
+    computes ``sqrt(d . d)`` too, without its overhead."""
+    return math.sqrt(float(d @ d))
 
 
 def objective(problem: ProblemSpec, x: np.ndarray) -> float:
@@ -276,7 +283,7 @@ def prox_gradient_solve(
                 return steps, None
             y = y + d
             py = pg_step(y, gram @ y)
-            if float(np.linalg.norm(y - py[0])) <= tol:
+            if _norm(y - py[0]) <= tol:
                 # T(y), not y: y can sit a rounding error off a zero block
                 # whose dual has unit norm, which is no solution at all.
                 # The fit as a sum of squares: at a far-off point the smooth
@@ -288,14 +295,14 @@ def prox_gradient_solve(
                     return steps, None
                 gram_p = gram @ p
                 pp = pg_step(p, gram_p)
-                return steps, (p, gram_p, fp, pp, float(np.linalg.norm(p - pp[0])))
+                return steps, (p, gram_p, fp, pp, _norm(p - pp[0]))
         return budget, None
 
     gx = gram @ x
     fx = smooth(x, gx) + reg.value(x)
     # px is T(x) when known: at the start, and after a confirmation at x.
     px = pg_step(x, gx)
-    residual = float(np.linalg.norm(x - px[0]))
+    residual = _norm(x - px[0])
     converged = residual <= tol
     momentum, gm = x, gx
     tk = 1.0
@@ -318,12 +325,12 @@ def prox_gradient_solve(
                 fz = smooth(z, gz) + gval
         iterations += 1
         px = None
-        moved = float(np.linalg.norm(base - z))
+        moved = _norm(base - z)
         # One attempt per solve, and each attempt takes at least one step.
         newton_due = not newton_steps and moved <= NEWTON_SWITCH and iterations < max_iter
         if moved <= tol or newton_due:
             px = pg_step(z, gz)
-            residual = float(np.linalg.norm(z - px[0]))
+            residual = _norm(z - px[0])
             converged = residual <= tol
             if newton_due and not converged:
                 budget = min(NEWTON_STEPS, max_iter - iterations)
@@ -337,7 +344,7 @@ def prox_gradient_solve(
                     converged = residual <= tol
                     momentum, gm, tk = x, gx, 1.0
                     continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / t_next
         if beta == 0.0:  # at the start and after a restart
             momentum, gm = z, gz
@@ -348,7 +355,7 @@ def prox_gradient_solve(
         x, gx, fx, tk = z, gz, fz, t_next
     if px is None:
         px = pg_step(x, gx)
-        residual = float(np.linalg.norm(x - px[0]))
+        residual = _norm(x - px[0])
         converged = residual <= tol
     return SolveResult(
         x=x,
@@ -381,5 +388,5 @@ def solution_spread(results) -> float:
     best = 0.0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            best = max(best, float(np.linalg.norm(xs[i] - xs[j])))
+            best = max(best, _norm(xs[i] - xs[j]))
     return best
