@@ -65,11 +65,12 @@ class NuclearShape:
         return nuclear_norm(self.as_matrix(x))
 
     def prox(self, x: np.ndarray, t: float):
-        """``(point, value, jacobian)``: the prox, the nuclear norm of its
-        point and a callable that builds its ``(n, n)`` Jacobian on
-        vectorizations; see :func:`prox_nuclear`."""
-        point, value, jacobian = prox_nuclear(self.as_matrix(x), t)
-        return self.as_vector(point), value, jacobian
+        """``(point, value, jacobian, active)``: the prox, the nuclear norm
+        of its point, a callable that builds its ``(n, n)`` Jacobian on
+        vectorizations and the mask of the singular values it keeps; see
+        :func:`prox_nuclear`."""
+        point, value, jacobian, active = prox_nuclear(self.as_matrix(x), t)
+        return self.as_vector(point), value, jacobian, active
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
@@ -127,10 +128,12 @@ def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
 
 
 def prox_nuclear(x: np.ndarray, t: float):
-    """``(point, value, jacobian)``: the singular value soft threshold of
-    ``x`` at level ``t``, its nuclear norm, and a zero-argument callable
-    that builds its ``(n, n)`` Jacobian on row-major vectorizations from
-    the same thin SVD.
+    """``(point, value, jacobian, active)``: the singular value soft
+    threshold of ``x`` at level ``t``, its nuclear norm, a zero-argument
+    callable that builds its ``(n, n)`` Jacobian on row-major
+    vectorizations from the same thin SVD, and the boolean mask of the
+    singular values ``s > t``, in descending order: its count is the rank
+    of the point.
 
     The norm is the sum of the shrunk singular values,
     ``sum(max(s - t, 0))``, so it costs no second SVD.  With
@@ -154,11 +157,11 @@ def prox_nuclear(x: np.ndarray, t: float):
     x = np.asarray(x, dtype=float)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     f = np.maximum(s - t, 0.0)  # the shrunk singular values
+    above = s > t
 
     def jacobian() -> np.ndarray:
         n1, n2 = u.shape[0], vt.shape[1]
         k = s.size
-        above = s > t
         # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
         mixed = above[:, None] != above[None, :]
         gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
@@ -183,7 +186,7 @@ def prox_nuclear(x: np.ndarray, t: float):
             jac += (left[:, None, :, None] * right[None, :, None, :]).reshape(n1 * n2, n1 * n2)
         return jac
 
-    return (u * f) @ vt, float(f.sum()), jacobian
+    return (u * f) @ vt, float(f.sum()), jacobian, above
 
 
 def is_subgradient_nuclear(

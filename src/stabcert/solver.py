@@ -17,16 +17,21 @@ so ``||m - T(m)||`` bounds the residual at ``T(m)``; once that bound is
 below the tolerance, one more prox confirms the true residual.
 
 Once FISTA has settled the active blocks or rank, it only polishes a smooth
-problem, which Newton does in a step or two.  So at the first iteration
-whose step moves the iterate by at most ``NEWTON_SWITCH``, the solver makes
-one attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
-``z - T(z)``.  The regularizer's one ``prox`` returns, with each point,
-a builder for the generalized Jacobian of the prox there from the same
-factorization; the solver calls it only when one more step needs it.
-Once a Newton point's true residual is below the tolerance, its prox point
-is kept if its objective exceeds that of the FISTA point the attempt began
-at by at most 4 ulps; otherwise FISTA goes on as if the attempt had not been
-made.  ``max_iter`` caps FISTA iterations and Newton steps together.
+problem, which Newton does in a step or two.  The regularizer's one
+``prox`` returns, with each point, the mask of the blocks or singular
+values its threshold keeps and a builder for the generalized Jacobian of
+the prox there, both from the same factorization; the solver builds the
+Jacobian only when one more step needs it.  The solver makes its first
+attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
+``z - T(z)`` at the first iteration whose step moves the iterate by at
+most ``NEWTON_SWITCH_SETTLED`` with the prox keeping what it kept at the
+previous iteration, or by at most ``NEWTON_SWITCH``, whichever comes
+first.  Once a Newton point's true residual is below the tolerance, its
+prox point is kept if its objective exceeds that of the FISTA point the
+attempt began at by at most 4 ulps; otherwise FISTA goes on as if the
+attempt had not been made, and a second attempt comes at the next step of
+at most ``NEWTON_SWITCH``.  ``max_iter`` caps FISTA iterations and Newton
+steps together.
 Hitting the cap sets a flag on the result instead of raising.
 """
 
@@ -45,9 +50,12 @@ Regularizer = GroupPartition | NuclearShape
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-# FISTA hands over to Newton once a step moves the iterate by at most this,
-# and the one Newton attempt of a solve takes at most this many steps.
+# FISTA hands over to Newton once a step moves the iterate by at most
+# NEWTON_SWITCH, or by at most NEWTON_SWITCH_SETTLED with the prox's active
+# structure the same as at the previous iteration; each Newton attempt
+# takes at most NEWTON_STEPS steps.
 NEWTON_SWITCH = 1e-3
+NEWTON_SWITCH_SETTLED = 1e-2
 NEWTON_STEPS = 5
 
 
@@ -212,8 +220,11 @@ def prox_gradient_solve(
     start point.
 
     At the first iteration whose step moves the iterate by at most
-    ``NEWTON_SWITCH``, one prox at ``z`` gives its true residual and, unless
-    that passes, one Newton attempt starts from ``z``:
+    ``NEWTON_SWITCH_SETTLED`` and whose prox keeps the same blocks or
+    singular values (the same ``active`` mask) as the previous iteration's,
+    or whose step moves it by at most ``NEWTON_SWITCH``, one prox at ``z``
+    gives its true residual and, unless that passes, a Newton attempt
+    starts from ``z``:
     each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``
     (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
     step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns a
@@ -234,10 +245,12 @@ def prox_gradient_solve(
     step 1e15 or more away, where the forward step and the shrink both round to
     the point itself and the residual reads 0.  A singular system, a
     non-finite step, a failed check or ``NEWTON_STEPS`` steps without
-    reaching ``tol`` throw the attempt away, and FISTA goes on from ``z``.
-    There is one attempt per solve.  ``iterations`` counts FISTA
-    iterations and Newton steps, ``newton_steps`` the latter, and
-    ``max_iter`` caps the sum.
+    reaching ``tol`` throw the attempt away, and FISTA goes on from ``z``
+    with its iterates unchanged.  A thrown-away first attempt leaves the
+    solve one more, at the next iteration whose step moves the iterate by
+    at most ``NEWTON_SWITCH``; there are at most two per solve.
+    ``iterations`` counts FISTA iterations and Newton steps,
+    ``newton_steps`` the latter, and ``max_iter`` caps the sum.
 
     ``fixed_point_residual`` is the true residual at the returned ``x``,
     also when ``max_iter`` ends the solve.  Never raises on slow
@@ -261,8 +274,9 @@ def prox_gradient_solve(
         return 0.5 * float(z @ gz) - float(lin @ z) + const
 
     def pg_step(z: np.ndarray, gz: np.ndarray):
-        """``(T(z), g(T(z)), jacobian)``, the last building the prox
-        Jacobian at the forward step of ``z``."""
+        """``(T(z), g(T(z)), jacobian, active)``: ``jacobian`` builds the
+        prox Jacobian at the forward step of ``z``, ``active`` masks what
+        the prox keeps."""
         return reg.prox(z - step * (gz - lin), step)
 
     def polish(z, fz, py, budget):
@@ -274,7 +288,7 @@ def prox_gradient_solve(
         """
         y = z
         for steps in range(1, budget + 1):
-            ty, _, jacobian = py
+            ty, _, jacobian, _ = py
             try:
                 d = np.linalg.solve(newton_matrix(problem, jacobian()), ty - y)
             except np.linalg.LinAlgError:
@@ -288,7 +302,7 @@ def prox_gradient_solve(
                 # whose dual has unit norm, which is no solution at all.
                 # The fit as a sum of squares: at a far-off point the smooth
                 # formula's 0.5 p^T gram p - lin^T p cancels into garbage.
-                p, gp, _ = py
+                p, gp, _, _ = py
                 fit = problem.phi @ p - problem.b
                 fp = float(fit @ fit) / (2.0 * problem.mu) - float(v @ p) + gp
                 if fp > fz + 4.0 * np.spacing(abs(fz)):
@@ -307,11 +321,15 @@ def prox_gradient_solve(
     momentum, gm = x, gx
     tk = 1.0
     iterations = newton_steps = 0
+    # Newton attempts left: a second one only after a thrown-away first.
+    attempts = 2
+    # The bytes of the mask of what the latest iteration's prox kept.
+    kept = None
     while not converged and iterations < max_iter:
         # After the start or a restart the momentum point is x itself, whose
         # step may be known.
         base = momentum
-        z, gval, _ = px if momentum is x and px is not None else pg_step(momentum, gm)
+        z, gval, _, active = px if momentum is x and px is not None else pg_step(momentum, gm)
         gz = gram @ z
         fz = smooth(z, gz) + gval
         if fz > fx:
@@ -320,14 +338,24 @@ def prox_gradient_solve(
             tk = 1.0
             if base is not x:
                 base = x
-                z, gval, _ = px if px is not None else pg_step(x, gx)
+                z, gval, _, active = px if px is not None else pg_step(x, gx)
                 gz = gram @ z
                 fz = smooth(z, gz) + gval
         iterations += 1
         px = None
         moved = _norm(base - z)
-        # One attempt per solve, and each attempt takes at least one step.
-        newton_due = not newton_steps and moved <= NEWTON_SWITCH and iterations < max_iter
+        # The first attempt comes at a short step whose prox kept what the
+        # previous iteration's kept, or at a step of at most NEWTON_SWITCH;
+        # the second only at the latter.  Each takes at least one step.
+        kept_before, kept = kept, active.tobytes()
+        newton_due = (
+            attempts > 0
+            and iterations < max_iter
+            and (
+                moved <= NEWTON_SWITCH
+                or (attempts == 2 and moved <= NEWTON_SWITCH_SETTLED and kept == kept_before)
+            )
+        )
         if moved <= tol or newton_due:
             px = pg_step(z, gz)
             residual = _norm(z - px[0])
@@ -337,7 +365,9 @@ def prox_gradient_solve(
                 steps, polished = polish(z, fz, px, budget)
                 iterations += steps
                 newton_steps += steps
+                attempts -= 1
                 if polished is not None:
+                    attempts = 0
                     # T is nonexpansive, so only rounding can leave the
                     # residual above tol; then FISTA restarts from x.
                     x, gx, fx, px, residual = polished

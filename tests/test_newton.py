@@ -21,6 +21,7 @@ from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
     NEWTON_STEPS,
     NEWTON_SWITCH,
+    NEWTON_SWITCH_SETTLED,
     ProblemSpec,
     multistart_solve,
     objective,
@@ -204,19 +205,25 @@ class TestNewtonFinish:
         cert = certify(spec, res.x)
         assert cert.holds and cert.kkt_residual <= 1e-12
 
-    def test_guard_keeps_a_finish_a_few_ulps_above(self):
-        # A 1x2 instance scaled by 1e3: the Newton prox point is a fixed
-        # point of T, but its objective reads a few ulps above that of the
-        # FISTA point the attempt began at.  An exact comparison threw it
-        # away, and FISTA took 4 more iterations to residual 6.8e-13.
+    def test_guard_keeps_a_finish_a_few_ulps_above(self, monkeypatch):
+        # A 1x2 instance scaled by 1e3: from this start, the Newton prox
+        # point is a fixed point of T, but its objective reads a few ulps
+        # above that of the FISTA point the attempt began at.
         phi = np.array([[-0.9246979696322104, 0.06873796859826908]])
         part = GroupPartition(2, ((1,), (0,)))
         spec = ProblemSpec(phi, np.array([-1081.4341902337476]), 374.1385807154498, part)
-        res = prox_gradient_solve(spec)
+        x0 = np.array([-123.2, 26.7])
+        res = prox_gradient_solve(spec, x0=x0)
         assert res.converged and res.newton_steps == 1
-        assert res.iterations == 7
+        assert res.iterations == 6
         assert res.fixed_point_residual == 0.0
         assert certify(spec, res.x).holds
+        # An exact comparison throws that finish away, and the solve needs
+        # 6 more iterations and a second attempt.
+        monkeypatch.setattr(np, "spacing", lambda a: 0.0 * a)
+        exact = prox_gradient_solve(spec, x0=x0)
+        assert exact.converged and exact.newton_steps == 2
+        assert exact.iterations == 12
 
     def test_rank_one_designs_from_random_starts_agree(self):
         # One row, random starts: the Newton system is singular along the
@@ -249,13 +256,35 @@ class TestNewtonFinish:
             results = multistart_solve(spec, starts)
             for r in results:
                 assert r.converged and r.fixed_point_residual <= 1e-10
-                assert 1 <= r.newton_steps <= NEWTON_STEPS
+                # A thrown-away first attempt leaves room for a second.
+                assert 1 <= r.newton_steps <= 2 * NEWTON_STEPS
                 assert r.objective == pytest.approx(objective(spec, r.x), rel=1e-12)
                 sv = np.linalg.svd(newton_matrix(spec, r.x), compute_uv=False)
                 singular += bool(sv[-1] <= 1e-12 * sv[0])
             values = [r.objective for r in results]
             assert max(values) - min(values) <= 1e-9
         assert singular >= 12
+
+    def test_a_thrown_away_first_attempt_leaves_a_second(self):
+        # The first attempt starts at iteration 2, where the step is short
+        # and the prox keeps the same blocks, and runs out of steps; FISTA
+        # goes on as if it had not been made.  The second starts at the
+        # first step of at most NEWTON_SWITCH and is kept after one step.
+        spec = ProblemSpec(
+            np.array([[-1.04, 0.77]]), np.array([-0.16]), 0.08, GroupPartition.singletons(2)
+        )
+        _, first, _, _ = fista_loop(
+            spec, tol=0.0, switch=NEWTON_SWITCH, settled=NEWTON_SWITCH_SETTLED
+        )
+        _, second, _, _ = fista_loop(spec, tol=0.0, switch=NEWTON_SWITCH)
+        assert (first, second) == (2, 7)
+        res = prox_gradient_solve(spec)
+        assert res.converged and res.fixed_point_residual <= 1e-10
+        assert res.newton_steps == NEWTON_STEPS + 1
+        assert res.iterations == second + res.newton_steps == 13
+        # FISTA alone, as after a single thrown-away attempt, takes 19.
+        assert fista_loop(spec)[1] == 19
+        assert certify(spec, res.x).holds
 
     @pytest.mark.parametrize("kind", ["group", "nuclear"])
     def test_newton_steps_count_against_max_iter(self, kind):
@@ -268,8 +297,10 @@ class TestNewtonFinish:
             full = prox_gradient_solve(spec, x0=x0)
             if not full.newton_steps:
                 continue
-            # The attempt begins after this many FISTA iterations.
-            _, switch, _, _ = fista_loop(spec, x0=x0, tol=0.0, switch=NEWTON_SWITCH)
+            # The first attempt begins after this many FISTA iterations.
+            _, switch, _, _ = fista_loop(
+                spec, x0=x0, tol=0.0, switch=NEWTON_SWITCH, settled=NEWTON_SWITCH_SETTLED
+            )
             accepted = full.iterations == switch + full.newton_steps
             at_switch = prox_gradient_solve(spec, x0=x0, max_iter=switch)
             for budget in range(NEWTON_STEPS + 1):

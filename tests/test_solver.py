@@ -164,7 +164,7 @@ class TestConvergenceBehavior:
             p = ProblemSpec(np.eye(6), bmat.ravel(), mu, shape)
             res = prox_gradient_solve(p)
             assert res.converged
-            closed, _, _ = prox_nuclear(bmat, mu)
+            closed, _, _, _ = prox_nuclear(bmat, mu)
             assert np.allclose(shape.as_matrix(res.x), closed, atol=1e-8)
 
     def test_nuclear_random_instances_reach_kkt(self):
