@@ -23,10 +23,12 @@ identical inputs and flags produce byte-identical payloads apart from the
 Each run builds one report, and the command fills in each section as soon
 as it is computed.  An error report therefore keeps ``inputs_digest`` once
 the problem file is read and valid, and every section finished before the
-error: a ``NotASolutionError`` from ``certify`` keeps ``solve``.  When the
-``--out`` file cannot be written, the report still goes to stdout, with
-``error`` set to ``OUTPUT_NOT_WRITABLE`` unless an earlier error already
-holds it, and the exit code is 1.
+error: a ``NotASolutionError`` from ``certify`` keeps ``solve``.  A numpy
+factorization that fails (``numpy.linalg.LinAlgError``, for example an SVD
+of a non-finite matrix) is reported the same way, with code
+``LinAlgError``.  When the ``--out`` file cannot be written, the report
+still goes to stdout, with ``error`` set to ``OUTPUT_NOT_WRITABLE`` unless
+an earlier error already holds it, and the exit code is 1.
 
 The argument parser is built once per process, on the first :func:`run`,
 and reused by every later call; each call parses into a fresh namespace,
@@ -436,7 +438,7 @@ def _cmd_qg_audit(args, report: dict) -> int:
     result = _solve(spec, args, options, report)
     # Audits need a pair exactly on the subdifferential graph; solver output
     # is only optimal to its residual, so snap before sampling.
-    snapped = snap_to_graph(spec.reg, result.x, result.y)
+    snapped = snap_to_graph(spec.reg, result.x, result.y, _cert_tol(args, options))
     rep = qg_audit(
         spec.reg,
         snapped.x,
@@ -625,7 +627,7 @@ def run(argv=None) -> int:
     try:
         _check_flags(args)
         code = _COMMANDS[args.command](args, report)
-    except StabcertError as exc:
+    except (StabcertError, np.linalg.LinAlgError) as exc:
         name = getattr(exc, "code", type(exc).__name__)  # ProblemFormatError has a code
         report["error"] = {"code": name, "message": str(exc)}
         code = 1

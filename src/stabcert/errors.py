@@ -5,10 +5,6 @@ class StabcertError(Exception):
     """Base class for all package-specific failures."""
 
 
-class FactorizationError(StabcertError):
-    """A matrix factorization did not converge."""
-
-
 class NotASubgradientError(StabcertError):
     """A claimed (point, subgradient) pair violates the subdifferential relation
     by ``residual``, the subgradient residual that the check measured."""

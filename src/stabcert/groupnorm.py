@@ -270,7 +270,7 @@ def classify_groups(
     x_norms = block_norms(x, partition)
     y_norms = block_norms(y, partition)
     res = _residual(x, y, x_norms, y_norms, partition)
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise NotASubgradientError(
             f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
         )

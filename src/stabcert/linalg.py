@@ -11,29 +11,12 @@ import math
 
 import numpy as np
 
-from .errors import FactorizationError
-
 # Relative singular-value cutoff for numerical rank decisions.
 RANK_TOL = 1e-9
 
 # A dual block or singular value counts as unit when within this of 1; a
 # primal block counts as nonzero above this.
 UNIT_TOL = 1e-7
-
-
-def svd(a: np.ndarray):
-    """Full singular value decomposition ``a = u @ diag(s) @ v.T``.
-
-    Returns ``(u, s, v)`` with ``u`` and ``v`` square orthogonal and ``s``
-    nonincreasing.  Note ``v`` holds right singular vectors as columns,
-    not the transposed factor numpy returns.
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge for shape {a.shape}") from exc
-    return u, s, vt.T
 
 
 def restricted_min_singular(

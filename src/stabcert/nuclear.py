@@ -28,7 +28,7 @@ from .errors import (
     JointDecompositionError,
     NotASubgradientError,
 )
-from .linalg import RANK_TOL, UNIT_TOL, psd_project, svd
+from .linalg import RANK_TOL, UNIT_TOL, psd_project
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,8 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     frames of ``x + y`` diagonalize both matrices at once.  A reconstruction residual above
     ``1e-6 * (1 + norm)`` on either matrix raises
     :class:`JointDecompositionError`; valid pairs land near machine
-    precision.
+    precision.  A factorization that does not converge (a non-finite
+    entry) raises numpy's ``LinAlgError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -303,7 +304,8 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
             f"(spectral gap {check.spectral_gap:.3e}, fenchel gap {check.fenchel_gap:.3e})",
             check.residual,
         )
-    ubar, _, vbar = svd(x + y)
+    ubar, _, vt = np.linalg.svd(x + y)
+    vbar = vt.T
     r = int(np.sum(sx > RANK_TOL * sx[0])) if sx.size and sx[0] > 0 else 0
     p = int(np.sum(sy >= 1.0 - tol))
     k = min(x.shape)

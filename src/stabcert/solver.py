@@ -125,12 +125,6 @@ class ProblemSpec:
         return self.phi_t_phi / self.mu
 
     @cached_property
-    def forward_jacobian(self) -> np.ndarray:
-        """``I - step gram``, the Jacobian of the forward step
-        ``z -> z - step (gram z - phi^T b / mu)``."""
-        return np.eye(self.n) - self.step * self.gram
-
-    @cached_property
     def phi_tb(self) -> np.ndarray:
         """``phi^T b / mu``, the linear part of the fit gradient."""
         return self.phi.T @ self.b / self.mu
@@ -169,6 +163,12 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(d @ d))
 
 
+def _nan_max(a: float, b: float) -> float:
+    """``max(a, b)``, but NaN when either is NaN; ``max`` would keep ``a``
+    against a NaN ``b``."""
+    return a if a != a or b <= a else b
+
+
 def objective(problem: ProblemSpec, x: np.ndarray) -> float:
     """Untilted objective value at ``x``."""
     x = np.asarray(x, dtype=float)
@@ -184,13 +184,15 @@ def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
 
 def newton_matrix(problem: ProblemSpec, jacobian: np.ndarray) -> np.ndarray:
     """``I - J (I - step gram)``, the Jacobian of ``z - T(z)`` where ``J``
-    is the prox Jacobian at the forward step of ``z``.
+    is the prox Jacobian at the forward step of ``z`` and ``I - step gram``
+    that of the forward step ``z -> z - step (gram z - phi^T b / mu)``.
 
     The solver's Newton steps solve with it, and at a solution it maps the
     solution map's derivative to the data's first-order change (see
     :func:`stabcert.stability.empirical_lipschitz`).
     """
-    return np.eye(problem.n) - jacobian @ problem.forward_jacobian
+    eye = np.eye(problem.n)
+    return eye - jacobian @ (eye - problem.step * problem.gram)
 
 
 def prox_gradient_solve(
@@ -413,10 +415,11 @@ def multistart_solve(
 
 
 def solution_spread(results) -> float:
-    """Largest pairwise distance among returned solutions."""
+    """Largest pairwise distance among returned solutions; NaN when any
+    distance is NaN."""
     xs = [np.asarray(r.x, dtype=float) for r in results]
     best = 0.0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            best = max(best, _norm(xs[i] - xs[j]))
+            best = _nan_max(best, _norm(xs[i] - xs[j]))
     return best

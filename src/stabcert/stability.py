@@ -30,6 +30,7 @@ from .solver import (
     DEFAULT_TOL,
     ProblemSpec,
     Regularizer,
+    _nan_max,
     dual_from_solution,
     multistart_solve,
     newton_matrix,
@@ -157,16 +158,20 @@ class SnappedPair:
         return iter((self.x, self.y))
 
 
-def snap_to_graph(reg: Regularizer, x: np.ndarray, y: np.ndarray) -> SnappedPair:
+def snap_to_graph(
+    reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL
+) -> SnappedPair:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
     pair that lies on the graph to working precision.  The regularizer's
-    ``snap`` does it at ``CERT_TOL``: group blocks are pinned to exact unit
-    directions or zeroed, nuclear pairs are rebuilt from their joint
-    frames.  Returns vectors, with the classification of the snapped pair.
+    ``snap`` does it at ``tol``, the tolerance of :func:`certify`: group
+    blocks are pinned to exact unit directions or zeroed, nuclear pairs are
+    rebuilt from their joint frames (which fails when the pair is off the
+    graph by more than ``tol``).  Returns vectors, with the classification
+    of the snapped pair.
     """
-    return SnappedPair(*reg.snap(x, y, CERT_TOL))
+    return SnappedPair(*reg.snap(x, y, tol))
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -281,7 +286,7 @@ def _sample_solves(rng, cases, center, starts, tol, max_iter):
     for spec, v, first in cases:
         others = center + _ball_samples(rng, center.size, starts - 1, scale)
         results = multistart_solve(spec, [first, *others], v=v, tol=tol, max_iter=max_iter)
-        spread = max(spread, solution_spread(results))
+        spread = _nan_max(spread, solution_spread(results))
         non_converged += sum(not r.converged for r in results)
         firsts.append(results[0])
     return firsts, spread, non_converged
@@ -339,20 +344,19 @@ def empirical_lipschitz(
     from a first start and from ``starts - 1`` deterministic random starts
     around the base solution ``x``; the largest spread among the returned
     minimizers is reported, and the ratios use the first start's solution.
+    A NaN ratio or distance (an overflowing sample) makes the largest ratio
+    or the spread NaN, here and in :func:`tilt_probe`.
 
     The first start is the first-order prediction ``x + D [db; dmu]`` of
     the sample's solution, with ``D`` the derivative of the solution map
     at the base instance, built once from one linear solve with ``m + 1``
-    right-hand sides.  A prediction is used only if it is finite and its
-    objective on the sample's problem is no higher than that of ``x``
-    there; otherwise, and for every sample where the system for ``D`` is
-    singular or gives a non-finite ``D``, the first start is ``x``.
+    right-hand sides.  A prediction that is not finite, and every sample
+    where the system for ``D`` is singular or gives a non-finite ``D``,
+    starts at ``x`` instead.
     """
     rng = np.random.default_rng(seed)
     base = prox_gradient_solve(problem, tol=tol, max_iter=max_iter)
     derivative = _solution_derivative(problem, base.x)
-    if derivative is not None:
-        base_value = problem.reg.value(base.x)
     b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
     mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
@@ -363,10 +367,7 @@ def empirical_lipschitz(
         spec = problem.with_data(b, mu)
         if derivative is not None:
             predicted = base.x + derivative @ np.append(b - problem.b, mu - problem.mu)
-            # objective(spec, base.x), with g(base.x) taken once for all samples.
-            resid = spec.phi @ base.x - spec.b
-            at_base = float(resid @ resid) / (2.0 * spec.mu) + base_value
-            if np.isfinite(predicted).all() and objective(spec, predicted) <= at_base:
+            if np.isfinite(predicted).all():
                 return spec, None, predicted
         return spec, None, base.x
 
@@ -383,7 +384,7 @@ def empirical_lipschitz(
             dp = math.hypot(db, dmu)
             if dp < 1e-15:
                 continue
-            max_ratio = max(
+            max_ratio = _nan_max(
                 max_ratio, float(np.linalg.norm(sols[i].x - sols[j].x)) / dp
             )
     return PerturbationReport(
@@ -424,7 +425,7 @@ def tilt_probe(
     for v, sol in zip(tilts, sols):
         nv = float(np.linalg.norm(v))
         if nv > 1e-15:
-            max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
+            max_ratio = _nan_max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
     return PerturbationReport(
         samples=samples,
         max_ratio=max_ratio,

@@ -238,7 +238,7 @@ def classify_groups_twice(x, y, partition, tol=1e-7):
     both vectors, which are then taken again, and ``set(K)`` is rebuilt for
     every block."""
     res = subgrad_residual(x, y, partition)
-    if res > tol:
+    if not res <= tol:
         raise NotASubgradientError(
             f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
         )
@@ -507,12 +507,11 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
     """``empirical_lipschitz`` with one start: one solve per sample, and no
     draw of start points.  The start is the first-order prediction
     ``x + D [db; dmu]``, with ``D`` solved from the differentiated fixed
-    point equation written out here, unless the prediction is not finite,
-    has a higher objective than the base solution ``x`` on the sample's
-    problem, or the system for ``D`` is rank deficient or gives a
-    non-finite ``D``; then it is ``x``.  Returns the report's fields
+    point equation written out here, unless the prediction is not finite
+    or the system for ``D`` is rank deficient or gives a non-finite ``D``;
+    then it is the base solution ``x``.  Returns the report's fields
     ``(max_ratio, multivaluedness_spread, non_converged)``."""
-    from stabcert.solver import objective, prox_gradient_solve
+    from stabcert.solver import prox_gradient_solve
     from stabcert.stability import _ball_samples
 
     rng = np.random.default_rng(seed)
@@ -541,7 +540,7 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
         start = x
         if d is not None:
             guess = x + d @ np.append(b_draws[i] - problem.b, spec.mu - problem.mu)
-            if np.isfinite(guess).all() and objective(spec, guess) <= objective(spec, x):
+            if np.isfinite(guess).all():
                 start = guess
         r = prox_gradient_solve(spec, x0=start)
         non_converged += 0 if r.converged else 1

@@ -481,6 +481,61 @@ def test_overflowing_solver_constants_give_json_error(
     assert report["inputs_digest"] is None and report["solve"] is None
 
 
+def test_a_factorization_failure_gives_a_json_report(tmp_path, capsys, monkeypatch):
+    from stabcert import stability
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(stability, "restricted_min_singular", fail)
+    path = write_doc(tmp_path, doc())
+    exit_code, report = run_capture(capsys, ["certify", path])
+    assert exit_code == 1
+    assert report["error"] == {"code": "LinAlgError", "message": "SVD did not converge"}
+    assert report["inputs_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert report["solve"]["converged"] is True
+    assert report["certificate"] is None
+
+
+@pytest.mark.parametrize("command", ["tilt-probe", "perturb"])
+@pytest.mark.parametrize("problem", [EXAMPLE_DOC, SMOKE_NUCLEAR_DOC], ids=["example", "nuclear"])
+def test_an_overflowing_ratio_prints_null(tmp_path, capsys, problem, command):
+    # Norms overflow past about 1e154, so a ratio is inf / inf.  The capped
+    # max_iter only shortens the solves, which do not converge either way.
+    path = write_doc(tmp_path, dict(problem, options={"max_iter": 20}))
+    with np.errstate(all="ignore"):
+        exit_code, report = run_capture(
+            capsys, [command, path, "--radius", "1e200", "--samples", "2"]
+        )
+    assert exit_code == 0
+    assert report["perturbation"]["max_ratio"] is None
+
+
+# Seed-0 nuclear-bank instance small-035: solved to --tol 1e-5 or 1e-4, it
+# certifies at that tolerance, but its pair is off the subdifferential
+# graph by more than the default certificate tolerance.
+LOOSE_NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": [
+        [0.20193496760911098, 1.4265161351773292, 1.2251181609057717, -0.9789386378008987],
+        [0.9324271551779146, -0.3641504306130296, 0.46128817413669315, 0.42120051989532825],
+    ],
+    "b": [0.5088577994418327, -0.09201962639357576],
+    "mu": 0.3215727497578608,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+
+
+@pytest.mark.parametrize("tol", ["1e-5", "1e-4"])
+def test_audit_snaps_at_the_certificate_tolerance(tmp_path, capsys, tol):
+    path = write_doc(tmp_path, LOOSE_NUCLEAR_DOC)
+    exit_code, report = run_capture(capsys, ["certify", path, "--tol", tol])
+    assert report["error"] is None and exit_code in (0, 2)
+    exit_code, report = run_capture(capsys, ["qg-audit", path, "--tol", tol, "--samples", "50"])
+    assert report["error"] is None and exit_code == 0
+    assert report["audit"]["kind"] == "nuclear"
+
+
 def test_undecodable_file_gives_json_error(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + json.dumps(BASE_DOC).encode("utf-16-le"))

@@ -5,50 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import random_orthogonal
-from stabcert.errors import FactorizationError
 from stabcert.linalg import (
     mutual_projection_residual,
     orthonormalize,
     psd_project,
     restricted_min_singular,
-    svd,
 )
-
-PHI = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
 
 finite_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 def small_matrix(n, m):
     return arrays(np.float64, (n, m), elements=finite_entries)
-
-
-class TestSvd:
-    def test_known_singular_values(self):
-        # Gram matrix [[2,1],[1,2]] has eigenvalues 3 and 1
-        _, s, _ = svd(PHI)
-        assert np.allclose(s, [np.sqrt(3.0), 1.0], atol=1e-12)
-
-    def test_reconstruction_and_frames(self):
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            n1 = int(rng.integers(1, 9))
-            n2 = int(rng.integers(1, 9))
-            a = rng.standard_normal((n1, n2)) * rng.uniform(0.1, 5.0)
-            u, s, v = svd(a)
-            assert u.shape == (n1, n1) and v.shape == (n2, n2)
-            k = min(n1, n2)
-            recon = (u[:, :k] * s) @ v[:, :k].T
-            scale = 1.0 + np.linalg.norm(a)
-            assert np.linalg.norm(recon - a) <= 1e-12 * scale
-            assert np.allclose(u.T @ u, np.eye(n1), atol=1e-12)
-            assert np.allclose(v.T @ v, np.eye(n2), atol=1e-12)
-            assert np.all(np.diff(s) <= 1e-15)
-            assert np.all(s >= 0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(FactorizationError):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestRestrictedMinSingular:

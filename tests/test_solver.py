@@ -10,6 +10,7 @@ from stabcert.groupnorm import GroupPartition, subgrad_residual
 from stabcert.nuclear import NuclearShape, is_subgradient_nuclear, prox_nuclear
 from stabcert.solver import (
     ProblemSpec,
+    SolveResult,
     dual_from_solution,
     multistart_solve,
     objective,
@@ -205,3 +206,11 @@ class TestMultistart:
         r = prox_gradient_solve(p)
         assert solution_spread([r, r]) == 0.0
         assert solution_spread([r]) == 0.0
+
+    def test_a_nan_distance_makes_the_spread_nan(self):
+        # max(d, nan) is d: a fold with max would drop both NaN distances.
+        p = pairs_problem()
+        results = [prox_gradient_solve(p, x0=x0) for x0 in (np.zeros(3), np.ones(3))]
+        results.append(SolveResult(np.full(3, np.nan), np.zeros(3), 0, 0, np.nan, np.nan, False))
+        assert solution_spread(results[:2]) <= 1e-6
+        assert np.isnan(solution_spread(results))

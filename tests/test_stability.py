@@ -23,7 +23,7 @@ from stabcert.groupnorm import (
 )
 from stabcert.linalg import mutual_projection_residual, restricted_min_singular
 from stabcert.nuclear import NuclearShape, is_subgradient_nuclear
-from stabcert.solver import ProblemSpec, dual_from_solution, prox_gradient_solve
+from stabcert.solver import ProblemSpec, dual_from_solution, objective, prox_gradient_solve
 from stabcert.stability import (
     CERT_TOL,
     _solution_derivative,
@@ -62,6 +62,11 @@ class TestCertifyGroup:
         assert cert.witness is None
         span = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert mutual_projection_residual(cert.classification.v_basis, span) <= 1e-8
+
+    def test_nan_point_is_not_a_solution(self):
+        # A NaN residual fails the subgradient check; it is not within tol.
+        with pytest.raises(NotASolutionError, match="residual nan"):
+            certify(pairs_problem(), np.full(3, np.nan))
 
     def test_single_group_margin(self):
         # one block of size two: the stability subspace is the dual ray only
@@ -397,6 +402,28 @@ class TestSolutionDerivative:
             checked += 1
         assert checked >= 6
 
+    @pytest.mark.parametrize(
+        "make,seed",
+        [(random_group_instance, 17), (random_nuclear_instance, 1)],
+        ids=["group", "nuclear"],
+    )
+    def test_first_start_is_the_prediction(self, make, seed, monkeypatch):
+        # On these instances some predictions have a higher objective on
+        # their sample's problem than the base solution has; they are the
+        # first starts all the same.
+        seen = first_starts(monkeypatch)
+        spec = make(np.random.default_rng(seed))
+        x = prox_gradient_solve(spec).x
+        d = _solution_derivative(spec, x)
+        empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
+        assert len(seen) == 5
+        above = 0
+        for sample, start in seen:
+            predicted = x + d @ np.append(sample.b - spec.b, sample.mu - spec.mu)
+            assert np.array_equal(start, predicted)
+            above += objective(sample, predicted) > objective(sample, x)
+        assert above >= 1
+
 
 class TestTiltProbe:
     def test_zero_radius(self):
@@ -429,7 +456,7 @@ class TestTiltProbe:
 class TestSingleStartProbes:
     """With one start each sample is one solve, with zero spread: for
     perturb from the first-order prediction of its solution (or from the
-    base solution where the prediction is rejected), for tilt from ``x``."""
+    base solution where there is none), for tilt from ``x``."""
 
     @pytest.mark.parametrize(
         "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
