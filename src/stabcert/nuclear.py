@@ -17,6 +17,7 @@ reads off it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -120,11 +121,57 @@ class SubgradientCheck(NamedTuple):
     residual: float  # max(spectral_gap, fenchel_gap / (1 + ||X||_*))
 
 
+_FLOAT = np.finfo(float)
+# The range of ||X||_F^2 where the closed form below keeps its accuracy.
+# Below it, the square of an entry of eps ||X||_F can be subnormal; above
+# it, ||X||_F^2 + 2 s1 s2 <= 2 ||X||_F^2 can overflow.
+_TWO_SIDE_RANGE = (_FLOAT.tiny / _FLOAT.eps**2, _FLOAT.max / 4.0)
+
+
 def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values; one per matrix for an ``(S, n1, n2)`` stack."""
+    """Sum of singular values; one per matrix for an ``(S, n1, n2)`` stack.
+
+    A single matrix takes an SVD.  A stack of matrices with a shorter side
+    of 2 takes the closed form of :func:`_two_side_norms` when every
+    ``||X||_F^2`` lies in ``_TWO_SIDE_RANGE``, and one stacked SVD
+    otherwise: a zero matrix gives 0 and a non-finite entry raises numpy's
+    ``LinAlgError``.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 3 and min(x.shape[1:]) == 2:
+        total = _two_side_norms(x)
+        if total is not None:
+            return total
     total = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def _two_side_norms(x: np.ndarray) -> np.ndarray | None:
+    """``||X||_*`` for each matrix of a stack whose shorter side is 2;
+    ``None`` when some ``||X||_F^2`` is outside ``_TWO_SIDE_RANGE``.
+
+    With ``a``, ``b`` the two short-side vectors, ``s1^2 + s2^2 =
+    ||X||_F^2`` and ``s1 s2 = r11 r22`` for the triangular factor ``R`` of
+    ``[a b] = QR``, so ``||X||_* = sqrt(||X||_F^2 + 2 r11 r22)``.  One
+    Gram-Schmidt step gives ``r22``; it projects out the longer vector, so
+    its coefficient is at most 1 and its divisor is not 0.  Its
+    rounding moves ``r22`` by about ``eps`` times the shorter vector's
+    norm, so the result by about ``eps ||X||_F``, as in an SVD.
+    """
+    a, b = (x[..., 0], x[..., 1]) if x.shape[2] == 2 else (x[:, 0], x[:, 1])
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    f2 = aa + bb
+    low, high = _TWO_SIDE_RANGE
+    if not np.all((f2 >= low) & (f2 <= high)):
+        return None
+    swap = (aa < bb)[:, None]
+    p, q = np.where(swap, b, a), np.where(swap, a, b)
+    pp = np.maximum(aa, bb)
+    r = q - (np.einsum("ij,ij->i", a, b) / pp)[:, None] * p
+    # sqrt of each factor: the product of two squares could underflow.
+    area = np.sqrt(pp) * np.sqrt(np.einsum("ij,ij->i", r, r))
+    return np.sqrt(f2 + 2.0 * area)
 
 
 def prox_nuclear(x: np.ndarray, t: float):
@@ -288,13 +335,15 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     frames of ``x + y`` diagonalize both matrices at once.  A reconstruction residual above
     ``1e-6 * (1 + norm)`` on either matrix raises
     :class:`JointDecompositionError`; valid pairs land near machine
-    precision.  A factorization that does not converge (a non-finite
-    entry) raises numpy's ``LinAlgError``.
+    precision.  A pair with a non-finite entry fails the subgradient test
+    with a NaN residual before any factorization, as a group pair does.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NotASubgradientError("pair has a non-finite entry", math.nan)
     sx = np.linalg.svd(x, compute_uv=False)
     sy = np.linalg.svd(y, compute_uv=False)
     check = _check_spectra(x, y, sx, sy, tol)

@@ -32,7 +32,8 @@ attempt began at by at most 4 ulps; otherwise FISTA goes on as if the
 attempt had not been made, and a second attempt comes at the next step of
 at most ``NEWTON_SWITCH``.  ``max_iter`` caps FISTA iterations and Newton
 steps together.
-Hitting the cap sets a flag on the result instead of raising.
+Hitting the cap sets a flag on the result instead of raising, and so does
+a non-finite objective, which ends the solve at once.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ DEFAULT_MAX_ITER = 200_000
 NEWTON_SWITCH = 1e-3
 NEWTON_SWITCH_SETTLED = 1e-2
 NEWTON_STEPS = 5
+# A Newton step longer than NEWTON_STEP_GAIN times the residual it corrects
+# comes from a numerically singular system; it ends its attempt.
+NEWTON_STEP_GAIN = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +210,14 @@ def prox_gradient_solve(
 
     Let ``T(z) = prox_{g/L}(z - (grad f(z) - v)/L)``.  The solve stops
     with ``converged`` set only when the true residual ``||x - T(x)||`` is
-    at most ``tol``.  Each iteration takes the new iterate ``z = T(m)``
-    from the momentum point ``m`` (from ``x`` on a restart), one prox.
+    at most ``tol`` and the objective is finite.  A non-finite objective
+    at the start (``||b||^2`` overflows) ends the solve there, and one at
+    an iterate (a huge tilt), after the restart that an objective of
+    ``+inf`` triggers, ends the solve at that iterate.  Either way
+    ``converged`` is false.
+
+    Each iteration takes the new iterate ``z = T(m)`` from the momentum
+    point ``m`` (from ``x`` on a restart), one prox.
     ``I - gram/L`` has its spectrum in ``[0, 1]`` and the prox is firmly
     nonexpansive, so ``T`` is nonexpansive and
 
@@ -245,9 +255,12 @@ def prox_gradient_solve(
     ``s + 2`` points.  The objective is coercive, so the guard keeps the
     point in a bounded sublevel set: a near-singular system can throw a
     step 1e15 or more away, where the forward step and the shrink both round to
-    the point itself and the residual reads 0.  A singular system, a
-    non-finite step, a failed check or ``NEWTON_STEPS`` steps without
-    reaching ``tol`` throw the attempt away, and FISTA goes on from ``z``
+    the point itself and the residual reads 0.  Such a system is caught
+    sooner: a step ``d`` longer than ``NEWTON_STEP_GAIN = 1/sqrt(eps)``
+    times the residual ``T(y) - y`` it corrects ends the attempt before
+    its prox.  A singular system, such an overlong or non-finite step, a
+    failed check or ``NEWTON_STEPS`` steps without reaching ``tol`` throw
+    the attempt away, and FISTA goes on from ``z``
     with its iterates unchanged.  A thrown-away first attempt leaves the
     solve one more, at the next iteration whose step moves the iterate by
     at most ``NEWTON_SWITCH``; there are at most two per solve.
@@ -281,25 +294,28 @@ def prox_gradient_solve(
         the prox keeps."""
         return reg.prox(z - step * (gz - lin), step)
 
-    def polish(z, fz, py, budget):
-        """One Newton attempt from ``z``, whose ``pg_step`` is ``py``.
+    def polish(z, fz, py, rz, budget):
+        """One Newton attempt from ``z``, whose ``pg_step`` is ``py`` and
+        whose residual is ``rz``.
 
         Returns the steps taken and, when the guard accepts the prox point
         ``p = T(y)`` of the last Newton iterate ``y``,
         ``(p, gram @ p, objective, pg_step(p), residual)``; else ``None``.
         """
-        y = z
+        y, ry = z, rz
         for steps in range(1, budget + 1):
             ty, _, jacobian, _ = py
             try:
                 d = np.linalg.solve(newton_matrix(problem, jacobian()), ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
-            if not np.isfinite(d).all():
+            nd = _norm(d)
+            if not (math.isfinite(nd) and nd <= NEWTON_STEP_GAIN * ry):
                 return steps, None
             y = y + d
             py = pg_step(y, gram @ y)
-            if _norm(y - py[0]) <= tol:
+            ry = _norm(y - py[0])
+            if ry <= tol:
                 # T(y), not y: y can sit a rounding error off a zero block
                 # whose dual has unit norm, which is no solution at all.
                 # The fit as a sum of squares: at a far-off point the smooth
@@ -327,7 +343,8 @@ def prox_gradient_solve(
     attempts = 2
     # The bytes of the mask of what the latest iteration's prox kept.
     kept = None
-    while not converged and iterations < max_iter:
+    # A non-finite objective (overflowing data or iterates) ends the solve.
+    while not converged and iterations < max_iter and math.isfinite(fx):
         # After the start or a restart the momentum point is x itself, whose
         # step may be known.
         base = momentum
@@ -345,6 +362,9 @@ def prox_gradient_solve(
                 fz = smooth(z, gz) + gval
         iterations += 1
         px = None
+        if not math.isfinite(fz):
+            x, gx, fx = z, gz, fz
+            break
         moved = _norm(base - z)
         # The first attempt comes at a short step whose prox kept what the
         # previous iteration's kept, or at a step of at most NEWTON_SWITCH;
@@ -364,7 +384,7 @@ def prox_gradient_solve(
             converged = residual <= tol
             if newton_due and not converged:
                 budget = min(NEWTON_STEPS, max_iter - iterations)
-                steps, polished = polish(z, fz, px, budget)
+                steps, polished = polish(z, fz, px, residual, budget)
                 iterations += steps
                 newton_steps += steps
                 attempts -= 1
@@ -396,7 +416,7 @@ def prox_gradient_solve(
         newton_steps=newton_steps,
         fixed_point_residual=residual,
         objective=fx,
-        converged=converged,
+        converged=converged and math.isfinite(fx),
     )
 
 

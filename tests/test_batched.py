@@ -134,6 +134,43 @@ class TestNuclearKernels:
         squares = rng.standard_normal((4, n1, n1))
         close(psd_project(squares), [psd_project(s) for s in squares])
 
+    def test_stacks_with_a_side_of_two_take_no_svd(self, monkeypatch):
+        # Generic, near-rank-one and zero-column matrices across scales,
+        # both orientations: the closed form, within a few ulps of ||X||_F
+        # of the per-matrix SVD.  A zero matrix or a 1e200 entry (whose
+        # square overflows) sends the whole stack to the SVD, with its
+        # values and its LinAlgError.
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = np.random.default_rng(11)
+        for m in (2, 3, 7):
+            near = rng.standard_normal((30, m, 1)) * rng.standard_normal((30, 1, 2))
+            near += 10.0 ** rng.uniform(-17, -3, (30, 1, 1)) * rng.standard_normal((30, m, 2))
+            zero_col = rng.standard_normal((4, m, 2))
+            zero_col[:2, :, 0] = zero_col[2:, :, 1] = 0.0
+            stack = np.concatenate([rng.standard_normal((30, m, 2)), near, zero_col])
+            stack *= 10.0 ** rng.uniform(-100, 100, (len(stack), 1, 1))
+            for mats in (stack, stack.transpose(0, 2, 1).copy()):
+                rows = mats.reshape(len(mats), -1)
+                calls.clear()
+                norms = nuclear_norm(mats)
+                scale = NuclearShape(*mats.shape[1:]).growth_scale(rows)
+                assert not calls
+                expected = [nuclear_norm_loop(x) for x in mats]
+                ulps = np.spacing(np.linalg.norm(rows, axis=1))
+                assert np.all(np.abs(norms - expected) <= 8.0 * ulps)
+                assert np.array_equal(scale, norms)
+                for index, value in ((np.s_[2], 0.0), (np.s_[2, 0, 1], 1e200)):
+                    out = mats.copy()
+                    out[index] = value
+                    calls.clear()
+                    norms = nuclear_norm(out)
+                    assert len(calls) == 1
+                    assert norms.tolist() == [nuclear_norm_loop(x) for x in out]
+                out[4, 1, 1] = np.nan
+                with pytest.raises(np.linalg.LinAlgError):
+                    nuclear_norm(out)
+
     def test_empty_top_block(self):
         dec = simultaneous_svd(np.zeros((2, 3)), np.diag([0.5, 0.2]) @ np.eye(2, 3))
         assert dec.p == 0

@@ -147,6 +147,21 @@ class TestConvergenceBehavior:
         assert not res.converged
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("kind", ["group", "nuclear"])
+    def test_a_non_finite_objective_stops_the_solve(self, kind):
+        rng = np.random.default_rng(7)
+        spec = random_group_instance(rng) if kind == "group" else random_nuclear_instance(rng)
+        # ||b||^2 overflows: the objective is not finite at the start.
+        huge_b = ProblemSpec(spec.phi, 1e200 * spec.b, spec.mu, spec.reg)
+        # A huge tilt: the first iterate's objective overflows.
+        cases = [(huge_b, None, 0), (spec, np.full(spec.n, 1e200), 1)]
+        for problem, v, iterations in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = prox_gradient_solve(problem, v=v, max_iter=1000)
+            assert not np.isfinite(res.objective)
+            assert not res.converged
+            assert res.iterations == iterations and res.newton_steps == 0
+
     def test_deterministic_reruns(self):
         p = pairs_problem()
         a = prox_gradient_solve(p)

@@ -147,6 +147,11 @@ class TestCertifyNuclear:
         b = certify(spec, np.diag([2.0, 0.0]).ravel())
         assert a.margin == b.margin and a.subspace_dim == b.subspace_dim
 
+    def test_nan_point_is_not_a_solution(self):
+        # As for a group point: a NaN residual, before any factorization.
+        with pytest.raises(NotASolutionError, match="residual nan"):
+            certify(identity_nuclear_problem(), np.full(4, np.nan))
+
 
 class TestSnapToGraph:
     def test_group_snap_lands_exactly(self):
