@@ -63,7 +63,6 @@ from .solver import (
 )
 from .stability import (
     CERT_TOL,
-    PerturbationReport,
     QGAuditReport,
     StabilityCertificate,
     certify,
@@ -339,18 +338,6 @@ def _load_problem_bytes(raw: bytes, source) -> tuple[ProblemSpec, dict, str]:
 # report assembly
 
 
-def _solve_dict(result: SolveResult) -> dict:
-    return {
-        "x": result.x,
-        "y": result.y,
-        "iterations": result.iterations,
-        "newton_steps": result.newton_steps,
-        "fixed_point_residual": result.fixed_point_residual,
-        "objective": result.objective,
-        "converged": result.converged,
-    }
-
-
 def _certificate_dict(cert: StabilityCertificate) -> dict:
     return {
         "holds": cert.holds,
@@ -363,16 +350,6 @@ def _certificate_dict(cert: StabilityCertificate) -> dict:
         "parameter_scope": "(b, mu)",
         "classification": cert.classification.as_dict(),
         "tolerances": dict(sorted(cert.tolerances.items())),
-    }
-
-
-def _perturbation_dict(rep: PerturbationReport) -> dict:
-    return {
-        "samples": rep.samples,
-        "max_ratio": rep.max_ratio,
-        "multivaluedness_spread": rep.multivaluedness_spread,
-        "non_converged": rep.non_converged,
-        "seed": rep.seed,
     }
 
 
@@ -414,7 +391,8 @@ def _load(args, report: dict) -> tuple[ProblemSpec, dict]:
 
 def _solve(spec: ProblemSpec, args, options: dict, report: dict) -> SolveResult:
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
-    report["solve"] = _solve_dict(result)
+    # A section holds the fields of its result, in their declared order.
+    report["solve"] = vars(result).copy()
     return result
 
 
@@ -466,7 +444,7 @@ def _cmd_perturb(args, report: dict) -> int:
         starts=args.starts,
         **_solver_opts(args, options),
     )
-    report["perturbation"] = _perturbation_dict(rep)
+    report["perturbation"] = vars(rep).copy()
     return 0
 
 
@@ -482,7 +460,7 @@ def _cmd_tilt_probe(args, report: dict) -> int:
         starts=args.starts,
         **_solver_opts(args, options),
     )
-    report["perturbation"] = _perturbation_dict(rep)
+    report["perturbation"] = vars(rep).copy()
     return 0
 
 

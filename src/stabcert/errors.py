@@ -18,10 +18,6 @@ class NotASolutionError(StabcertError):
     """A claimed minimizer fails the optimality residual check."""
 
 
-class JointDecompositionError(StabcertError):
-    """A primal-dual pair admits no joint factorization within tolerance."""
-
-
 class InfeasibleApproximationError(StabcertError):
     """The requested subgradient decomposition does not exist for this input."""
 

@@ -107,15 +107,19 @@ class GroupPartition:
 
         Blocks of ``x`` above ``tol`` give ``y`` their exact unit direction;
         the rest are zeroed, with their dual blocks clipped into the unit
-        ball.  Returns ``(x, y, classify(x, y, tol))`` of the snapped pair.
+        ball and those of norm ``1 - tol`` or more, which ``classify`` calls
+        boundary, pinned to unit norm.  Returns ``(x, y, classify(x, y,
+        tol))`` of the snapped pair.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         nx = block_norms(x, self)
         ny = block_norms(y, self)
         active = (nx > tol)[self.seg]
-        # Dividing by 1 leaves a block as it is.
-        y_div = np.where(nx > tol, nx, np.where(ny > 1.0, ny, 1.0))[self.seg]
+        # Dividing by 1 leaves a block as it is; a zero block stays zero
+        # even at a tolerance of 1 or more.
+        pin = (ny >= 1.0 - tol) & (ny > 0.0)
+        y_div = np.where(nx > tol, nx, np.where(pin, ny, 1.0))[self.seg]
         xs, ys = np.where(active, x, 0.0), np.where(active, x, y) / y_div
         return xs, ys, classify_groups(xs, ys, self, tol)
 

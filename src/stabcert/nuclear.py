@@ -9,7 +9,9 @@ and any such pair shares singular frames: there are orthogonal ``U``, ``V``
 with ``X = U [diag(sigma_x), 0; 0, 0] V^T`` and
 ``Y = U [I_p, 0; 0, diag(lambda_y)] V^T`` where ``p`` counts the unit
 singular values of ``Y`` and ``r = len(sigma_x) <= p``.  That joint shape
-is what :func:`simultaneous_svd` recovers; all the geometry downstream
+is what :func:`simultaneous_svd` recovers, from one SVD of ``X + Y``
+(``Y`` is a subgradient at ``X`` exactly when ``X`` is the prox of
+``X + Y``); all the geometry downstream
 (stability subspace, inverse-image distances, relative approximations)
 reads off it.
 """
@@ -24,11 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InfeasibleApproximationError,
-    JointDecompositionError,
-    NotASubgradientError,
-)
+from .errors import InfeasibleApproximationError, NotASubgradientError
 from .linalg import RANK_TOL, UNIT_TOL, psd_project
 
 
@@ -81,14 +79,14 @@ class NuclearShape:
 
         Returns ``(x, y, classification)``.  The frames and spectra that
         rebuild the pair diagonalize it, so the factorization of the input
-        pair classifies the snapped one; only its ``residual`` is taken
-        again, from those spectra.
+        pair classifies the snapped one.  In those frames ``x + y`` has the
+        singular values ``sigma_x + 1``, ones and ``lambda_y``, whose soft
+        threshold at 1 gives back ``x``: the residual is 0, up to the
+        rounding of the rebuild.
         """
         dec = self.classify(x, y, tol)
         xs, ys = dec.reconstruct_x(), dec.reconstruct_y()
-        residual = _check_spectra(xs, ys, dec.sigma_x, dec.singular_values_y(), tol).residual
-        snapped = dataclasses.replace(dec, residual=residual)
-        return self.as_vector(xs), self.as_vector(ys), snapped
+        return self.as_vector(xs), self.as_vector(ys), dataclasses.replace(dec, residual=0.0)
 
     def growth_scale(self, rows: np.ndarray) -> np.ndarray:
         """Sample scale of the growth moduli: ``||X||_*``, per row."""
@@ -249,15 +247,8 @@ def is_subgradient_nuclear(
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    sx = np.linalg.svd(x, compute_uv=False)
-    sy = np.linalg.svd(y, compute_uv=False)
-    return _check_spectra(x, y, sx, sy, tol)
-
-
-def _check_spectra(x, y, sx, sy, tol) -> SubgradientCheck:
-    """The subgradient test given the singular values of both matrices."""
-    nn = float(sx.sum())
-    smax = float(sy[0])
+    nn = nuclear_norm(x)
+    smax = float(np.linalg.svd(y, compute_uv=False)[0])
     spectral_gap = max(smax - 1.0, 0.0)
     fenchel_gap = abs(nn - float(np.sum(y * x)))
     ok = smax <= 1.0 + tol and fenchel_gap <= tol * (1.0 + nn)
@@ -272,7 +263,8 @@ class SimultaneousSVD:
     ``ubar`` and ``vbar`` are square orthogonal; ``sigma_x`` holds the
     ``r`` positive singular values of the primal, ``lambda_y`` the
     sub-unit singular values of the dual (length ``min(n1, n2) - p``),
-    with ``r <= p``.  ``residual`` is the pair's subgradient residual.
+    with ``r <= p``.  ``residual`` is the pair's subgradient residual
+    ``||x - prox(x + y)||_F``.
     """
 
     ubar: np.ndarray
@@ -327,16 +319,20 @@ class SimultaneousSVD:
 
 
 def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> SimultaneousSVD:
-    """Recover joint singular frames of a subgradient pair.
+    """Recover joint singular frames of a subgradient pair from one SVD.
 
-    Three factorizations: the spectra of ``x`` and ``y`` give the
-    subgradient test (a failure raises :class:`NotASubgradientError` with
-    the check's residual), the rank ``r`` and the unit count ``p``; the
-    frames of ``x + y`` diagonalize both matrices at once.  A reconstruction residual above
-    ``1e-6 * (1 + norm)`` on either matrix raises
-    :class:`JointDecompositionError`; valid pairs land near machine
-    precision.  A pair with a non-finite entry fails the subgradient test
-    with a NaN residual before any factorization, as a group pair does.
+    ``y`` is a subgradient at ``x`` exactly when ``x`` is the prox of
+    ``x + y``, its singular value soft threshold at 1 (the Moreau
+    decomposition).  So the full SVD ``x + y = U diag(s) V^T`` carries the
+    check: ``residual = ||x - U_k diag(max(s - 1, 0)) V_k^T||_F``, 0 exactly
+    on the graph.  A residual above ``tol``, or NaN, raises
+    :class:`NotASubgradientError` with it.  The unit count ``p`` counts the
+    ``s >= 1 - tol`` and ``lambda_y`` is ``s[p:k]``.  On the graph ``x`` is
+    ``U_p diag(sigma_x) V_p^T``, so ``sigma_x`` is read off the diagonal of
+    ``U_p^T x V_p`` (``s - 1`` would cancel when ``||x|| << 1``) and ``r``
+    counts its entries above ``RANK_TOL`` times the first: ``r <= p``.  A
+    pair with a non-finite entry fails with a NaN residual before any
+    factorization, as a group pair does.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -344,35 +340,18 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NotASubgradientError("pair has a non-finite entry", math.nan)
-    sx = np.linalg.svd(x, compute_uv=False)
-    sy = np.linalg.svd(y, compute_uv=False)
-    check = _check_spectra(x, y, sx, sy, tol)
-    if not check.ok:
-        raise NotASubgradientError(
-            "pair fails the subgradient test "
-            f"(spectral gap {check.spectral_gap:.3e}, fenchel gap {check.fenchel_gap:.3e})",
-            check.residual,
-        )
-    ubar, _, vt = np.linalg.svd(x + y)
+    ubar, s, vt = np.linalg.svd(x + y)
     vbar = vt.T
-    r = int(np.sum(sx > RANK_TOL * sx[0])) if sx.size and sx[0] > 0 else 0
-    p = int(np.sum(sy >= 1.0 - tol))
-    k = min(x.shape)
-    if r > p:
-        raise JointDecompositionError(
-            f"primal rank {r} exceeds the dual unit count {p}"
+    k = s.size
+    residual = float(np.linalg.norm(x - (ubar[:, :k] * np.maximum(s - 1.0, 0.0)) @ vt[:k]))
+    if not residual <= tol:
+        raise NotASubgradientError(
+            f"subgradient residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
         )
-    dec = SimultaneousSVD(ubar, vbar, sx[:r].copy(), sy[p:k].copy(), r, p, check.residual)
-    res_x = float(np.linalg.norm(dec.reconstruct_x() - x))
-    res_y = float(np.linalg.norm(dec.reconstruct_y() - y))
-    if res_x > 1e-6 * (1.0 + np.linalg.norm(x)) or res_y > 1e-6 * (
-        1.0 + np.linalg.norm(y)
-    ):
-        raise JointDecompositionError(
-            f"joint factorization residuals {res_x:.3e} / {res_y:.3e} too large; "
-            "the pair violates the subgradient relation beyond tolerance"
-        )
-    return dec
+    p = int(np.count_nonzero(s >= 1.0 - tol))
+    diag = np.einsum("ij,ij->j", ubar[:, :p], x @ vbar[:, :p])
+    r = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if p and diag[0] > 0 else 0
+    return SimultaneousSVD(ubar, vbar, diag[:r], s[p:], r, p, residual)
 
 
 def p_count(y: np.ndarray) -> int:
@@ -437,9 +416,8 @@ def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int):
     returns ``(1, y, y)``.
 
     Raises :class:`InfeasibleApproximationError` when ``p_ref`` is not
-    reachable: more unit values than requested, ``p_ref`` beyond the
-    singular spectrum, or a primal rank above ``q`` (those directions are
-    pinned at 1 and cannot be shrunk).
+    reachable: more unit values than requested, or ``p_ref`` beyond the
+    singular spectrum.
     """
     dec = simultaneous_svd(x, y)
     q = dec.p
@@ -455,10 +433,6 @@ def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int):
     y = np.asarray(y, dtype=float)
     if q == p_ref:
         return 1.0, y.copy(), y.copy()
-    if dec.r > q:
-        raise InfeasibleApproximationError(
-            f"primal rank {dec.r} exceeds the dual unit count {q}"
-        )
     sy = dec.singular_values_y()
     lam = float(sy[p_ref - 1])
     if lam >= 1.0 - UNIT_TOL:

@@ -439,7 +439,7 @@ EXAMPLE_DOC = json.loads(
     "problem,message",
     [
         (EXAMPLE_DOC, "optimality residual 3.791e-01 exceeds tolerance 1.000e-14"),
-        (SMOKE_NUCLEAR_DOC, "optimality residual 1.000e-05 exceeds tolerance 1.000e-14"),
+        (SMOKE_NUCLEAR_DOC, "optimality residual 2.517e-04 exceeds tolerance 1.000e-14"),
     ],
     ids=["group", "nuclear"],
 )
@@ -534,6 +534,45 @@ def test_audit_snaps_at_the_certificate_tolerance(tmp_path, capsys, tol):
     exit_code, report = run_capture(capsys, ["qg-audit", path, "--tol", tol, "--samples", "50"])
     assert report["error"] is None and exit_code == 0
     assert report["audit"]["kind"] == "nuclear"
+
+
+# Identity designs whose solutions have a dual value of 0.9999 on a zero
+# direction: at --tol 1e-3 that direction counts as a unit one, so the
+# audit must see the dual pinned to the unit sphere there.
+NEAR_UNIT_NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": np.eye(4).tolist(),
+    "b": [2.0, 0.0, 0.0, 0.9999],
+    "mu": 1.0,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+NEAR_UNIT_GROUP_DOC = {
+    "schema_version": "1",
+    "phi": np.eye(2).tolist(),
+    "b": [2.0, 0.9999],
+    "mu": 1.0,
+    "reg": {"kind": "group", "groups": [[1], [2]]},
+}
+
+
+def test_nuclear_certify_at_a_loose_tolerance_counts_the_near_unit_value(tmp_path, capsys):
+    path = write_doc(tmp_path, NEAR_UNIT_NUCLEAR_DOC)
+    exit_code, report = run_capture(capsys, ["certify", path, "--tol", "1e-3"])
+    assert exit_code == 0 and report["error"] is None
+    assert report["certificate"]["holds"] is True
+    assert report["certificate"]["classification"]["unit_count"] == 2
+    assert report["certificate"]["classification"]["rank"] == 1
+
+
+@pytest.mark.parametrize(
+    "problem", [NEAR_UNIT_NUCLEAR_DOC, NEAR_UNIT_GROUP_DOC], ids=["nuclear", "group"]
+)
+def test_audit_at_a_loose_tolerance_passes_on_a_near_unit_dual(tmp_path, capsys, problem):
+    path = write_doc(tmp_path, problem)
+    exit_code, report = run_capture(capsys, ["qg-audit", path, "--tol", "1e-3"])
+    assert exit_code == 0 and report["error"] is None
+    assert report["audit"]["passed"] is True
+    assert report["audit"]["min_slack"] >= -1e-9
 
 
 def test_undecodable_file_gives_json_error(tmp_path, capsys):

@@ -6,11 +6,7 @@ from helpers import (
     random_nuclear_graph_pair,
     random_orthogonal,
 )
-from stabcert.errors import (
-    InfeasibleApproximationError,
-    JointDecompositionError,
-    NotASubgradientError,
-)
+from stabcert.errors import InfeasibleApproximationError, NotASubgradientError
 from stabcert.nuclear import (
     NuclearShape,
     inverse_subdiff_distance,
@@ -152,14 +148,64 @@ class TestSimultaneousSvd:
             simultaneous_svd(np.diag([2.0, 1.0]), np.diag([1.0, 0.5]))
 
     def test_misaligned_pair_fails_reconstruction(self):
-        # loose tolerance lets a rotated dual through the subgradient gate;
-        # the factorization cross-check must then catch it
+        # A dual rotated by 0.01 rad: x is not the prox of x + y, and the
+        # gap between the two decides the verdict at each tolerance.
         c, s = np.cos(0.01), np.sin(0.01)
         rot = np.array([[c, -s], [s, c]])
         x = np.diag([2.0, 0.0])
         y = rot @ np.diag([1.0, 0.5])
-        with pytest.raises(JointDecompositionError):
-            simultaneous_svd(x, y, tol=0.05)
+        with pytest.raises(NotASubgradientError) as info:
+            simultaneous_svd(x, y, tol=1e-3)
+        assert info.value.residual == pytest.approx(6.69e-3, abs=5e-6)
+        dec = simultaneous_svd(x, y, tol=0.05)
+        assert dec.residual == info.value.residual
+        assert dec.r == dec.p == 1
+
+    def test_factors_the_pair_once(self, monkeypatch):
+        real = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rng = np.random.default_rng(29)
+        for n1, n2 in [(1, 1), (2, 2), (2, 5), (4, 3), (10, 10)]:
+            x, y = random_nuclear_graph_pair(rng, n1, n2)
+            calls.clear()
+            simultaneous_svd(x, y)
+            assert calls == [(n1, n2)]
+            calls.clear()
+            with pytest.raises(NotASubgradientError):
+                simultaneous_svd(x, np.full((n1, n2), 3.0))  # spectral norm above 1
+            assert calls == [(n1, n2)]
+
+    def test_rank_of_a_small_primal_is_read_without_cancellation(self):
+        # s - 1 would keep only about four digits of these values; the
+        # diagonal of U_p^T x V_p keeps about eight.
+        rng = np.random.default_rng(30)
+        u, v = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+        sigma = np.array([3e-12, 1e-12])
+        x = (u[:, :2] * sigma) @ v[:, :2].T
+        y = (u * np.array([1.0, 1.0, 0.4])) @ v.T
+        dec = simultaneous_svd(x, y)
+        assert dec.r == dec.p == 2
+        np.testing.assert_allclose(dec.sigma_x, sigma, rtol=1e-7)
+        assert dec.lambda_y == pytest.approx([0.4])
+
+    def test_loose_tolerance_keeps_near_unit_directions(self):
+        # Identity frames, a dual value of 0.9999 and a primal value of 0:
+        # the loose tolerance counts that direction as a unit one.
+        x = np.diag([1.0, 0.0])
+        y = np.diag([1.0, 0.9999])
+        dec = simultaneous_svd(x, y, tol=1e-3)
+        assert (dec.r, dec.p) == (1, 2)
+        assert dec.residual == 0.0
+        assert dec.lambda_y.size == 0
+        dec = simultaneous_svd(x, y)
+        assert (dec.r, dec.p) == (1, 1)
+        assert dec.lambda_y == pytest.approx([0.9999])
 
 
 class TestCountsAndGamma:
