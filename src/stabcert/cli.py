@@ -416,19 +416,19 @@ def _cmd_qg_audit(args, report: dict) -> int:
     result = _solve(spec, args, options, report)
     # Audits need a pair exactly on the subdifferential graph; solver output
     # is only optimal to its residual, so snap before sampling.
-    snapped = snap_to_graph(spec.reg, result.x, result.y, _cert_tol(args, options))
+    xs, ys, ref = snap_to_graph(spec.reg, result.x, result.y, _cert_tol(args, options))
     rep = qg_audit(
         spec.reg,
-        snapped.x,
-        snapped.y,
+        xs,
+        ys,
         samples=args.samples,
         radius=args.radius,
         seed=args.seed,
         include_conjecture=args.conjecture,
-        ref=snapped.classification,
+        ref=ref,
     )
     doc = _audit_dict(rep)
-    doc["snap_distance"] = float(np.linalg.norm(snapped.x - result.x))
+    doc["snap_distance"] = float(np.linalg.norm(xs - result.x))
     report["audit"] = doc
     return 0
 

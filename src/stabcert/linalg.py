@@ -102,15 +102,3 @@ def orthonormalize(vectors, tol: float = 1e-10, dim: int | None = None) -> np.nd
         return np.zeros((n, 0))
     return np.column_stack(basis)
 
-
-def mutual_projection_residual(b1: np.ndarray, b2: np.ndarray) -> float:
-    """How far apart two spans are: max leftover after projecting each onto the other.
-
-    Zero (up to round-off) exactly when the two orthonormal bases span the
-    same subspace.
-    """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    r1 = float(np.linalg.norm(b1 - b2 @ (b2.T @ b1)))
-    r2 = float(np.linalg.norm(b2 - b1 @ (b1.T @ b2)))
-    return max(r1, r2)

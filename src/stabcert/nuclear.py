@@ -1,4 +1,4 @@
-r"""Nuclear-norm regularizer: value, prox, subgradient tests, joint factorization.
+r"""Nuclear-norm regularizer: value, prox, joint factorization of a graph pair.
 
 The nuclear norm of ``X`` is the sum of its singular values.  A matrix
 ``Y`` is a subgradient at ``X`` exactly when
@@ -22,7 +22,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,13 +109,6 @@ class NuclearShape:
             "nuclear_growth_coarse": lhs - ((1.0 - g) / 5.0 / scale) * d2,
             "nuclear_growth_conjecture": lhs - ((1.0 - g) / 2.0 / scale) * d2,
         }
-
-
-class SubgradientCheck(NamedTuple):
-    ok: bool
-    spectral_gap: float  # max(sigma_max(Y) - 1, 0)
-    fenchel_gap: float  # |  ||X||_*  -  <Y, X>  |
-    residual: float  # max(spectral_gap, fenchel_gap / (1 + ||X||_*))
 
 
 _FLOAT = np.finfo(float)
@@ -234,28 +226,6 @@ def prox_nuclear(x: np.ndarray, t: float):
     return (u * f) @ vt, float(f.sum()), jacobian, above
 
 
-def is_subgradient_nuclear(
-    x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL
-) -> SubgradientCheck:
-    """Test ``y`` against the nuclear-norm subdifferential at ``x``.
-
-    Passes when the spectral norm of ``y`` is at most ``1 + tol`` and the
-    Fenchel gap ``| ||x||_* - <y, x> |`` is at most ``tol * (1 + ||x||_*)``.
-    Both gaps are reported whatever the verdict.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    nn = nuclear_norm(x)
-    smax = float(np.linalg.svd(y, compute_uv=False)[0])
-    spectral_gap = max(smax - 1.0, 0.0)
-    fenchel_gap = abs(nn - float(np.sum(y * x)))
-    ok = smax <= 1.0 + tol and fenchel_gap <= tol * (1.0 + nn)
-    residual = max(spectral_gap, fenchel_gap / (1.0 + nn))
-    return SubgradientCheck(ok, spectral_gap, fenchel_gap, residual)
-
-
 @dataclass(frozen=True, eq=False)
 class SimultaneousSVD:
     """Joint singular frames of a primal-dual pair.
@@ -352,12 +322,6 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     diag = np.einsum("ij,ij->j", ubar[:, :p], x @ vbar[:, :p])
     r = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if p and diag[0] > 0 else 0
     return SimultaneousSVD(ubar, vbar, diag[:r], s[p:], r, p, residual)
-
-
-def p_count(y: np.ndarray) -> int:
-    """Number of unit singular values of a dual matrix."""
-    s = np.linalg.svd(np.asarray(y, dtype=float), compute_uv=False)
-    return int(np.sum(s >= 1.0 - UNIT_TOL))
 
 
 def tangent_subspace_basis(dec: SimultaneousSVD) -> np.ndarray:

@@ -10,11 +10,12 @@ stability probes.  The solver is FISTA with a fixed step ``1/L``,
 ``L = sigma_max(phi)^2 / mu``, and a function-value restart that keeps the
 reported objective nonincreasing.  Termination is on the fixed-point
 residual ``||x - T(x)||`` of the forward-backward map
-``T = prox_{g/L} o (I - grad/L)``.  Each iteration takes one prox, at the
-momentum point; the prox also returns ``g`` at its point, so the objective
-needs no separate norm evaluation.  ``T`` is nonexpansive at step ``1/L``,
-so ``||m - T(m)||`` bounds the residual at ``T(m)``; once that bound is
-below the tolerance, one more prox confirms the true residual.
+``T = prox_{g/L} o (I - grad/L)``.  Each iteration takes one prox and one
+product with ``gram``, at the momentum point; the prox also returns ``g``
+at its point, so the objective needs no separate norm evaluation.  ``T``
+is nonexpansive at step ``1/L``, so ``||m - T(m)||`` bounds the residual
+at ``T(m)``; once that bound is below the tolerance, one more prox
+confirms the true residual.
 
 Once FISTA has settled the active blocks or rank, it only polishes a smooth
 problem, which Newton does in a step or two.  The regularizer's one
@@ -26,12 +27,14 @@ attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
 ``z - T(z)`` at the first iteration whose step moves the iterate by at
 most ``NEWTON_SWITCH_SETTLED`` with the prox keeping what it kept at the
 previous iteration, or by at most ``NEWTON_SWITCH``, whichever comes
-first.  Once a Newton point's true residual is below the tolerance, its
-prox point is kept if its objective exceeds that of the FISTA point the
-attempt began at by at most 4 ulps; otherwise FISTA goes on as if the
-attempt had not been made, and a second attempt comes at the next step of
-at most ``NEWTON_SWITCH``.  ``max_iter`` caps FISTA iterations and Newton
-steps together.
+first.  The attempt starts where that iteration's step did, at the
+momentum point (at the previous iterate after a restart), from the prox
+the step already took there.  Once a Newton point's true residual is
+below the tolerance, its prox point is kept if its objective exceeds that
+of the step's new iterate by at most 4 ulps; otherwise FISTA goes on as
+if the attempt had not been made, and a second attempt comes at the next
+step of at most ``NEWTON_SWITCH``.  ``max_iter`` caps FISTA iterations
+and Newton steps together.
 Hitting the cap sets a flag on the result instead of raising, and so does
 a non-finite objective, which ends the solve at once.
 """
@@ -217,15 +220,17 @@ def prox_gradient_solve(
     ``converged`` is false.
 
     Each iteration takes the new iterate ``z = T(m)`` from the momentum
-    point ``m`` (from ``x`` on a restart), one prox.
+    point ``m`` (from ``x`` on a restart): one product ``gram @ m`` and
+    one prox.
     ``I - gram/L`` has its spectrum in ``[0, 1]`` and the prox is firmly
     nonexpansive, so ``T`` is nonexpansive and
 
         ``||z - T(z)|| = ||T(m) - T(z)|| <= ||m - z||``.
 
     Only when ``||m - z|| <= tol`` does one more prox, at ``z``, compute
-    the true residual; if rounding leaves it above ``tol``, iteration goes
-    on and that step ``T(z)`` serves a restart from ``z``.  The restart
+    the true residual, and no Newton attempt is made at that step; if
+    rounding leaves it above ``tol``, iteration goes on and that step
+    ``T(z)`` serves a restart from ``z``.  The restart
     (when the momentum step raises the objective) takes the descent step
     ``T(x)``, reusing it when known.  The objective adds the smooth part
     to the value the prox returns; ``g`` itself is evaluated only at the
@@ -234,10 +239,12 @@ def prox_gradient_solve(
     At the first iteration whose step moves the iterate by at most
     ``NEWTON_SWITCH_SETTLED`` and whose prox keeps the same blocks or
     singular values (the same ``active`` mask) as the previous iteration's,
-    or whose step moves it by at most ``NEWTON_SWITCH``, one prox at ``z``
-    gives its true residual and, unless that passes, a Newton attempt
-    starts from ``z``:
-    each step solves ``(I - J(w) (I - step gram)) d = -(y - T(y))``
+    or whose step moves it by at most ``NEWTON_SWITCH``, a Newton attempt
+    starts from that step's own start point ``m`` (the momentum point, or
+    ``x`` after a restart), whose prox the step already took and whose
+    residual is ``||m - z||``; the Jacobian of its first step carries the
+    very mask the rule compared.  Each step solves
+    ``(I - J(w) (I - step gram)) d = -(y - T(y))``
     (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
     step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns a
     builder for ``J`` from its own factorization, so a step costs one
@@ -247,23 +254,24 @@ def prox_gradient_solve(
     prox point ``p = T(y)``, not ``y``: ``y`` can sit a rounding error off
     a zero block whose dual has unit norm, where no subgradient exists.
     ``p`` is kept if its objective, with the fit taken as a sum of squares
-    and ``g(p)`` as the prox returned it, exceeds ``z``'s by at most
-    ``4 * spacing(|f(z)|)``, so that rounding alone cannot reject it; one
-    more prox then gives ``p``'s true residual, which nonexpansiveness
-    bounds by ``y``'s (should rounding leave it above ``tol``, FISTA
-    restarts from ``p``).  A kept attempt of ``s`` steps thus factors
-    ``s + 2`` points.  The objective is coercive, so the guard keeps the
-    point in a bounded sublevel set: a near-singular system can throw a
-    step 1e15 or more away, where the forward step and the shrink both round to
-    the point itself and the residual reads 0.  Such a system is caught
-    sooner: a step ``d`` longer than ``NEWTON_STEP_GAIN = 1/sqrt(eps)``
-    times the residual ``T(y) - y`` it corrects ends the attempt before
-    its prox.  A singular system, such an overlong or non-finite step, a
-    failed check or ``NEWTON_STEPS`` steps without reaching ``tol`` throw
-    the attempt away, and FISTA goes on from ``z``
-    with its iterates unchanged.  A thrown-away first attempt leaves the
-    solve one more, at the next iteration whose step moves the iterate by
-    at most ``NEWTON_SWITCH``; there are at most two per solve.
+    and ``g(p)`` as the prox returned it, exceeds that of the accepted
+    iterate ``z = T(m)`` by at most ``4 * spacing(|f(z)|)``, so that
+    rounding alone cannot reject it; ``f(z)`` is at most ``f(m)`` at step
+    ``1/L``.  One more prox then gives ``p``'s true residual, which
+    nonexpansiveness bounds by ``y``'s (should rounding leave it above
+    ``tol``, FISTA restarts from ``p``).  A kept attempt of ``s`` steps
+    thus factors ``s + 1`` points.  The objective is coercive, so the
+    guard keeps the point in a bounded sublevel set: a near-singular
+    system can throw a step 1e15 or more away, where the forward step and
+    the shrink both round to the point itself and the residual reads 0.
+    Such a system is caught sooner: a step ``d`` longer than
+    ``NEWTON_STEP_GAIN = 1/sqrt(eps)`` times the residual ``T(y) - y`` it
+    corrects ends the attempt before its prox.  A singular system, such an
+    overlong or non-finite step, a failed check or ``NEWTON_STEPS`` steps
+    without reaching ``tol`` throw the attempt away, and FISTA goes on
+    from ``z`` with its iterates unchanged.  A thrown-away first attempt
+    leaves the solve one more, at the next iteration whose step moves the
+    iterate by at most ``NEWTON_SWITCH``; there are at most two per solve.
     ``iterations`` counts FISTA iterations and Newton steps,
     ``newton_steps`` the latter, and ``max_iter`` caps the sum.
 
@@ -294,15 +302,14 @@ def prox_gradient_solve(
         the prox keeps."""
         return reg.prox(z - step * (gz - lin), step)
 
-    def polish(z, fz, py, rz, budget):
-        """One Newton attempt from ``z``, whose ``pg_step`` is ``py`` and
-        whose residual is ``rz``.
+    def polish(y, fz, py, ry, budget):
+        """One Newton attempt from ``y``, whose ``pg_step`` is ``py`` and
+        whose residual is ``ry``; ``fz`` is the objective to beat.
 
         Returns the steps taken and, when the guard accepts the prox point
         ``p = T(y)`` of the last Newton iterate ``y``,
         ``(p, gram @ p, objective, pg_step(p), residual)``; else ``None``.
         """
-        y, ry = z, rz
         for steps in range(1, budget + 1):
             ty, _, jacobian, _ = py
             try:
@@ -332,11 +339,12 @@ def prox_gradient_solve(
 
     gx = gram @ x
     fx = smooth(x, gx) + reg.value(x)
-    # px is T(x) when known: at the start, and after a confirmation at x.
+    # px is T(x) when known: at the start, after a confirmation at x and
+    # after a kept Newton attempt.
     px = pg_step(x, gx)
     residual = _norm(x - px[0])
     converged = residual <= tol
-    momentum, gm = x, gx
+    momentum = x
     tk = 1.0
     iterations = newton_steps = 0
     # Newton attempts left: a second one only after a thrown-away first.
@@ -345,10 +353,12 @@ def prox_gradient_solve(
     kept = None
     # A non-finite objective (overflowing data or iterates) ends the solve.
     while not converged and iterations < max_iter and math.isfinite(fx):
-        # After the start or a restart the momentum point is x itself, whose
-        # step may be known.
+        # After the start or a kept attempt the momentum point is x itself,
+        # whose step is known.  pb is the step from base, which an attempt
+        # starts on.
         base = momentum
-        z, gval, _, active = px if momentum is x and px is not None else pg_step(momentum, gm)
+        pb = px if base is x and px is not None else pg_step(base, gram @ base)
+        z, gval, _, active = pb
         gz = gram @ z
         fz = smooth(z, gz) + gval
         if fz > fx:
@@ -357,7 +367,8 @@ def prox_gradient_solve(
             tk = 1.0
             if base is not x:
                 base = x
-                z, gval, _, active = px if px is not None else pg_step(x, gx)
+                pb = px if px is not None else pg_step(x, gx)
+                z, gval, _, active = pb
                 gz = gram @ z
                 fz = smooth(z, gz) + gval
         iterations += 1
@@ -378,32 +389,29 @@ def prox_gradient_solve(
                 or (attempts == 2 and moved <= NEWTON_SWITCH_SETTLED and kept == kept_before)
             )
         )
-        if moved <= tol or newton_due:
+        if moved <= tol:
+            # The pure-FISTA finish: one prox confirms the true residual.
             px = pg_step(z, gz)
             residual = _norm(z - px[0])
             converged = residual <= tol
-            if newton_due and not converged:
-                budget = min(NEWTON_STEPS, max_iter - iterations)
-                steps, polished = polish(z, fz, px, residual, budget)
-                iterations += steps
-                newton_steps += steps
-                attempts -= 1
-                if polished is not None:
-                    attempts = 0
-                    # T is nonexpansive, so only rounding can leave the
-                    # residual above tol; then FISTA restarts from x.
-                    x, gx, fx, px, residual = polished
-                    converged = residual <= tol
-                    momentum, gm, tk = x, gx, 1.0
-                    continue
+        elif newton_due:
+            # From base, on the prox pb this step took there, with residual
+            # moved; the guard compares against z = T(base).
+            budget = min(NEWTON_STEPS, max_iter - iterations)
+            steps, polished = polish(base, fz, pb, moved, budget)
+            iterations += steps
+            newton_steps += steps
+            attempts -= 1
+            if polished is not None:
+                attempts = 0
+                # T is nonexpansive, so only rounding can leave the
+                # residual above tol; then FISTA restarts from x.
+                x, gx, fx, px, residual = polished
+                converged = residual <= tol
+                momentum, tk = x, 1.0
+                continue
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        beta = (tk - 1.0) / t_next
-        if beta == 0.0:  # at the start and after a restart
-            momentum, gm = z, gz
-        else:
-            # gram @ momentum by linearity: one matrix product per iteration.
-            momentum = z + beta * (z - x)
-            gm = gz + beta * (gz - gx)
+        momentum = z + ((tk - 1.0) / t_next) * (z - x)
         x, gx, fx, tk = z, gz, fz, t_next
     if px is None:
         px = pg_step(x, gx)

@@ -140,27 +140,9 @@ def certify(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SnappedPair:
-    """A pair on the subdifferential graph and its classification.
-
-    Unpacks as ``x, y``.  ``classification`` classifies the pair as
-    ``reg.classify`` does (for nuclear pairs, up to rounding: it reuses the
-    factorization that rebuilt them); pass it to :func:`qg_audit` as
-    ``ref``.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    classification: GroupAnalysis | SimultaneousSVD
-
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-
 def snap_to_graph(
     reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL
-) -> SnappedPair:
+) -> tuple[np.ndarray, np.ndarray, GroupAnalysis | SimultaneousSVD]:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
@@ -168,10 +150,13 @@ def snap_to_graph(
     ``snap`` does it at ``tol``, the tolerance of :func:`certify`: group
     blocks are pinned to exact unit directions or zeroed, nuclear pairs are
     rebuilt from their joint frames (which fails when the pair is off the
-    graph by more than ``tol``).  Returns vectors, with the classification
-    of the snapped pair.
+    graph by more than ``tol``).  Returns ``(x, y, classification)``: the
+    snapped vectors and the classification of the snapped pair, as
+    ``reg.classify`` gives it (for nuclear pairs, up to rounding: it reuses
+    the factorization that rebuilt them); pass it to :func:`qg_audit` as
+    ``ref``.
     """
-    return SnappedPair(*reg.snap(x, y, tol))
+    return reg.snap(x, y, tol)
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -209,8 +194,8 @@ def qg_audit(
     tracks the sharper untested nuclear modulus ``(1 - gamma) / (2 ||X||_*)``,
     whose minimum skips NaN and +inf slacks; a dip there is a
     counterexample candidate, not a failure.  ``ref`` is the
-    classification of ``(xbar, ybar)`` when the caller has it (a
-    :class:`SnappedPair` carries it); otherwise the pair is classified
+    classification of ``(xbar, ybar)`` when the caller has it
+    (:func:`snap_to_graph` returns it); otherwise the pair is classified
     here.
     """
     rng = np.random.default_rng(seed)

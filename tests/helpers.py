@@ -2,12 +2,14 @@
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from stabcert.errors import NotASubgradientError
 from stabcert.groupnorm import GroupAnalysis, GroupPartition, block_norms, subgrad_residual
-from stabcert.nuclear import NuclearShape
+from stabcert.linalg import UNIT_TOL
+from stabcert.nuclear import NuclearShape, nuclear_norm
 from stabcert.solver import ProblemSpec
 
 
@@ -576,3 +578,54 @@ def tilt_probe_single_start(problem, x, radius_v, samples, seed):
         if nv > 1e-15:
             max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
     return max_ratio, 0.0, non_converged
+
+
+# ---------------------------------------------------------------------------
+# subgradient and subspace checks that no library code calls, kept as
+# oracles for the joint factorization and the certificate's subspaces
+
+
+class SubgradientCheck(NamedTuple):
+    ok: bool
+    spectral_gap: float  # max(sigma_max(Y) - 1, 0)
+    fenchel_gap: float  # |  ||X||_*  -  <Y, X>  |
+    residual: float  # max(spectral_gap, fenchel_gap / (1 + ||X||_*))
+
+
+def is_subgradient_nuclear(x, y, tol=UNIT_TOL):
+    """Test ``y`` against the nuclear-norm subdifferential at ``x``.
+
+    Passes when the spectral norm of ``y`` is at most ``1 + tol`` and the
+    Fenchel gap ``| ||x||_* - <y, x> |`` is at most ``tol * (1 + ||x||_*)``.
+    Both gaps are reported whatever the verdict.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    nn = nuclear_norm(x)
+    smax = float(np.linalg.svd(y, compute_uv=False)[0])
+    spectral_gap = max(smax - 1.0, 0.0)
+    fenchel_gap = abs(nn - float(np.sum(y * x)))
+    ok = smax <= 1.0 + tol and fenchel_gap <= tol * (1.0 + nn)
+    residual = max(spectral_gap, fenchel_gap / (1.0 + nn))
+    return SubgradientCheck(ok, spectral_gap, fenchel_gap, residual)
+
+
+def p_count(y):
+    """Number of unit singular values of a dual matrix."""
+    s = np.linalg.svd(np.asarray(y, dtype=float), compute_uv=False)
+    return int(np.sum(s >= 1.0 - UNIT_TOL))
+
+
+def mutual_projection_residual(b1, b2):
+    """How far apart two spans are: max leftover after projecting each onto the other.
+
+    Zero (up to round-off) exactly when the two orthonormal bases span the
+    same subspace.
+    """
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    r1 = float(np.linalg.norm(b1 - b2 @ (b2.T @ b1)))
+    r2 = float(np.linalg.norm(b2 - b1 @ (b1.T @ b2)))
+    return max(r1, r2)

@@ -14,7 +14,10 @@ from helpers import (
     degenerate_group_instance,
     degenerate_nuclear_instance,
     group_ray_distance_oracle,
+    is_subgradient_nuclear,
+    mutual_projection_residual,
     nuclear_cone_distance_oracle,
+    p_count,
     random_group_graph_pair,
     random_group_instance,
     random_nuclear_graph_pair,
@@ -31,13 +34,10 @@ from stabcert.groupnorm import (
     relative_approx_group,
     subgrad_residual,
 )
-from stabcert.linalg import mutual_projection_residual
 from stabcert.nuclear import (
     NuclearShape,
     inverse_subdiff_distance as nuclear_distance,
-    is_subgradient_nuclear,
     nuclear_norm,
-    p_count,
     relative_approx_nuclear,
     simultaneous_svd,
     tangent_subspace_basis,
@@ -102,7 +102,7 @@ def instance_bank() -> list:
             for _ in range(4)
         ]
         spread = solution_spread(multistart_solve(spec, starts))
-        xs, _ = snap_to_graph(spec.reg, res.x, res.y)
+        xs, _, _ = snap_to_graph(spec.reg, res.x, res.y)
         cert = certify(spec, np.asarray(xs, dtype=float).ravel())
         entries.append(BankEntry(kind, spec, res.x, spread, cert))
 

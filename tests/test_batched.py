@@ -291,9 +291,10 @@ KINDS = {"group": random_group_instance, "nuclear": random_nuclear_instance}
 class TestSolverLoop:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_one_prox_per_iteration_and_the_oracle_solution(self, kind):
-        # One prox per FISTA iteration and one per Newton step, plus the
-        # prox that opens the Newton attempt; g is evaluated at the start
-        # and once more only at an accepted Newton point.  Each Newton step
+        # One prox per FISTA iteration and one per Newton step, plus one at
+        # the start and one at a kept Newton point; an attempt opens on the
+        # prox its FISTA step already took.  g is evaluated only at the
+        # start: the prox returns it everywhere else.  Each Newton step
         # builds one Jacobian: none at the point the attempt ends on.
         rng = np.random.default_rng(17)
         prox_calls = iterations = polished = 0
@@ -323,7 +324,7 @@ class TestSolverLoop:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_iterates_follow_the_plain_loop(self, kind):
         # Same steps, momentum and restarts as fista_loop, up to rounding
-        # (gram @ momentum by linearity, g from the prox), up to the switch
+        # (g from the prox), up to the switch
         # iteration; from there the Newton attempt reaches the oracle
         # solution.
         rng = np.random.default_rng(19)

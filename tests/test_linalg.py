@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import random_orthogonal
-from stabcert.linalg import (
-    mutual_projection_residual,
-    orthonormalize,
-    psd_project,
-    restricted_min_singular,
-)
+from helpers import mutual_projection_residual, random_orthogonal
+from stabcert.linalg import orthonormalize, psd_project, restricted_min_singular
 
 finite_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 

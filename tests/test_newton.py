@@ -158,6 +158,35 @@ def blind_nuclear(rng, n):
     return ProblemSpec(phi, b, mu, NuclearShape(n, n))
 
 
+KINDS = {"group": random_group_instance, "nuclear": random_nuclear_instance}
+
+
+def warm_kept_attempts(make, monkeypatch, count=40):
+    """Solves of ``count`` instances from a start 1e-5 off their solution,
+    keeping those whose only work is one FISTA step and one kept Newton
+    attempt: ``(counting regularizer, result, np.linalg.svd calls)``."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        base = make(rng)
+        x0 = prox_gradient_solve(base).x + 1e-5 * rng.standard_normal(base.n)
+        reg = CountingProx(base.reg)
+        spec = ProblemSpec(base.phi, base.b, base.mu, reg)
+        spec.sigma_max  # factor phi before counting
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls.clear()
+        res = prox_gradient_solve(spec, x0=x0)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        if res.converged and res.newton_steps >= 1 and res.iterations == 1 + res.newton_steps:
+            yield reg, res, len(calls)
+
+
 class TestNewtonFinish:
     def test_one_factorization_per_nuclear_newton_point(self, monkeypatch):
         # Every SVD of a nuclear solve is a prox or a value: each Newton
@@ -187,6 +216,30 @@ class TestNewtonFinish:
             assert reg.jacobian_builds == res.newton_steps
             steps += res.newton_steps
         assert steps >= 16
+
+    @pytest.mark.parametrize("kind", ["group", "nuclear"])
+    def test_a_warm_kept_attempt_takes_one_prox_per_step_and_one_more(self, kind, monkeypatch):
+        # A start 1e-5 off the solution: the first FISTA step reuses the
+        # start's prox and moves by at most NEWTON_SWITCH, and the attempt
+        # starts where that step did, from the prox the step already took.
+        # A solve whose only work is one kept attempt of s steps thus takes
+        # s + 2 proxes: the start's, one per Newton point and one at the
+        # kept point.
+        kept = 0
+        for reg, res, _ in warm_kept_attempts(KINDS[kind], monkeypatch):
+            assert reg.prox_calls == res.newton_steps + 2
+            assert reg.value_calls == 1
+            kept += 1
+        assert kept >= 30
+
+    def test_a_kept_nuclear_attempt_factors_s_plus_one_points(self, monkeypatch):
+        # The start's g and prox take one SVD each; a kept attempt of s
+        # steps factors its s Newton points and the kept point.
+        kept = 0
+        for _, res, svds in warm_kept_attempts(random_nuclear_instance, monkeypatch):
+            assert svds == 2 + res.newton_steps + 1
+            kept += 1
+        assert kept >= 30
 
     def test_scaled_reference_instance_returns_a_prox_point(self):
         # The bundled instance with (b, mu) scaled by 1e3.  The Newton

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    is_subgradient_nuclear,
     nuclear_cone_distance_oracle,
+    p_count,
     random_nuclear_graph_pair,
     random_orthogonal,
 )
@@ -10,9 +12,7 @@ from stabcert.errors import InfeasibleApproximationError, NotASubgradientError
 from stabcert.nuclear import (
     NuclearShape,
     inverse_subdiff_distance,
-    is_subgradient_nuclear,
     nuclear_norm,
-    p_count,
     prox_nuclear,
     relative_approx_nuclear,
     simultaneous_svd,

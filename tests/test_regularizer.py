@@ -43,7 +43,7 @@ def test_regularizer_contract(kind):
         assert reg.value(z) == reference_value(reg, z)
 
         res = prox_gradient_solve(spec)
-        xs, ys = snap_to_graph(reg, res.x, res.y)
+        xs, ys, _ = snap_to_graph(reg, res.x, res.y)
         assert xs.shape == ys.shape == (reg.n,)
         assert reg.classify(xs, ys, 1e-12).residual <= 1e-12
 

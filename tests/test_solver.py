@@ -3,11 +3,12 @@ import pytest
 
 from helpers import (
     degenerate_group_instance,
+    is_subgradient_nuclear,
     random_group_instance,
     random_nuclear_instance,
 )
 from stabcert.groupnorm import GroupPartition, subgrad_residual
-from stabcert.nuclear import NuclearShape, is_subgradient_nuclear, prox_nuclear
+from stabcert.nuclear import NuclearShape, prox_nuclear
 from stabcert.solver import (
     ProblemSpec,
     SolveResult,

@@ -9,7 +9,9 @@ from helpers import (
     degenerate_nuclear_instance,
     empirical_lipschitz_single_start,
     group_v_basis_gram_schmidt,
+    is_subgradient_nuclear,
     margin_and_witness_two_svds,
+    mutual_projection_residual,
     random_group_instance,
     random_nuclear_instance,
     tilt_probe_single_start,
@@ -21,8 +23,8 @@ from stabcert.groupnorm import (
     inverse_subdiff_distance,
     subgrad_residual,
 )
-from stabcert.linalg import mutual_projection_residual, restricted_min_singular
-from stabcert.nuclear import NuclearShape, is_subgradient_nuclear
+from stabcert.linalg import restricted_min_singular
+from stabcert.nuclear import NuclearShape
 from stabcert.solver import ProblemSpec, dual_from_solution, objective, prox_gradient_solve
 from stabcert.stability import (
     CERT_TOL,
@@ -87,7 +89,7 @@ class TestCertifyGroup:
             b = rng.standard_normal(n + 2)
             spec = ProblemSpec(phi, b, 1.0, GroupPartition.singletons(n))
             res = prox_gradient_solve(spec)
-            xs, _ = snap_to_graph(spec.reg, res.x, res.y)
+            xs, _, _ = snap_to_graph(spec.reg, res.x, res.y)
             cert = certify(spec, xs)
             assert cert.holds
 
@@ -157,7 +159,7 @@ class TestSnapToGraph:
     def test_group_snap_lands_exactly(self):
         p = pairs_problem()
         res = prox_gradient_solve(p)
-        xs, ys = snap_to_graph(p.reg, res.x, res.y)
+        xs, ys, _ = snap_to_graph(p.reg, res.x, res.y)
         assert subgrad_residual(xs, ys, p.reg) <= 1e-14
         assert xs[2] == 0.0  # sub-tolerance block zeroed
         assert np.linalg.norm(ys[:2]) == pytest.approx(1.0, abs=1e-15)  # active dual on the sphere
@@ -180,7 +182,7 @@ class TestSnapToGraph:
     def test_nuclear_snap_lands_exactly(self):
         p = identity_nuclear_problem()
         res = prox_gradient_solve(p)
-        xs, ys = snap_to_graph(p.reg, res.x, res.y)
+        xs, ys, _ = snap_to_graph(p.reg, res.x, res.y)
         shape = p.reg
         check = is_subgradient_nuclear(shape.as_matrix(xs), shape.as_matrix(ys), tol=1e-12)
         assert check.ok
@@ -192,9 +194,8 @@ class TestSnapToGraph:
         for _ in range(15):
             p = make(rng)
             res = prox_gradient_solve(p)
-            snapped = snap_to_graph(p.reg, res.x, res.y)
-            got = snapped.classification
-            again = p.reg.classify(snapped.x, snapped.y, 1e-7)
+            xs, ys, got = snap_to_graph(p.reg, res.x, res.y)
+            again = p.reg.classify(xs, ys, 1e-7)
             assert type(got) is type(again)
             assert got.as_dict().keys() == again.as_dict().keys()
             for key, value in got.as_dict().items():
@@ -205,8 +206,8 @@ class TestSnapToGraph:
             assert got.gamma == pytest.approx(again.gamma, rel=1e-12, abs=1e-12)
             assert got.residual <= 1e-12
             assert mutual_projection_residual(got.v_basis, again.v_basis) <= 1e-8
-            with_ref = qg_audit(p.reg, snapped.x, snapped.y, samples=200, seed=2, ref=got)
-            without = qg_audit(p.reg, snapped.x, snapped.y, samples=200, seed=2)
+            with_ref = qg_audit(p.reg, xs, ys, samples=200, seed=2, ref=got)
+            without = qg_audit(p.reg, xs, ys, samples=200, seed=2)
             assert with_ref.passed == without.passed
             assert with_ref.min_slack == pytest.approx(without.min_slack, rel=1e-9, abs=1e-12)
 
