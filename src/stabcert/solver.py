@@ -10,12 +10,13 @@ stability probes.  The solver is FISTA with a fixed step ``1/L``,
 ``L = sigma_max(phi)^2 / mu``, and a function-value restart that keeps the
 reported objective nonincreasing.  Termination is on the fixed-point
 residual ``||x - T(x)||`` of the forward-backward map
-``T = prox_{g/L} o (I - grad/L)``.  Each iteration takes one prox and one
-product with ``gram``, at the momentum point; the prox also returns ``g``
-at its point, so the objective needs no separate norm evaluation.  ``T``
-is nonexpansive at step ``1/L``, so ``||m - T(m)||`` bounds the residual
-at ``T(m)``; once that bound is below the tolerance, one more prox
-confirms the true residual.
+``T = prox_{g/L} o (I - grad/L)``.  Each iteration takes one prox and two
+products with ``gram`` (``gram @ m`` at the momentum point, ``gram @ z``
+at the new iterate for the objective); the prox also returns ``g`` at its
+point, so the objective needs no separate norm evaluation.  ``T`` is
+nonexpansive at step ``1/L``, so ``||m - T(m)||`` bounds the residual at
+``T(m)``; once that bound is below the tolerance, one more prox confirms
+the true residual.
 
 Once FISTA has settled the active blocks or rank, it only polishes a smooth
 problem, which Newton does in a step or two.  The regularizer's one
@@ -170,12 +171,6 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(d @ d))
 
 
-def _nan_max(a: float, b: float) -> float:
-    """``max(a, b)``, but NaN when either is NaN; ``max`` would keep ``a``
-    against a NaN ``b``."""
-    return a if a != a or b <= a else b
-
-
 def objective(problem: ProblemSpec, x: np.ndarray) -> float:
     """Untilted objective value at ``x``."""
     x = np.asarray(x, dtype=float)
@@ -220,8 +215,8 @@ def prox_gradient_solve(
     ``converged`` is false.
 
     Each iteration takes the new iterate ``z = T(m)`` from the momentum
-    point ``m`` (from ``x`` on a restart): one product ``gram @ m`` and
-    one prox.
+    point ``m`` (from ``x`` on a restart): one prox, ``gram @ m`` for the
+    step and ``gram @ z`` for the objective.
     ``I - gram/L`` has its spectrum in ``[0, 1]`` and the prox is firmly
     nonexpansive, so ``T`` is nonexpansive and
 
@@ -442,12 +437,31 @@ def multistart_solve(
     ]
 
 
+def _largest_ratio(dx: np.ndarray, dp: np.ndarray | None = None) -> float:
+    """Largest norm of a last-axis row of ``dx``; with ``dp``, largest
+    ``||dx[k]|| / ||dp[k]||`` over the rows with ``||dp[k]||`` not below
+    ``1e-15``.  0 when no row counts, NaN when a counted one is NaN.  The
+    norms are ``np.linalg.norm``'s own arithmetic without its overhead; a
+    row below the floor may divide by 0, so the caller silences warnings."""
+    norms = np.sqrt(np.add.reduce(dx * dx, axis=-1))
+    if dp is not None:
+        dp = np.sqrt(np.add.reduce(dp * dp, axis=-1))
+        norms = np.where(dp < 1e-15, 0.0, norms / dp)
+    return np.maximum.reduce(norms, axis=None, initial=0.0)
+
+
+def _largest_pair_ratio(xs: np.ndarray, ps: np.ndarray | None = None) -> float:
+    """:func:`_largest_ratio` over the pairs ``xs[i], xs[j]``, ``i < j``
+    (and ``ps[i], ps[j]``); middle axes hold independent stacks.  Folded one
+    ``i`` at a time with the NaN-keeping ``np.maximum``: no pair array."""
+    best = 0.0
+    for i in range(len(xs) - 1):
+        dp = None if ps is None else ps[i + 1 :] - ps[i]
+        best = np.maximum(best, _largest_ratio(xs[i + 1 :] - xs[i], dp))
+    return float(best)
+
+
 def solution_spread(results) -> float:
     """Largest pairwise distance among returned solutions; NaN when any
-    distance is NaN."""
-    xs = [np.asarray(r.x, dtype=float) for r in results]
-    best = 0.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            best = _nan_max(best, _norm(xs[i] - xs[j]))
-    return best
+    distance is NaN.  Overflowing distances warn as numpy arithmetic does."""
+    return _largest_pair_ratio(np.array([r.x for r in results], dtype=float))

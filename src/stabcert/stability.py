@@ -30,13 +30,13 @@ from .solver import (
     DEFAULT_TOL,
     ProblemSpec,
     Regularizer,
-    _nan_max,
+    _largest_pair_ratio,
+    _largest_ratio,
     dual_from_solution,
     multistart_solve,
     newton_matrix,
     objective,
     prox_gradient_solve,
-    solution_spread,
 )
 
 # Certificate margin threshold, relative to the operator scale.
@@ -261,20 +261,19 @@ def _sample_solves(rng, cases, center, starts, tol, max_iter):
     Each case ``(spec, v, first)`` is solved with tilt ``v`` from ``first``
     and from ``starts - 1`` random starts, drawn from ``rng`` case by case
     in the ball of radius ``1 + ||center||`` around ``center``.  Returns the
-    first start's solution of each case, the largest spread among the
-    solutions of one case and the count of unconverged solves.
+    solutions stacked ``(starts, cases, n)``, their largest spread within a
+    case (NaN when any is NaN) and the count of unconverged solves.
     """
     scale = 1.0 + float(np.linalg.norm(center))
-    firsts = []
-    spread = 0.0
+    sols = []
     non_converged = 0
     for spec, v, first in cases:
         others = center + _ball_samples(rng, center.size, starts - 1, scale)
         results = multistart_solve(spec, [first, *others], v=v, tol=tol, max_iter=max_iter)
-        spread = _nan_max(spread, solution_spread(results))
         non_converged += sum(not r.converged for r in results)
-        firsts.append(results[0])
-    return firsts, spread, non_converged
+        sols.extend(r.x for r in results)
+    sols = np.array(sols, dtype=float).reshape(-1, starts, center.size).swapaxes(0, 1)
+    return sols, _largest_pair_ratio(sols), non_converged
 
 
 def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | None:
@@ -329,8 +328,10 @@ def empirical_lipschitz(
     from a first start and from ``starts - 1`` deterministic random starts
     around the base solution ``x``; the largest spread among the returned
     minimizers is reported, and the ratios use the first start's solution.
-    A NaN ratio or distance (an overflowing sample) makes the largest ratio
-    or the spread NaN, here and in :func:`tilt_probe`.
+    Here and in :func:`tilt_probe`, a pair counts unless its data distance
+    is below ``1e-15``, and a NaN ratio or distance (an overflowing sample,
+    also counted unconverged) makes the largest ratio or the spread NaN;
+    numpy's floating-point warnings are silenced for the probe.
 
     The first start is the first-order prediction ``x + D [db; dmu]`` of
     the sample's solution, with ``D`` the derivative of the solution map
@@ -342,41 +343,31 @@ def empirical_lipschitz(
     rng = np.random.default_rng(seed)
     base = prox_gradient_solve(problem, tol=tol, max_iter=max_iter)
     derivative = _solution_derivative(problem, base.x)
-    b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
+    # The data [b | mu] by row: the instance's own, then each sample's.
+    ps = np.empty((samples + 1, problem.m + 1))
+    ps[0, :-1], ps[0, -1] = problem.b, problem.mu
+    ps[1:, :-1] = problem.b + _ball_samples(rng, problem.m, samples, radius_b)
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
-    mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
-    params = [(problem.b, problem.mu)] + [(b, float(mu)) for b, mu in zip(b_draws, mu_draws)]
+    ps[1:, -1] = np.maximum(mu_draws, problem.mu / 2.0)
 
-    def case(b: np.ndarray, mu: float):
+    def case(p: np.ndarray):
         """The sample's problem, no tilt, and its first start."""
-        spec = problem.with_data(b, mu)
+        spec = problem.with_data(p[:-1], float(p[-1]))
         if derivative is not None:
-            predicted = base.x + derivative @ np.append(b - problem.b, mu - problem.mu)
+            predicted = base.x + derivative @ (p - ps[0])
             if np.isfinite(predicted).all():
                 return spec, None, predicted
         return spec, None, base.x
 
-    firsts, spread, non_converged = _sample_solves(
-        rng, (case(b, mu) for b, mu in params[1:]), base.x, starts, tol, max_iter
-    )
-    sols = [base] + firsts
-    non_converged += not base.converged
-    max_ratio = 0.0
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            db = float(np.linalg.norm(params[i][0] - params[j][0]))
-            dmu = params[i][1] - params[j][1]
-            dp = math.hypot(db, dmu)
-            if dp < 1e-15:
-                continue
-            max_ratio = _nan_max(
-                max_ratio, float(np.linalg.norm(sols[i].x - sols[j].x)) / dp
-            )
+    cases = map(case, ps[1:])
+    with np.errstate(all="ignore"):
+        sols, spread, non_converged = _sample_solves(rng, cases, base.x, starts, tol, max_iter)
+        max_ratio = _largest_pair_ratio(np.concatenate([base.x[None], sols[0]]), ps)
     return PerturbationReport(
         samples=samples,
         max_ratio=max_ratio,
         multivaluedness_spread=spread,
-        non_converged=non_converged,
+        non_converged=non_converged + (not base.converged),
         seed=seed,
     )
 
@@ -396,21 +387,17 @@ def tilt_probe(
     Solves the problem with random linear tilts of norm at most
     ``radius_v`` and reports the largest movement-to-tilt ratio
     ``||M(v) - x|| / ||v||``.  A stable solution keeps the ratio bounded as
-    the radius shrinks; blow-up flags tilt instability.  Multistart spread
-    is tracked as in :func:`empirical_lipschitz`.  Zero tilts contribute
-    ratio 0.
+    the radius shrinks; blow-up flags tilt instability.  Multistart spread,
+    the pair rule and the NaN rule are as in :func:`empirical_lipschitz`:
+    tilts of norm below ``1e-15`` do not count.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     tilts = _ball_samples(rng, problem.n, samples, radius_v)
-    sols, spread, non_converged = _sample_solves(
-        rng, [(problem, v, x) for v in tilts], x, starts, tol, max_iter
-    )
-    max_ratio = 0.0
-    for v, sol in zip(tilts, sols):
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-15:
-            max_ratio = _nan_max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
+    cases = [(problem, v, x) for v in tilts]
+    with np.errstate(all="ignore"):
+        sols, spread, non_converged = _sample_solves(rng, cases, x, starts, tol, max_iter)
+        max_ratio = float(_largest_ratio(sols[0] - x, tilts))
     return PerturbationReport(
         samples=samples,
         max_ratio=max_ratio,

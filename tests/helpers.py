@@ -505,6 +505,53 @@ def margin_and_witness_two_svds(phi, basis):
     return margin, w / np.linalg.norm(w)
 
 
+# ---------------------------------------------------------------------------
+# the probes' pair statistics, one pair at a time: the reference for the
+# row-at-a-time folds of the library
+
+
+def nan_max(a, b):
+    """``max(a, b)``, but NaN when either is NaN; ``max`` would keep ``a``
+    against a NaN ``b``."""
+    return a if a != a or b <= a else b
+
+
+def solution_spread_loop(xs):
+    """Largest ``||xs[i] - xs[j]||`` over the pairs ``i < j``; NaN when any
+    distance is NaN."""
+    best = 0.0
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            d = xs[i] - xs[j]
+            best = nan_max(best, math.sqrt(float(d @ d)))
+    return best
+
+
+def perturb_ratio_loop(xs, bs, mus):
+    """Largest ``||xs[i] - xs[j]|| / ||(bs[i], mus[i]) - (bs[j], mus[j])||``
+    over the pairs ``i < j`` whose data distance is not below ``1e-15``;
+    NaN when a counted ratio is NaN."""
+    best = 0.0
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            dp = math.hypot(float(np.linalg.norm(bs[i] - bs[j])), mus[i] - mus[j])
+            if dp < 1e-15:
+                continue
+            best = nan_max(best, float(np.linalg.norm(xs[i] - xs[j])) / dp)
+    return best
+
+
+def tilt_ratio_loop(sols, x, tilts):
+    """Largest ``||sols[k] - x|| / ||tilts[k]||`` over the tilts of norm
+    above ``1e-15``; NaN when a counted ratio is NaN."""
+    best = 0.0
+    for v, sol in zip(tilts, sols):
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-15:
+            best = nan_max(best, float(np.linalg.norm(sol - x)) / nv)
+    return best
+
+
 def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed):
     """``empirical_lipschitz`` with one start: one solve per sample, and no
     draw of start points.  The start is the first-order prediction
@@ -534,7 +581,6 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
     b_draws = problem.b[None, :] + _ball_samples(rng, problem.m, samples, radius_b)
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
     mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
-    params = [(problem.b, problem.mu)]
     sols = [x]
     non_converged = 0 if base.converged else 1
     for i in range(samples):
@@ -547,17 +593,9 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
         r = prox_gradient_solve(spec, x0=start)
         non_converged += 0 if r.converged else 1
         sols.append(r.x)
-        params.append((b_draws[i], float(mu_draws[i])))
-    max_ratio = 0.0
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            dp = math.hypot(
-                float(np.linalg.norm(params[i][0] - params[j][0])),
-                params[i][1] - params[j][1],
-            )
-            if dp >= 1e-15:
-                max_ratio = max(max_ratio, float(np.linalg.norm(sols[i] - sols[j])) / dp)
-    return max_ratio, 0.0, non_converged
+    bs = [problem.b, *b_draws]
+    mus = [problem.mu, *(float(mu) for mu in mu_draws)]
+    return perturb_ratio_loop(sols, bs, mus), 0.0, non_converged
 
 
 def tilt_probe_single_start(problem, x, radius_v, samples, seed):
@@ -569,15 +607,9 @@ def tilt_probe_single_start(problem, x, radius_v, samples, seed):
 
     rng = np.random.default_rng(seed)
     tilts = _ball_samples(rng, problem.n, samples, radius_v)
-    max_ratio = 0.0
-    non_converged = 0
-    for v in tilts:
-        sol = prox_gradient_solve(problem, v=v, x0=x.copy())
-        non_converged += 0 if sol.converged else 1
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-15:
-            max_ratio = max(max_ratio, float(np.linalg.norm(sol.x - x)) / nv)
-    return max_ratio, 0.0, non_converged
+    sols = [prox_gradient_solve(problem, v=v, x0=x.copy()) for v in tilts]
+    non_converged = sum(not sol.converged for sol in sols)
+    return tilt_ratio_loop([sol.x for sol in sols], x, tilts), 0.0, non_converged
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import math
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +15,14 @@ from helpers import (
     is_subgradient_nuclear,
     margin_and_witness_two_svds,
     mutual_projection_residual,
+    perturb_ratio_loop,
     random_group_instance,
     random_nuclear_instance,
+    solution_spread_loop,
     tilt_probe_single_start,
+    tilt_ratio_loop,
 )
+from stabcert import solver
 from stabcert.errors import NotASolutionError, NotASubgradientError
 from stabcert.groupnorm import (
     GroupPartition,
@@ -25,7 +32,15 @@ from stabcert.groupnorm import (
 )
 from stabcert.linalg import restricted_min_singular
 from stabcert.nuclear import NuclearShape
-from stabcert.solver import ProblemSpec, dual_from_solution, objective, prox_gradient_solve
+from stabcert.solver import (
+    ProblemSpec,
+    _largest_pair_ratio,
+    _largest_ratio,
+    dual_from_solution,
+    objective,
+    prox_gradient_solve,
+    solution_spread,
+)
 from stabcert.stability import (
     CERT_TOL,
     _solution_derivative,
@@ -477,7 +492,10 @@ class TestTiltProbe:
 class TestSingleStartProbes:
     """With one start each sample is one solve, with zero spread: for
     perturb from the first-order prediction of its solution (or from the
-    base solution where there is none), for tilt from ``x``."""
+    base solution where there is none), for tilt from ``x``.  The helpers
+    fold the ratios pair by pair and the probes row by row; the two sum
+    the squares in different orders, so the largest ratios agree to
+    rounding."""
 
     @pytest.mark.parametrize(
         "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
@@ -485,13 +503,122 @@ class TestSingleStartProbes:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_single_solve_loop(self, make, seed):
         spec = make(np.random.default_rng(70 + seed))
-        rep = empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
-        fields = (rep.max_ratio, rep.multivaluedness_spread, rep.non_converged)
-        assert fields == empirical_lipschitz_single_start(spec, 0.1, 0.05, 5, seed)
         x = prox_gradient_solve(spec).x
-        rep = tilt_probe(spec, x, radius_v=1e-3, samples=5, seed=seed)
-        fields = (rep.max_ratio, rep.multivaluedness_spread, rep.non_converged)
-        assert fields == tilt_probe_single_start(spec, x, 1e-3, 5, seed)
+        for rep, (ratio, spread, non_converged) in (
+            (
+                empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed),
+                empirical_lipschitz_single_start(spec, 0.1, 0.05, 5, seed),
+            ),
+            (
+                tilt_probe(spec, x, radius_v=1e-3, samples=5, seed=seed),
+                tilt_probe_single_start(spec, x, 1e-3, 5, seed),
+            ),
+        ):
+            assert rep.max_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+            assert (rep.multivaluedness_spread, rep.non_converged) == (spread, non_converged)
+
+
+def planted_rows(rng, rows, n):
+    """Random rows at scales 1e-3 to 1e3, some with a NaN, a +inf or a
+    1e200 entry planted."""
+    a = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    for value in (np.nan, np.inf, 1e200):
+        if rng.random() < 0.3:
+            a[rng.integers(rows), rng.integers(n)] = value
+    return a
+
+
+def below_floor(rng, data, rows):
+    """Make two rows of ``data`` lie 0 or 3e-16 apart, below the floor."""
+    i, j = rng.choice(rows, 2, replace=False)
+    data[j] = data[i]
+    if rng.random() < 0.5:
+        data[i] = 0.0
+        data[j] = 0.0
+        data[j, 0] = 3e-16
+
+
+class TestPairFolds:
+    """The probes fold their pair statistics one row at a time; the pair
+    loops of the helpers are the folds the probes took before."""
+
+    def test_row_folds_match_the_pair_loops(self):
+        rng = np.random.default_rng(90)
+        outcomes = {"nan": 0, "inf": 0, "finite": 0}
+        for _ in range(400):
+            rows, n, m = (int(k) for k in rng.integers(1, [9, 6, 4]))
+            xs = planted_rows(rng, rows, n)
+            data = np.column_stack([rng.standard_normal((rows, m)), rng.uniform(0.5, 2.0, rows)])
+            tilts = rng.standard_normal((rows, n))
+            if rows > 1 and rng.random() < 0.5:
+                below_floor(rng, data, rows)
+            if rng.random() < 0.1:
+                data[:] = data[0]
+            if rng.random() < 0.2:
+                # Never in mu, which the probes keep finite.  Two in one
+                # column make a NaN data distance, and that pair counts.
+                data[rng.permutation(rows)[: int(rng.integers(1, 3))], rng.integers(m)] = np.inf
+            # zero tilts and tilts of norm 3e-16, below the floor
+            for k in rng.permutation(rows)[: int(rng.integers(0, 3))]:
+                tilts[k] *= 0.0 if rng.random() < 0.5 else 3e-16 / np.linalg.norm(tilts[k])
+            if rng.random() < 0.2:
+                tilts[rng.integers(rows), rng.integers(n)] = np.inf
+            x = rng.standard_normal(n)
+            with np.errstate(all="ignore"):
+                folds = (
+                    solution_spread([SimpleNamespace(x=row) for row in xs]),
+                    _largest_pair_ratio(xs, data),
+                    _largest_ratio(xs - x, tilts),
+                )
+                loops = (
+                    solution_spread_loop(xs),
+                    perturb_ratio_loop(xs, data[:, :m], data[:, m]),
+                    tilt_ratio_loop(xs, x, tilts),
+                )
+            for new, old in zip(folds, loops):
+                assert np.isclose(new, old, rtol=1e-12, atol=0.0, equal_nan=True), (new, old)
+                outcomes["nan" if math.isnan(old) else "inf" if math.isinf(old) else "finite"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_perturb_takes_a_linear_number_of_norms(self, monkeypatch):
+        # The pair loop took two norms per pair: 3660 for 61 solutions.  The
+        # row fold takes its norms inline, one row of pairs per call.
+        calls = {"norm": 0, "row": 0}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "norm", spy("norm", np.linalg.norm))
+        monkeypatch.setattr(solver, "_largest_ratio", spy("row", solver._largest_ratio))
+        rep = empirical_lipschitz(pairs_problem(), 0.1, 0.05, samples=60, seed=0)
+        assert rep.non_converged == 0 and np.isfinite(rep.max_ratio)
+        assert calls["norm"] <= 4 * 61 and calls["row"] == 60
+
+    @pytest.mark.parametrize(
+        "make", [pairs_problem, identity_nuclear_problem], ids=["group", "nuclear"]
+    )
+    def test_overflowing_probes_warn_nothing(self, make, monkeypatch):
+        # At this radius the norms overflow: every ratio is inf / inf.
+        spec = make()
+        x = prox_gradient_solve(spec).x
+        opened = []
+        real = np.errstate
+
+        def spy(**kwargs):
+            opened.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilt = tilt_probe(spec, x, radius_v=1e200, samples=3)
+            perturb = empirical_lipschitz(spec, 1e200, 0.0, samples=3)
+        assert np.isnan(tilt.max_ratio) and np.isnan(perturb.max_ratio)
+        assert len(opened) == 2
 
 
 class TestCertifyFactorizations:
