@@ -112,10 +112,13 @@ class NuclearShape:
 
 
 _FLOAT = np.finfo(float)
-# The range of ||X||_F^2 where the closed form below keeps its accuracy.
-# Below it, the square of an entry of eps ||X||_F can be subnormal; above
-# it, ||X||_F^2 + 2 s1 s2 <= 2 ||X||_F^2 can overflow.
+# The range of ||X||_F^2 where the closed form and the Gram path below keep
+# their accuracy.  Below it, the square of an entry of eps ||X||_F can be
+# subnormal; above it, ||X||_F^2 + 2 s1 s2 <= 2 ||X||_F^2 can overflow.
 _TWO_SIDE_RANGE = (_FLOAT.tiny / _FLOAT.eps**2, _FLOAT.max / 4.0)
+# The error, as a share of ||X||_F, that the Gram path of nuclear_norm may
+# carry; a matrix whose rounding bound exceeds it takes the SVD.
+_GRAM_BUDGET = 1e-12
 
 
 def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
@@ -124,16 +127,57 @@ def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
     A single matrix takes an SVD.  A stack of matrices with a shorter side
     of 2 takes the closed form of :func:`_two_side_norms` when every
     ``||X||_F^2`` lies in ``_TWO_SIDE_RANGE``, and one stacked SVD
-    otherwise: a zero matrix gives 0 and a non-finite entry raises numpy's
-    ``LinAlgError``.
+    otherwise.  A stack with a longer shorter side takes the eigenvalues
+    of :func:`_gram_norms`, and an SVD of only the matrices whose rounding
+    bound exceeds ``_GRAM_BUDGET`` times ``||X||_F``.  On every path a
+    zero matrix gives 0, a NaN entry raises numpy's ``LinAlgError`` and an
+    infinite one gives NaN, as the SVD does.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 3 and min(x.shape[1:]) == 2:
         total = _two_side_norms(x)
         if total is not None:
             return total
+    elif x.ndim == 3 and min(x.shape[1:]) > 2:
+        return _gram_norms(x)
     total = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def _gram_norms(x: np.ndarray) -> np.ndarray:
+    """``||X||_*`` for each matrix of a stack from the eigenvalues ``lam``
+    of its smaller Gram matrix: ``sum(sqrt(max(lam, 0)))``.
+
+    The Gram product's rounding and the eigensolver's backward error move
+    each ``lam_i`` from ``sigma_i^2`` by at most
+    ``delta = (n1 + n2 + 2) eps ||X||_F^2``, so each root is off by at most
+    ``min(sqrt(delta), delta / sqrt(lam_i))``.  A matrix keeps the sum
+    when the sum of these bounds is at most ``_GRAM_BUDGET ||X||_F`` and
+    ``||X||_F^2`` lies in ``_TWO_SIDE_RANGE``; the others (near-singular,
+    zero, tiny, overflowing or non-finite ones) take one stacked SVD.
+    """
+    n1, n2 = x.shape[1:]
+    xt = x.transpose(0, 2, 1)
+    # An overflowing or non-finite matrix fails the range test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ xt if n1 <= n2 else xt @ x
+    f2 = np.einsum("ijj->i", gram)
+    low, high = _TWO_SIDE_RANGE
+    ok = (f2 >= low) & (f2 <= high)
+    total = np.empty(len(x))
+    if ok.any():
+        f2_ok = f2[ok]
+        lam = np.linalg.eigvalsh(gram if ok.all() else gram[ok])
+        root = np.sqrt(np.maximum(lam, 0.0))
+        delta = ((n1 + n2 + 2) * _FLOAT.eps * f2_ok)[:, None]
+        # delta / max(root, sqrt(delta)) is the smaller of the two bounds.
+        bound = (delta / np.maximum(root, np.sqrt(delta))).sum(axis=1)
+        total[ok] = root.sum(axis=1)
+        ok[ok] = bound <= _GRAM_BUDGET * np.sqrt(f2_ok)
+    if not ok.all():
+        redo = ~ok
+        total[redo] = np.linalg.svd(x[redo], compute_uv=False).sum(axis=-1)
+    return total
 
 
 def _two_side_norms(x: np.ndarray) -> np.ndarray | None:

@@ -268,7 +268,8 @@ def _sample_solves(rng, cases, center, starts, tol, max_iter):
     sols = []
     non_converged = 0
     for spec, v, first in cases:
-        others = center + _ball_samples(rng, center.size, starts - 1, scale)
+        # A zero-size draw leaves rng where it was, so it is skipped.
+        others = center + _ball_samples(rng, center.size, starts - 1, scale) if starts > 1 else []
         results = multistart_solve(spec, [first, *others], v=v, tol=tol, max_iter=max_iter)
         non_converged += sum(not r.converged for r in results)
         sols.extend(r.x for r in results)

@@ -3,6 +3,7 @@ replaced (kept in ``helpers``), the solver loop against the plain FISTA
 loop, and value semantics of the result types."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,32 @@ seeds = st.integers(0, 2**32 - 1)
 
 def close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL)
+
+
+def spy_svd(monkeypatch):
+    """The list of the inputs of every ``np.linalg.svd`` call from now on."""
+    svd, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def planted_stack(rng, k, m, spectra):
+    """``(S, k, m)`` matrices ``U diag(s) V^T`` with the given spectra ``s``
+    and random frames."""
+    u = np.linalg.qr(rng.standard_normal((len(spectra), k, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((len(spectra), m, k)))[0]
+    return (u * spectra[:, None, :]) @ v.transpose(0, 2, 1)
+
+
+def assert_within_gram_budget(norms, mats):
+    """Each value within ``RTOL ||X||_F`` of the per-matrix SVD."""
+    expected = np.array([nuclear_norm_loop(x) for x in mats])
+    assert np.all(np.abs(norms - expected) <= RTOL * np.linalg.norm(mats, axis=(1, 2)))
 
 
 def group_case(rng, rows=7):
@@ -140,8 +167,7 @@ class TestNuclearKernels:
         # of the per-matrix SVD.  A zero matrix or a 1e200 entry (whose
         # square overflows) sends the whole stack to the SVD, with its
         # values and its LinAlgError.
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        calls = spy_svd(monkeypatch)
         rng = np.random.default_rng(11)
         for m in (2, 3, 7):
             near = rng.standard_normal((30, m, 1)) * rng.standard_normal((30, 1, 2))
@@ -170,6 +196,74 @@ class TestNuclearKernels:
                 out[4, 1, 1] = np.nan
                 with pytest.raises(np.linalg.LinAlgError):
                     nuclear_norm(out)
+
+    def test_well_conditioned_stacks_with_a_longer_short_side_take_no_svd(self, monkeypatch):
+        # Planted spectra in [0.3, 1] times 10^[-100, 100], shorter side 3
+        # to 6, both orientations: every value from the Gram eigenvalues,
+        # within the budget of the per-matrix SVD.
+        calls = spy_svd(monkeypatch)
+        rng = np.random.default_rng(12)
+        for k, m in ((3, 3), (3, 5), (4, 4), (4, 7), (5, 6), (6, 6)):
+            spectra = rng.uniform(0.3, 1.0, (40, k))
+            spectra *= 10.0 ** rng.uniform(-100, 100, (40, 1))
+            stack = planted_stack(rng, k, m, spectra)
+            for mats in (stack, stack.transpose(0, 2, 1).copy()):
+                calls.clear()
+                norms = nuclear_norm(mats)
+                assert not calls
+                assert_within_gram_budget(norms, mats)
+
+    def test_only_the_rows_the_bound_rejects_take_the_svd(self, monkeypatch):
+        # Rows with one singular value of 1e-17 to 1e-6 (the others in
+        # [0.3, 1]), with all but the first that small, or with two such
+        # values 1e-9 apart fail the rounding bound; spectra clustered
+        # within 1e-12 away from 0 pass it.  One SVD takes exactly the
+        # failing rows.
+        calls = spy_svd(monkeypatch)
+        rng = np.random.default_rng(13)
+        for k, m in ((3, 3), (3, 6), (4, 5), (6, 8)):
+            rows = 60
+            spectra = rng.uniform(0.3, 1.0, (rows, k))
+            kind = np.arange(rows) % 5
+            tiny = 10.0 ** rng.uniform(-17, -6, (rows, k))
+            spectra[kind == 1, -1] = tiny[kind == 1, -1]
+            spectra[kind == 2, 1:] = tiny[kind == 2, 1:]
+            spectra[kind == 3, -2:] = tiny[kind == 3, :1] * (1.0 + 1e-9 * np.arange(2))
+            spectra[kind == 4] = rng.uniform(0.3, 1.0, (rows, 1))[kind == 4] * (
+                1.0 + 1e-12 * rng.standard_normal(((kind == 4).sum(), k))
+            )
+            spectra *= 10.0 ** rng.uniform(-100, 100, (rows, 1))
+            stack = planted_stack(rng, k, m, spectra)
+            rejected = np.isin(kind, (1, 2, 3))
+            for mats in (stack, stack.transpose(0, 2, 1).copy()):
+                calls.clear()
+                norms = nuclear_norm(mats)
+                assert len(calls) == 1 and np.array_equal(calls[0], mats[rejected])
+                assert_within_gram_budget(norms, mats)
+
+    def test_gram_path_keeps_the_svd_edge_values(self):
+        # A zero matrix gives 0, a row with an infinite entry gives NaN, one
+        # whose Gram matrix overflows its SVD value, and the others their
+        # norms, with no warning; a NaN entry raises LinAlgError.
+        rng = np.random.default_rng(14)
+        shape = NuclearShape(4, 3)
+        stack = rng.standard_normal((10, 4, 3))
+        stack[2] = 0.0
+        stack[5, 1, 2] = np.inf
+        stack[8, 3, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = nuclear_norm(stack)
+        assert norms[2] == 0.0 and np.isnan(norms[5])
+        assert norms[8] == nuclear_norm_loop(stack[8])
+        keep = ~np.isin(np.arange(10), (5, 8))
+        assert_within_gram_budget(norms[keep], stack[keep])
+        rows = stack.reshape(10, -1)
+        assert np.array_equal(shape.growth_scale(rows), norms, equal_nan=True)
+        stack[7, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            nuclear_norm(stack)
+        assert nuclear_norm(np.zeros((0, 3, 5))).shape == (0,)
 
     def test_empty_top_block(self):
         dec = simultaneous_svd(np.zeros((2, 3)), np.diag([0.5, 0.2]) @ np.eye(2, 3))

@@ -17,12 +17,13 @@ from helpers import (
     mutual_projection_residual,
     perturb_ratio_loop,
     random_group_instance,
+    random_nuclear_graph_pair,
     random_nuclear_instance,
     solution_spread_loop,
     tilt_probe_single_start,
     tilt_ratio_loop,
 )
-from stabcert import solver
+from stabcert import solver, stability
 from stabcert.errors import NotASolutionError, NotASubgradientError
 from stabcert.groupnorm import (
     GroupPartition,
@@ -280,6 +281,29 @@ class TestQgAudit:
         assert "nuclear_growth_conjecture" not in rep.slack_by_constant
         # a conjecture dip must not flip the audit verdict
         assert rep.passed == (rep.min_slack >= -1e-9)
+
+    def test_nuclear_audit_is_scale_covariant(self):
+        # (xbar, ybar, radius) -> (c xbar, ybar, c radius) scales every
+        # sample, ||X||_* and each slack by c.  The Gram path's error budget
+        # is relative to ||X||_F and the slack floor is absolute, so the
+        # verdict and the count must not move with c, nor the slacks / c.
+        rng = np.random.default_rng(21)
+        for n1, n2 in ((3, 3), (3, 5), (4, 4), (5, 4), (6, 3), (4, 6)):
+            x, y = random_nuclear_graph_pair(rng, n1, n2)
+            shape = NuclearShape(n1, n2)
+            base = qg_audit(shape, x, y, samples=1000, seed=3, include_conjecture=True)
+            assert base.passed and base.used == 1000
+            for c in (1e-3, 1e3):
+                rep = qg_audit(
+                    shape, c * x, y, samples=1000, radius=c, seed=3, include_conjecture=True
+                )
+                assert (rep.passed, rep.used) == (base.passed, base.used)
+                assert rep.min_slack / c == pytest.approx(base.min_slack, rel=1e-9)
+                assert rep.conjecture_min_slack / c == pytest.approx(
+                    base.conjecture_min_slack, rel=1e-9
+                )
+                for name, value in rep.slack_by_constant.items():
+                    assert value / c == pytest.approx(base.slack_by_constant[name], rel=1e-9)
 
     def test_seed_determinism(self):
         part = GroupPartition.singletons(2)
@@ -597,6 +621,23 @@ class TestPairFolds:
         rep = empirical_lipschitz(pairs_problem(), 0.1, 0.05, samples=60, seed=0)
         assert rep.non_converged == 0 and np.isfinite(rep.max_ratio)
         assert calls["norm"] <= 4 * 61 and calls["row"] == 60
+
+    @pytest.mark.parametrize("starts", [1, 2])
+    @pytest.mark.parametrize("probe", ["perturb", "tilt"])
+    def test_one_start_draws_only_the_data(self, probe, starts, monkeypatch):
+        # One draw of the samples' data or tilts, and one draw of random
+        # starts per sample only when there are any to draw.
+        calls = []
+        real = stability._ball_samples
+        monkeypatch.setattr(stability, "_ball_samples", lambda *a: calls.append(a[2]) or real(*a))
+        spec = pairs_problem()
+        if probe == "perturb":
+            rep = empirical_lipschitz(spec, 0.1, 0.05, samples=60, seed=0, starts=starts)
+        else:
+            x = prox_gradient_solve(spec).x
+            rep = tilt_probe(spec, x, samples=60, seed=0, starts=starts)
+        assert rep.non_converged == 0
+        assert calls == [60] + [starts - 1] * 60 * (starts > 1)
 
     @pytest.mark.parametrize(
         "make", [pairs_problem, identity_nuclear_problem], ids=["group", "nuclear"]
