@@ -175,7 +175,11 @@ def _real_array(values: list, what: str) -> np.ndarray:
 
 
 def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
-    """Build a :class:`ProblemSpec` from a decoded problem dictionary."""
+    """Build a :class:`ProblemSpec` from a decoded problem dictionary.
+
+    Checks only JSON types, fields, the schema version and the options; the
+    constructors check the instance's rules with the same coded errors.
+    """
     if not isinstance(data, dict):
         raise ProblemFormatError("BAD_TYPE", "problem file must hold a JSON object")
     unknown = sorted(set(data) - _TOP_KEYS)
@@ -204,20 +208,12 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     raw_b = _require(data, "b")
     if not isinstance(raw_b, list):
         raise ProblemFormatError("BAD_TYPE", "b must be a list")
-    if len(raw_b) != phi.shape[0]:
-        raise ProblemFormatError(
-            "DIMENSION_MISMATCH",
-            f"b has {len(raw_b)} entries, phi has {phi.shape[0]} rows",
-        )
     b = _real_array(raw_b, "b entry")
     mu = _as_real(_require(data, "mu"), "BAD_TYPE", "mu")
-    if mu <= 0:
-        raise ProblemFormatError("MU_NONPOSITIVE", f"mu must be positive, got {mu}")
     reg_data = _require(data, "reg")
     if not isinstance(reg_data, dict):
         raise ProblemFormatError("BAD_TYPE", "reg must be an object")
     kind = reg_data.get("kind")
-    n = phi.shape[1]
     if kind == "group":
         extra = sorted(set(reg_data) - {"kind", "groups"})
         if extra:
@@ -227,52 +223,20 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             isinstance(g, list) for g in raw_groups
         ):
             raise ProblemFormatError("BAD_TYPE", "groups must be a list of lists")
-        seen: set[int] = set()
-        groups = []
-        for g in raw_groups:
-            block = []
-            for i in g:
-                if isinstance(i, bool) or not isinstance(i, int):
-                    raise ProblemFormatError("BAD_TYPE", "group indices must be integers")
-                if not 1 <= i <= n:
-                    raise ProblemFormatError(
-                        "GROUP_INDEX_RANGE", f"group index {i} outside 1..{n}"
-                    )
-                if i - 1 in seen:
-                    raise ProblemFormatError(
-                        "GROUPS_OVERLAP", f"variable {i} appears in two groups"
-                    )
-                seen.add(i - 1)
-                block.append(i - 1)
-            if not block:
-                raise ProblemFormatError("BAD_TYPE", "groups must be non-empty")
-            groups.append(tuple(block))
-        if len(seen) != n:
-            missing = sorted(i + 1 for i in set(range(n)) - seen)
-            raise ProblemFormatError(
-                "GROUPS_COVERAGE", f"variables not covered by any group: {missing}"
-            )
-        reg = GroupPartition(n, tuple(groups))
+        # Files number variables from 1; a non-int index goes on as it is.
+        groups = [[i - 1 if type(i) is int else i for i in g] for g in raw_groups]
+        reg = GroupPartition(phi.shape[1], groups)
     elif kind == "nuclear":
         extra = sorted(set(reg_data) - {"kind", "shape"})
         if extra:
             raise ProblemFormatError("UNKNOWN_FIELD", f"unknown reg fields: {extra}")
         shape = reg_data.get("shape")
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in shape)
-            or min(shape) < 1
-        ):
+        if not isinstance(shape, list) or len(shape) != 2:
             raise ProblemFormatError("BAD_TYPE", "shape must be two positive integers")
-        if shape[0] * shape[1] != n:
-            raise ProblemFormatError(
-                "DIMENSION_MISMATCH",
-                f"shape {shape} implies {shape[0] * shape[1]} unknowns, phi has {n} columns",
-            )
-        reg = NuclearShape(shape[0], shape[1])
+        reg = NuclearShape(*shape)
     else:
         raise ProblemFormatError("BAD_TYPE", f"unknown regularizer kind {kind!r}")
+    spec = ProblemSpec(phi, b, mu, reg)
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("BAD_TYPE", "options must be an object")
@@ -293,10 +257,6 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         clean["margin_tol"] = _as_real(options["margin_tol"], "BAD_TYPE", "options.margin_tol")
         if clean["margin_tol"] < 0:
             raise ProblemFormatError("BAD_TYPE", "options.margin_tol must be nonnegative")
-    try:
-        spec = ProblemSpec(phi, b, mu, reg)
-    except ValueError as exc:
-        raise ProblemFormatError("DIMENSION_MISMATCH", str(exc)) from exc
     return spec, clean
 
 

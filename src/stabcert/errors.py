@@ -26,8 +26,13 @@ class UsageError(StabcertError):
     """A command-line value is not finite or out of range."""
 
 
-class ProblemFormatError(StabcertError):
-    """A problem file violates the schema.  Carries a machine-readable code."""
+class ProblemFormatError(StabcertError, ValueError):
+    """A problem file or instance breaks a rule.  Carries a machine-readable code.
+
+    The constructors of ``GroupPartition``, ``NuclearShape`` and
+    ``ProblemSpec`` own the rules of an instance, so Python callers get the
+    codes and messages a problem file gets; the file loader adds the JSON
+    checks.  Also a ``ValueError``."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)

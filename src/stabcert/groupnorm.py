@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleApproximationError, NotASubgradientError
+from .errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
 from .linalg import UNIT_TOL
 
 
@@ -38,23 +38,30 @@ class GroupPartition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        if self.n < 1:
-            raise ValueError("partition dimension must be positive")
+        """:class:`ProblemFormatError` at the first broken rule, numbering variables from 1."""
+        n, groups = self.n, tuple(tuple(g) for g in self.groups)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ProblemFormatError("BAD_TYPE", "partition dimension must be a positive integer")
         seen: set[int] = set()
         for g in groups:
             if not g:
-                raise ValueError("empty group")
+                raise ProblemFormatError("BAD_TYPE", "groups must be non-empty")
             for i in g:
-                if not 0 <= i < self.n:
-                    raise ValueError(f"index {i} outside range(0, {self.n})")
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ProblemFormatError("BAD_TYPE", "group indices must be integers")
+                if not 0 <= i < n:
+                    msg = f"group index {i + 1} outside 1..{n}"
+                    raise ProblemFormatError("GROUP_INDEX_RANGE", msg)
                 if i in seen:
-                    raise ValueError(f"index {i} appears in two groups")
+                    msg = f"variable {i + 1} appears in two groups"
+                    raise ProblemFormatError("GROUPS_OVERLAP", msg)
                 seen.add(i)
-        if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise ValueError(f"indices not covered by any group: {missing}")
+        if len(seen) != n:
+            missing = sorted(i + 1 for i in set(range(n)) - seen)
+            msg = f"variables not covered by any group: {missing}"
+            raise ProblemFormatError("GROUPS_COVERAGE", msg)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "groups", tuple(tuple(map(int, g)) for g in groups))
 
     @cached_property
     def index_arrays(self) -> list[np.ndarray]:

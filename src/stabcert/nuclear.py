@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleApproximationError, NotASubgradientError
+from .errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
 from .linalg import RANK_TOL, UNIT_TOL, psd_project
 
 
@@ -44,8 +44,11 @@ class NuclearShape:
     n2: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("matrix dimensions must be positive")
+        for name in ("n1", "n2"):
+            d = getattr(self, name)
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+                raise ProblemFormatError("BAD_TYPE", "shape must be two positive integers")
+            object.__setattr__(self, name, int(d))
 
     @property
     def n(self) -> int:
@@ -208,6 +211,12 @@ def _two_side_norms(x: np.ndarray) -> np.ndarray | None:
     return np.sqrt(f2 + 2.0 * area)
 
 
+def _frame_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(n1 n2, k, k)`` stack: ``[:, i, j]`` is ``outer(u[:, i], v[:, j])``, raveled."""
+    n1, k = u.shape
+    return (u[:, None, :, None] * v[None, :, None, :]).reshape(n1 * v.shape[0], k, v.shape[1])
+
+
 def prox_nuclear(x: np.ndarray, t: float):
     """``(point, value, jacobian, active)``: the singular value soft
     threshold of ``x`` at level ``t``, its nuclear norm, a zero-argument
@@ -251,7 +260,7 @@ def prox_nuclear(x: np.ndarray, t: float):
         total = s[:, None] + s[None, :]
         skew = (f[:, None] + f[None, :]) / np.where(total > 0.0, total, 1.0)
         v = vt.T
-        frames = (u[:, None, :, None] * v[None, :, None, :]).reshape(n1 * n2, k * k)
+        frames = _frame_products(u, v).reshape(n1 * n2, k * k)
         # Row (i, j) of ft is frame column (i, j); its transpose swaps to (j, i).
         ft = frames.T.reshape(k, k, n1 * n2)
         a = 0.5 * (sym + skew)
@@ -378,18 +387,12 @@ def tangent_subspace_basis(dec: SimultaneousSVD) -> np.ndarray:
     first, then the symmetrized off-diagonal pairs.
     """
     p = dec.p
-    n = dec.n1 * dec.n2
-    if p == 0:
-        return np.zeros((n, 0))
-    u1 = dec.ubar[:, :p]
-    v1 = dec.vbar[:, :p]
-    cols = [np.outer(u1[:, i], v1[:, i]).ravel() for i in range(p)]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(p):
-        for j in range(i + 1, p):
-            m = (np.outer(u1[:, i], v1[:, j]) + np.outer(u1[:, j], v1[:, i])) * inv_sqrt2
-            cols.append(m.ravel())
-    return np.column_stack(cols)
+    frames = _frame_products(dec.ubar[:, :p], dec.vbar[:, :p])
+    d = np.arange(p)
+    upper = d[:, None] < d  # the pairs i < j, in row-major order
+    pairs = (frames[:, upper] + frames.transpose(0, 2, 1)[:, upper]) * (1.0 / np.sqrt(2.0))
+    # Row-major, as products with the basis round by its layout.
+    return np.ascontiguousarray(np.concatenate([frames[:, d, d], pairs], axis=1))
 
 
 def inverse_subdiff_distance(x: np.ndarray, dec: SimultaneousSVD) -> float | np.ndarray:

@@ -48,6 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ProblemFormatError
 from .groupnorm import GroupPartition
 from .nuclear import NuclearShape
 
@@ -73,6 +74,7 @@ class ProblemSpec:
 
     ``phi`` is m x n with n matching the regularizer dimension (for nuclear
     problems, n = n1 * n2 and unknowns are row-major vectorizations).
+    A broken rule raises a coded :class:`ProblemFormatError`.
     The operator quantities below are computed on first use and kept.
     """
 
@@ -88,19 +90,18 @@ class ProblemSpec:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", float(self.mu))
         if phi.ndim != 2:
-            raise ValueError("phi must be a matrix")
-        if b.shape != (phi.shape[0],):
-            raise ValueError(
-                f"b has shape {b.shape}, expected ({phi.shape[0]},)"
-            )
+            raise ProblemFormatError("BAD_TYPE", "phi must be a matrix")
+        m, n = phi.shape
+        if b.shape != (m,):
+            size = f"{len(b)} entries" if b.ndim == 1 else f"shape {b.shape}"
+            raise ProblemFormatError("DIMENSION_MISMATCH", f"b has {size}, phi has {m} rows")
         if not (np.isfinite(phi).all() and np.isfinite(b).all() and np.isfinite(self.mu)):
-            raise ValueError("phi, b and mu must be finite")
+            raise ProblemFormatError("NOT_FINITE", "phi, b and mu must be finite")
         if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.reg.n != phi.shape[1]:
-            raise ValueError(
-                f"regularizer dimension {self.reg.n} does not match phi columns {phi.shape[1]}"
-            )
+            raise ProblemFormatError("MU_NONPOSITIVE", f"mu must be positive, got {self.mu}")
+        if self.reg.n != n:
+            msg = f"regularizer dimension {self.reg.n} does not match phi columns {n}"
+            raise ProblemFormatError("DIMENSION_MISMATCH", msg)
 
     @property
     def m(self) -> int:
@@ -435,33 +436,3 @@ def multistart_solve(
         prox_gradient_solve(problem, v=v, tol=tol, max_iter=max_iter, x0=x0)
         for x0 in starts
     ]
-
-
-def _largest_ratio(dx: np.ndarray, dp: np.ndarray | None = None) -> float:
-    """Largest norm of a last-axis row of ``dx``; with ``dp``, largest
-    ``||dx[k]|| / ||dp[k]||`` over the rows with ``||dp[k]||`` not below
-    ``1e-15``.  0 when no row counts, NaN when a counted one is NaN.  The
-    norms are ``np.linalg.norm``'s own arithmetic without its overhead; a
-    row below the floor may divide by 0, so the caller silences warnings."""
-    norms = np.sqrt(np.add.reduce(dx * dx, axis=-1))
-    if dp is not None:
-        dp = np.sqrt(np.add.reduce(dp * dp, axis=-1))
-        norms = np.where(dp < 1e-15, 0.0, norms / dp)
-    return np.maximum.reduce(norms, axis=None, initial=0.0)
-
-
-def _largest_pair_ratio(xs: np.ndarray, ps: np.ndarray | None = None) -> float:
-    """:func:`_largest_ratio` over the pairs ``xs[i], xs[j]``, ``i < j``
-    (and ``ps[i], ps[j]``); middle axes hold independent stacks.  Folded one
-    ``i`` at a time with the NaN-keeping ``np.maximum``: no pair array."""
-    best = 0.0
-    for i in range(len(xs) - 1):
-        dp = None if ps is None else ps[i + 1 :] - ps[i]
-        best = np.maximum(best, _largest_ratio(xs[i + 1 :] - xs[i], dp))
-    return float(best)
-
-
-def solution_spread(results) -> float:
-    """Largest pairwise distance among returned solutions; NaN when any
-    distance is NaN.  Overflowing distances warn as numpy arithmetic does."""
-    return _largest_pair_ratio(np.array([r.x for r in results], dtype=float))

@@ -30,8 +30,6 @@ from .solver import (
     DEFAULT_TOL,
     ProblemSpec,
     Regularizer,
-    _largest_pair_ratio,
-    _largest_ratio,
     dual_from_solution,
     multistart_solve,
     newton_matrix,
@@ -253,6 +251,30 @@ def second_quotient_probe(
         raise ValueError("step must be positive")
     num = objective(problem, x + t * w) - objective(problem, x) - t * float(v @ w)
     return num / (0.5 * t * t)
+
+
+def _largest_ratio(dx: np.ndarray, dp: np.ndarray | None = None) -> float:
+    """Largest norm of a last-axis row of ``dx``; with ``dp``, largest
+    ``||dx[k]|| / ||dp[k]||`` over the rows with ``||dp[k]||`` not below
+    ``1e-15``.  0 when no row counts, NaN when a counted one is NaN.  The
+    norms are ``np.linalg.norm``'s own arithmetic without its overhead; a
+    row below the floor may divide by 0, so the caller silences warnings."""
+    norms = np.sqrt(np.add.reduce(dx * dx, axis=-1))
+    if dp is not None:
+        dp = np.sqrt(np.add.reduce(dp * dp, axis=-1))
+        norms = np.where(dp < 1e-15, 0.0, norms / dp)
+    return np.maximum.reduce(norms, axis=None, initial=0.0)
+
+
+def _largest_pair_ratio(xs: np.ndarray, ps: np.ndarray | None = None) -> float:
+    """:func:`_largest_ratio` over the pairs ``xs[i], xs[j]``, ``i < j``
+    (and ``ps[i], ps[j]``); middle axes hold independent stacks.  Folded one
+    ``i`` at a time with the NaN-keeping ``np.maximum``: no pair array."""
+    best = 0.0
+    for i in range(len(xs) - 1):
+        dp = None if ps is None else ps[i + 1 :] - ps[i]
+        best = np.maximum(best, _largest_ratio(xs[i + 1 :] - xs[i], dp))
+    return float(best)
 
 
 def _sample_solves(rng, cases, center, starts, tol, max_iter):

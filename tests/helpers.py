@@ -11,6 +11,7 @@ from stabcert.groupnorm import GroupAnalysis, GroupPartition, block_norms, subgr
 from stabcert.linalg import UNIT_TOL
 from stabcert.nuclear import NuclearShape, nuclear_norm
 from stabcert.solver import ProblemSpec
+from stabcert.stability import _largest_pair_ratio
 
 
 def random_orthogonal(rng, n):
@@ -69,6 +70,24 @@ def random_nuclear_graph_pair(rng, n1, n2, r=None, extra_unit=None):
     dy = np.concatenate([np.ones(p), lam])
     y = (u[:, :k] * dy) @ v[:, :k].T
     return x, y
+
+
+def tangent_subspace_basis_loop(dec):
+    """``nuclear.tangent_subspace_basis`` one ``np.outer`` per column: the
+    diagonal images ``u_i v_i^T``, then ``(u_i v_j^T + u_j v_i^T) / sqrt(2)``
+    for ``i < j`` in row-major order."""
+    p = dec.p
+    if p == 0:
+        return np.zeros((dec.n1 * dec.n2, 0))
+    u1 = dec.ubar[:, :p]
+    v1 = dec.vbar[:, :p]
+    cols = [np.outer(u1[:, i], v1[:, i]).ravel() for i in range(p)]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(p):
+        for j in range(i + 1, p):
+            m = (np.outer(u1[:, i], v1[:, j]) + np.outer(u1[:, j], v1[:, i])) * inv_sqrt2
+            cols.append(m.ravel())
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +533,13 @@ def nan_max(a, b):
     """``max(a, b)``, but NaN when either is NaN; ``max`` would keep ``a``
     against a NaN ``b``."""
     return a if a != a or b <= a else b
+
+
+def solution_spread(results) -> float:
+    """Largest pairwise distance among returned solutions, by the probes'
+    row fold; NaN when any distance is NaN.  Overflowing distances warn as
+    numpy arithmetic does."""
+    return _largest_pair_ratio(np.array([r.x for r in results], dtype=float))
 
 
 def solution_spread_loop(xs):

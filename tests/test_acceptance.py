@@ -24,6 +24,7 @@ from helpers import (
     random_nuclear_instance,
     random_orthogonal,
     random_partition,
+    solution_spread,
 )
 from stabcert.errors import StabcertError
 from stabcert.groupnorm import (
@@ -46,7 +47,6 @@ from stabcert.solver import (
     ProblemSpec,
     multistart_solve,
     prox_gradient_solve,
-    solution_spread,
 )
 from stabcert.stability import (
     certify,

@@ -20,6 +20,8 @@ from stabcert.cli import (
 )
 from stabcert.errors import ProblemFormatError
 from stabcert.groupnorm import GroupPartition
+from stabcert.nuclear import NuclearShape
+from stabcert.solver import ProblemSpec
 
 BASE_DOC = {
     "schema_version": "1",
@@ -28,6 +30,8 @@ BASE_DOC = {
     "mu": 1.0,
     "reg": {"kind": "group", "groups": [[1, 2], [3]]},
 }
+BASE_PHI = np.array(BASE_DOC["phi"])
+BASE_PAIRS = GroupPartition(3, ((0, 1), (2,)))
 
 
 def doc(**overrides):
@@ -125,6 +129,101 @@ class TestProblemValidation:
         with pytest.raises(ProblemFormatError) as exc:
             load_problem_dict(d)
         assert exc.value.code == code
+
+    # The cases of test_rejects_with_specific_code whose rule a constructor
+    # owns: the mutation, the same instance built directly, the code, and the
+    # message the CLI prints (None where the file loader's own number check
+    # speaks first).
+
+    @pytest.mark.parametrize(
+        "mutate,build,code,message",
+        [
+            (
+                lambda d: d.update(b=[2.0]),
+                lambda: ProblemSpec(BASE_PHI, [2.0], 1.0, BASE_PAIRS),
+                "DIMENSION_MISMATCH",
+                "b has 1 entries, phi has 2 rows",
+            ),
+            (
+                lambda d: d.update(b=[2.0, math.inf]),
+                lambda: ProblemSpec(BASE_PHI, [2.0, math.inf], 1.0, BASE_PAIRS),
+                "NOT_FINITE",
+                None,
+            ),
+            (
+                lambda d: d.update(mu=0.0),
+                lambda: ProblemSpec(BASE_PHI, [2.0, -1.0], 0.0, BASE_PAIRS),
+                "MU_NONPOSITIVE",
+                "mu must be positive, got 0.0",
+            ),
+            (
+                lambda d: d.update(mu=-2.0),
+                lambda: ProblemSpec(BASE_PHI, [2.0, -1.0], -2.0, BASE_PAIRS),
+                "MU_NONPOSITIVE",
+                "mu must be positive, got -2.0",
+            ),
+            (
+                lambda d: d.update(reg={"kind": "group", "groups": [[0, 1], [2]]}),
+                lambda: GroupPartition(3, [[-1, 0], [1]]),
+                "GROUP_INDEX_RANGE",
+                "group index 0 outside 1..3",
+            ),
+            (
+                lambda d: d.update(reg={"kind": "group", "groups": [[1, 2], [2, 3]]}),
+                lambda: GroupPartition(3, [[0, 1], [1, 2]]),
+                "GROUPS_OVERLAP",
+                "variable 2 appears in two groups",
+            ),
+            (
+                lambda d: d.update(reg={"kind": "group", "groups": [[1, 2]]}),
+                lambda: GroupPartition(3, [[0, 1]]),
+                "GROUPS_COVERAGE",
+                "variables not covered by any group: [3]",
+            ),
+            (
+                lambda d: d.update(
+                    phi=[[1.0, 0.0, 0.0]], b=[1.0], reg={"kind": "nuclear", "shape": [2, 2]}
+                ),
+                lambda: ProblemSpec(np.zeros((1, 3)), [1.0], 1.0, NuclearShape(2, 2)),
+                "DIMENSION_MISMATCH",
+                "regularizer dimension 4 does not match phi columns 3",
+            ),
+        ],
+        ids=["b-length", "b-inf", "mu-zero", "mu-negative", "range", "overlap", "coverage", "shape"],
+    )
+    def test_constructor_and_file_share_the_code(
+        self, mutate, build, code, message, tmp_path, capsys
+    ):
+        d = doc()
+        mutate(d)
+        with pytest.raises(ProblemFormatError) as direct:
+            build()
+        with pytest.raises(ProblemFormatError) as loaded:
+            load_problem_dict(d)
+        assert direct.value.code == loaded.value.code == code
+        assert isinstance(direct.value, ValueError)
+        exit_code, report = run_capture(capsys, ["certify", write_doc(tmp_path, d)])
+        assert exit_code == 1 and report["error"]["code"] == code
+        if message is not None:
+            assert str(direct.value) == str(loaded.value) == message
+            assert report["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[[1.5, 2], [3]], [[1, 2.0], [3]], [[True, 2], [3]], [[1, 2], ["3"]], [[1, 2], []]],
+    )
+    def test_group_index_types_are_the_partitions_rule(self, groups):
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem_dict(doc(reg={"kind": "group", "groups": groups}))
+        assert exc.value.code == "BAD_TYPE"
+
+    @pytest.mark.parametrize("shape", [[2.5, 2], [True, 3], [0, 3], [2, -2], ["2", 2]])
+    def test_shape_types_are_the_shapes_rule(self, shape):
+        d = doc(phi=[[1.0, 0.0, 0.0, 0.0]], b=[1.0], reg={"kind": "nuclear", "shape": shape})
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem_dict(d)
+        assert exc.value.code == "BAD_TYPE"
+        assert str(exc.value) == "shape must be two positive integers"
 
     def test_not_an_object(self):
         with pytest.raises(ProblemFormatError) as exc:

@@ -12,7 +12,7 @@ from helpers import (
     random_group_graph_pair,
     random_partition,
 )
-from stabcert.errors import InfeasibleApproximationError, NotASubgradientError
+from stabcert.errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
 from stabcert.groupnorm import (
     GroupPartition,
     block_norms,
@@ -46,6 +46,28 @@ class TestPartition:
     def test_rejects_bad_partitions(self, groups):
         with pytest.raises(ValueError):
             GroupPartition(3, groups)
+
+    @pytest.mark.parametrize(
+        "n,groups",
+        [
+            (3, [[0.7, 1], [2.9]]),
+            (3, [[False, True], [2]]),
+            (3, [[0, 1], [np.float64(2.0)]]),
+            (2.0, [[0], [1]]),
+            (True, [[0]]),
+            (0, []),
+        ],
+    )
+    def test_rejects_non_integer_indices_and_dimensions(self, n, groups):
+        with pytest.raises(ProblemFormatError) as exc:
+            GroupPartition(n, groups)
+        assert exc.value.code == "BAD_TYPE"
+
+    def test_numpy_integers_become_plain_ints(self):
+        part = GroupPartition(np.int64(3), [np.array([2, 0]), [np.int32(1)]])
+        assert part.groups == ((2, 0), (1,)) and part.n == 3
+        assert type(part.n) is int
+        assert all(type(i) is int for g in part.groups for i in g)
 
 
 class TestNormAndProx:

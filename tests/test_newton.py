@@ -15,6 +15,7 @@ from helpers import (
     random_nuclear_instance,
     random_orthogonal,
     random_partition,
+    solution_spread,
 )
 from stabcert.groupnorm import GroupPartition
 from stabcert.nuclear import NuclearShape
@@ -26,7 +27,6 @@ from stabcert.solver import (
     multistart_solve,
     objective,
     prox_gradient_solve,
-    solution_spread,
 )
 from stabcert.stability import certify
 

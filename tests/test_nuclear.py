@@ -7,8 +7,9 @@ from helpers import (
     p_count,
     random_nuclear_graph_pair,
     random_orthogonal,
+    tangent_subspace_basis_loop,
 )
-from stabcert.errors import InfeasibleApproximationError, NotASubgradientError
+from stabcert.errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
 from stabcert.nuclear import (
     NuclearShape,
     inverse_subdiff_distance,
@@ -33,6 +34,16 @@ class TestShape:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             NuclearShape(0, 3)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (True, 3), (2, False), (0, 3), (3, -1), ("2", 2)])
+    def test_rejects_non_integer_and_nonpositive_dims(self, dims):
+        with pytest.raises(ProblemFormatError) as exc:
+            NuclearShape(*dims)
+        assert exc.value.code == "BAD_TYPE"
+
+    def test_numpy_integer_dims_become_plain_ints(self):
+        shape = NuclearShape(np.int64(2), np.int32(3))
+        assert type(shape.n1) is int and type(shape.n2) is int and shape.n == 6
 
 
 class TestNormAndProx:
@@ -247,6 +258,21 @@ class TestTangentBasis:
                 or np.allclose(basis[:, i], -target, atol=1e-12)
             ]
             assert len(hits) == 1, target
+
+    def test_matches_the_outer_product_loop(self):
+        # The frame products give every column the bytes np.outer gave it.
+        rng = np.random.default_rng(25)
+        ps = set()
+        for _ in range(300):
+            n1 = int(rng.integers(1, 6))
+            n2 = int(rng.integers(1, 6))
+            dec = simultaneous_svd(*random_nuclear_graph_pair(rng, n1, n2))
+            basis = tangent_subspace_basis(dec)
+            # The layout too: a product with the basis rounds by it.
+            assert basis.dtype == np.float64 and basis.flags.c_contiguous
+            assert np.array_equal(basis, tangent_subspace_basis_loop(dec))
+            ps.add(dec.p)
+        assert ps == {0, 1, 2, 3, 4, 5}
 
     def test_dimension_and_orthonormality(self):
         rng = np.random.default_rng(24)

@@ -6,6 +6,7 @@ from helpers import (
     is_subgradient_nuclear,
     random_group_instance,
     random_nuclear_instance,
+    solution_spread,
 )
 from stabcert.groupnorm import GroupPartition, subgrad_residual
 from stabcert.nuclear import NuclearShape, prox_nuclear
@@ -16,7 +17,6 @@ from stabcert.solver import (
     multistart_solve,
     objective,
     prox_gradient_solve,
-    solution_spread,
 )
 
 PHI = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])

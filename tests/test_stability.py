@@ -19,11 +19,12 @@ from helpers import (
     random_group_instance,
     random_nuclear_graph_pair,
     random_nuclear_instance,
+    solution_spread,
     solution_spread_loop,
     tilt_probe_single_start,
     tilt_ratio_loop,
 )
-from stabcert import solver, stability
+from stabcert import stability
 from stabcert.errors import NotASolutionError, NotASubgradientError
 from stabcert.groupnorm import (
     GroupPartition,
@@ -35,15 +36,14 @@ from stabcert.linalg import restricted_min_singular
 from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
     ProblemSpec,
-    _largest_pair_ratio,
-    _largest_ratio,
     dual_from_solution,
     objective,
     prox_gradient_solve,
-    solution_spread,
 )
 from stabcert.stability import (
     CERT_TOL,
+    _largest_pair_ratio,
+    _largest_ratio,
     _solution_derivative,
     certify,
     empirical_lipschitz,
@@ -617,7 +617,7 @@ class TestPairFolds:
             return call
 
         monkeypatch.setattr(np.linalg, "norm", spy("norm", np.linalg.norm))
-        monkeypatch.setattr(solver, "_largest_ratio", spy("row", solver._largest_ratio))
+        monkeypatch.setattr(stability, "_largest_ratio", spy("row", stability._largest_ratio))
         rep = empirical_lipschitz(pairs_problem(), 0.1, 0.05, samples=60, seed=0)
         assert rep.non_converged == 0 and np.isfinite(rep.max_ratio)
         assert calls["norm"] <= 4 * 61 and calls["row"] == 60
