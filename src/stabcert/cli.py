@@ -53,6 +53,7 @@ import numpy as np
 from . import __version__
 from .errors import ProblemFormatError, StabcertError, UsageError
 from .groupnorm import GroupPartition
+from .linalg import UNIT_TOL
 from .nuclear import NuclearShape
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -60,9 +61,9 @@ from .solver import (
     ProblemSpec,
     SolveResult,
     prox_gradient_solve,
+    real_array,
 )
 from .stability import (
-    CERT_TOL,
     QGAuditReport,
     StabilityCertificate,
     certify,
@@ -142,43 +143,12 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _as_real(value, code: str, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFormatError(code, f"{what} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ProblemFormatError("NOT_FINITE", f"{what} must be finite")
-    return value
-
-
-def _real_array(values: list, what: str) -> np.ndarray:
-    """``values`` as a float array, with :func:`_as_real`'s codes and messages.
-
-    One pass over the entry types and one ``np.isfinite``; only when one of
-    them fails are the entries checked one by one, so that the first bad
-    entry in order names the error.
-    """
-    types = set(map(type, values))
-    if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
-        try:
-            arr = np.array(values, dtype=float)
-        except OverflowError:
-            arr = None
-        if arr is not None and np.isfinite(arr).all():
-            return arr
-    for v in values:
-        _as_real(v, "BAD_TYPE", what)
-    raise AssertionError("unreachable: some entry failed the checks above")
-
-
 def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     """Build a :class:`ProblemSpec` from a decoded problem dictionary.
 
-    Checks only JSON types, fields, the schema version and the options; the
-    constructors check the instance's rules with the same coded errors.
+    Checks only JSON types, fields, the schema version and the options, and
+    converts no number of ``phi``, ``b`` or ``mu``: the constructors check
+    the instance's rules, its numbers included, with the same coded errors.
     """
     if not isinstance(data, dict):
         raise ProblemFormatError("BAD_TYPE", "problem file must hold a JSON object")
@@ -190,27 +160,16 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         raise ProblemFormatError(
             "SCHEMA_UNSUPPORTED", f"unsupported schema version {version!r}"
         )
-    raw_phi = _require(data, "phi")
-    if (
-        not isinstance(raw_phi, list)
-        or not raw_phi
-        or not all(isinstance(row, list) for row in raw_phi)
-    ):
+    phi, b, mu, reg_data = (_require(data, key) for key in ("phi", "b", "mu", "reg"))
+    if not isinstance(phi, list) or not phi or not all(isinstance(row, list) for row in phi):
         raise ProblemFormatError("BAD_TYPE", "phi must be a non-empty list of rows")
-    width = len(raw_phi[0])
-    if width == 0 or any(len(row) != width for row in raw_phi):
+    width = len(phi[0])
+    if width == 0 or any(len(row) != width for row in phi):
         raise ProblemFormatError(
             "DIMENSION_MISMATCH", "phi rows must be non-empty and equally long"
         )
-    phi = _real_array([v for row in raw_phi for v in row], "phi entry").reshape(
-        len(raw_phi), width
-    )
-    raw_b = _require(data, "b")
-    if not isinstance(raw_b, list):
+    if not isinstance(b, list):
         raise ProblemFormatError("BAD_TYPE", "b must be a list")
-    b = _real_array(raw_b, "b entry")
-    mu = _as_real(_require(data, "mu"), "BAD_TYPE", "mu")
-    reg_data = _require(data, "reg")
     if not isinstance(reg_data, dict):
         raise ProblemFormatError("BAD_TYPE", "reg must be an object")
     kind = reg_data.get("kind")
@@ -225,7 +184,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             raise ProblemFormatError("BAD_TYPE", "groups must be a list of lists")
         # Files number variables from 1; a non-int index goes on as it is.
         groups = [[i - 1 if type(i) is int else i for i in g] for g in raw_groups]
-        reg = GroupPartition(phi.shape[1], groups)
+        reg = GroupPartition(width, groups)
     elif kind == "nuclear":
         extra = sorted(set(reg_data) - {"kind", "shape"})
         if extra:
@@ -245,7 +204,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         raise ProblemFormatError("UNKNOWN_FIELD", f"unknown options: {bad}")
     clean: dict = {}
     if "tol" in options:
-        clean["tol"] = _as_real(options["tol"], "BAD_TYPE", "options.tol")
+        clean["tol"] = real_array(options["tol"], "options.tol")
         if clean["tol"] <= 0:
             raise ProblemFormatError("BAD_TYPE", "options.tol must be positive")
     if "max_iter" in options:
@@ -254,7 +213,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             raise ProblemFormatError("BAD_TYPE", "options.max_iter must be a positive integer")
         clean["max_iter"] = mi
     if "margin_tol" in options:
-        clean["margin_tol"] = _as_real(options["margin_tol"], "BAD_TYPE", "options.margin_tol")
+        clean["margin_tol"] = real_array(options["margin_tol"], "options.margin_tol")
         if clean["margin_tol"] < 0:
             raise ProblemFormatError("BAD_TYPE", "options.margin_tol must be nonnegative")
     return spec, clean
@@ -333,15 +292,14 @@ def _audit_dict(rep: QGAuditReport) -> dict:
 # commands: each fills in the sections of ``report`` and returns the exit code
 
 
+def _tol(args, options: dict, default: float) -> float:
+    """``--tol``, then the file's ``tol``, then ``default``."""
+    return args.tol if args.tol is not None else options.get("tol", default)
+
+
 def _solver_opts(args, options: dict) -> dict:
-    tol = args.tol if args.tol is not None else options.get("tol", DEFAULT_TOL)
     max_iter = options.get("max_iter", DEFAULT_MAX_ITER)
-    return {"tol": tol, "max_iter": max_iter}
-
-
-def _cert_tol(args, options: dict) -> float:
-    """Certificate tolerance: ``--tol``, then the file's ``tol``, then ``CERT_TOL``."""
-    return args.tol if args.tol is not None else options.get("tol", CERT_TOL)
+    return {"tol": _tol(args, options, DEFAULT_TOL), "max_iter": max_iter}
 
 
 def _load(args, report: dict) -> tuple[ProblemSpec, dict]:
@@ -365,8 +323,8 @@ def _cmd_solve(args, report: dict) -> int:
 def _cmd_certify(args, report: dict) -> int:
     spec, options = _load(args, report)
     result = _solve(spec, args, options, report)
-    cert_tol = _cert_tol(args, options)
-    cert = certify(spec, result.x, tol=cert_tol, margin_tol=options.get("margin_tol"))
+    tol = _tol(args, options, UNIT_TOL)
+    cert = certify(spec, result.x, tol=tol, margin_tol=options.get("margin_tol"))
     report["certificate"] = _certificate_dict(cert)
     return 0 if cert.holds else 2
 
@@ -376,7 +334,7 @@ def _cmd_qg_audit(args, report: dict) -> int:
     result = _solve(spec, args, options, report)
     # Audits need a pair exactly on the subdifferential graph; solver output
     # is only optimal to its residual, so snap before sampling.
-    xs, ys, ref = snap_to_graph(spec.reg, result.x, result.y, _cert_tol(args, options))
+    xs, ys, ref = snap_to_graph(spec.reg, result.x, result.y, _tol(args, options, UNIT_TOL))
     rep = qg_audit(
         spec.reg,
         xs,
@@ -438,7 +396,7 @@ def _cmd_reproduce_example_non(args, report: dict) -> int:
     # The command ignores the file's options: only --tol reaches the solver
     # and the certificate.
     result = _solve(spec, args, {}, report)
-    cert = certify(spec, result.x, tol=_cert_tol(args, {}))
+    cert = certify(spec, result.x, tol=_tol(args, {}, UNIT_TOL))
     report["certificate"] = _certificate_dict(cert)
     predicted = max(-args.b2 - 1.0, 0.0)
     observed = float(result.x[2])

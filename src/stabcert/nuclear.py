@@ -127,29 +127,26 @@ _GRAM_BUDGET = 1e-12
 def nuclear_norm(x: np.ndarray) -> float | np.ndarray:
     """Sum of singular values; one per matrix for an ``(S, n1, n2)`` stack.
 
-    A single matrix takes an SVD.  A stack of matrices with a shorter side
-    of 2 takes the closed form of :func:`_two_side_norms` when every
-    ``||X||_F^2`` lies in ``_TWO_SIDE_RANGE``, and one stacked SVD
-    otherwise.  A stack with a longer shorter side takes the eigenvalues
-    of :func:`_gram_norms`, and an SVD of only the matrices whose rounding
-    bound exceeds ``_GRAM_BUDGET`` times ``||X||_F``.  On every path a
-    zero matrix gives 0, a NaN entry raises numpy's ``LinAlgError`` and an
-    infinite one gives NaN, as the SVD does.
+    A single matrix takes an SVD.  A stack takes the closed form of
+    :func:`_two_side_norms` when its shorter side is 2 and the Gram
+    eigenvalues of :func:`_gram_norms` when it is longer; the rows a kernel
+    rejects take one stacked SVD.  On every path a zero matrix gives 0, a
+    NaN entry raises numpy's ``LinAlgError`` and an infinite one gives NaN,
+    as the SVD does.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 3 and min(x.shape[1:]) == 2:
-        total = _two_side_norms(x)
-        if total is not None:
-            return total
-    elif x.ndim == 3 and min(x.shape[1:]) > 2:
-        return _gram_norms(x)
-    total = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    if x.ndim != 3 or min(x.shape[1:]) < 2:
+        total = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
+        return float(total) if total.ndim == 0 else total
+    total, ok = (_two_side_norms if min(x.shape[1:]) == 2 else _gram_norms)(x)
+    if not ok.all():
+        total[~ok] = np.linalg.svd(x[~ok], compute_uv=False).sum(axis=-1)
+    return total
 
 
-def _gram_norms(x: np.ndarray) -> np.ndarray:
-    """``||X||_*`` for each matrix of a stack from the eigenvalues ``lam``
-    of its smaller Gram matrix: ``sum(sqrt(max(lam, 0)))``.
+def _gram_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, ok)``: ``||X||_*`` of each matrix of a stack as
+    ``sum(sqrt(max(lam, 0)))`` over the eigenvalues of its smaller Gram matrix.
 
     The Gram product's rounding and the eigensolver's backward error move
     each ``lam_i`` from ``sigma_i^2`` by at most
@@ -157,7 +154,7 @@ def _gram_norms(x: np.ndarray) -> np.ndarray:
     ``min(sqrt(delta), delta / sqrt(lam_i))``.  A matrix keeps the sum
     when the sum of these bounds is at most ``_GRAM_BUDGET ||X||_F`` and
     ``||X||_F^2`` lies in ``_TWO_SIDE_RANGE``; the others (near-singular,
-    zero, tiny, overflowing or non-finite ones) take one stacked SVD.
+    zero, tiny, overflowing or non-finite ones) are not ``ok``.
     """
     n1, n2 = x.shape[1:]
     xt = x.transpose(0, 2, 1)
@@ -177,38 +174,36 @@ def _gram_norms(x: np.ndarray) -> np.ndarray:
         bound = (delta / np.maximum(root, np.sqrt(delta))).sum(axis=1)
         total[ok] = root.sum(axis=1)
         ok[ok] = bound <= _GRAM_BUDGET * np.sqrt(f2_ok)
-    if not ok.all():
-        redo = ~ok
-        total[redo] = np.linalg.svd(x[redo], compute_uv=False).sum(axis=-1)
-    return total
+    return total, ok
 
 
-def _two_side_norms(x: np.ndarray) -> np.ndarray | None:
-    """``||X||_*`` for each matrix of a stack whose shorter side is 2;
-    ``None`` when some ``||X||_F^2`` is outside ``_TWO_SIDE_RANGE``.
+def _two_side_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, ok)``: ``||X||_*`` of each matrix of a stack whose shorter
+    side is 2, which holds where ``||X||_F^2`` is in ``_TWO_SIDE_RANGE``.
 
     With ``a``, ``b`` the two short-side vectors, ``s1^2 + s2^2 =
     ||X||_F^2`` and ``s1 s2 = r11 r22`` for the triangular factor ``R`` of
     ``[a b] = QR``, so ``||X||_* = sqrt(||X||_F^2 + 2 r11 r22)``.  One
     Gram-Schmidt step gives ``r22``; it projects out the longer vector, so
-    its coefficient is at most 1 and its divisor is not 0.  Its
+    its coefficient is at most 1 and its divisor is not 0 in range.  Its
     rounding moves ``r22`` by about ``eps`` times the shorter vector's
     norm, so the result by about ``eps ||X||_F``, as in an SVD.
     """
     a, b = (x[..., 0], x[..., 1]) if x.shape[2] == 2 else (x[:, 0], x[:, 1])
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    f2 = aa + bb
+    # Out-of-range matrices may overflow, divide by 0 or meet NaN here.
+    with np.errstate(all="ignore"):
+        aa = np.einsum("ij,ij->i", a, a)
+        bb = np.einsum("ij,ij->i", b, b)
+        f2 = aa + bb
+        swap = (aa < bb)[:, None]
+        p, q = np.where(swap, b, a), np.where(swap, a, b)
+        pp = np.maximum(aa, bb)
+        r = q - (np.einsum("ij,ij->i", a, b) / pp)[:, None] * p
+        # sqrt of each factor: the product of two squares could underflow.
+        area = np.sqrt(pp) * np.sqrt(np.einsum("ij,ij->i", r, r))
+        total = np.sqrt(f2 + 2.0 * area)
     low, high = _TWO_SIDE_RANGE
-    if not np.all((f2 >= low) & (f2 <= high)):
-        return None
-    swap = (aa < bb)[:, None]
-    p, q = np.where(swap, b, a), np.where(swap, a, b)
-    pp = np.maximum(aa, bb)
-    r = q - (np.einsum("ij,ij->i", a, b) / pp)[:, None] * p
-    # sqrt of each factor: the product of two squares could underflow.
-    area = np.sqrt(pp) * np.sqrt(np.einsum("ij,ij->i", r, r))
-    return np.sqrt(f2 + 2.0 * area)
+    return total, (f2 >= low) & (f2 <= high)
 
 
 def _frame_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:

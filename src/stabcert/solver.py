@@ -67,6 +67,52 @@ NEWTON_STEPS = 5
 # comes from a numerically singular system; it ends its attempt.
 NEWTON_STEP_GAIN = 1.0 / math.sqrt(np.finfo(float).eps)
 
+# The types of real numbers; bool, a subclass of int, is not one.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _rows(values, ndim: int) -> list:
+    """``values`` as rows of entries; a number where a row belongs is a row of one."""
+    if ndim == 0 or not (isinstance(values, (list, tuple)) or getattr(values, "ndim", 0)):
+        return [[values]]
+    return [values] if ndim == 1 else [r for row in values for r in _rows(row, 1)]
+
+
+def real_array(values, what: str, ndim: int = 0):
+    """``values`` as a float array of ``ndim`` levels, or a float at ``ndim``
+    0: the number rule of an instance and of a problem file's real options.
+
+    A real-typed ndarray takes one conversion and one ``np.isfinite``; other
+    values have their entry types gathered row by row before one conversion.
+    The first bad entry in row-major order raises ``BAD_TYPE`` ``<what> must
+    be a number`` for a string, ``None``, a container, a complex or a bool
+    (Python or numpy), and ``NOT_FINITE`` ``<what> must be finite`` for NaN,
+    an infinity or an integer beyond the float range.
+    """
+    arr, rows = None, ()
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and (ndim or not values.ndim):
+        arr = values.astype(float, copy=False)
+    else:
+        rows = _rows(values, ndim)
+        types = set().union(*(map(type, row) for row in rows))
+        bad = {t for t in types if issubclass(t, bool) or not issubclass(t, _REAL_TYPES)}
+        if not bad:
+            try:
+                arr = np.array(values, dtype=float)
+            except OverflowError:  # an integer beyond the float range
+                pass
+    if arr is not None and (np.isfinite(arr).all() if ndim else math.isfinite(arr)):
+        return arr if ndim else float(arr)
+    for v in (v for row in rows for v in row):
+        if type(v) in bad:
+            raise ProblemFormatError("BAD_TYPE", f"{what} must be a number")
+        try:
+            if not math.isfinite(v):
+                break
+        except OverflowError:
+            break
+    raise ProblemFormatError("NOT_FINITE", f"{what} must be finite")
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -74,7 +120,8 @@ class ProblemSpec:
 
     ``phi`` is m x n with n matching the regularizer dimension (for nuclear
     problems, n = n1 * n2 and unknowns are row-major vectorizations).
-    A broken rule raises a coded :class:`ProblemFormatError`.
+    ``phi``, ``b`` and ``mu`` go through :func:`real_array`.  A broken rule
+    raises the coded :class:`ProblemFormatError` that the command line prints.
     The operator quantities below are computed on first use and kept.
     """
 
@@ -84,21 +131,20 @@ class ProblemSpec:
     reg: Regularizer
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        phi = real_array(self.phi, "phi entry", 2)
+        b = real_array(self.b, "b entry", 1)
+        mu = real_array(self.mu, "mu")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", mu)
         if phi.ndim != 2:
             raise ProblemFormatError("BAD_TYPE", "phi must be a matrix")
         m, n = phi.shape
         if b.shape != (m,):
             size = f"{len(b)} entries" if b.ndim == 1 else f"shape {b.shape}"
             raise ProblemFormatError("DIMENSION_MISMATCH", f"b has {size}, phi has {m} rows")
-        if not (np.isfinite(phi).all() and np.isfinite(b).all() and np.isfinite(self.mu)):
-            raise ProblemFormatError("NOT_FINITE", "phi, b and mu must be finite")
-        if self.mu <= 0:
-            raise ProblemFormatError("MU_NONPOSITIVE", f"mu must be positive, got {self.mu}")
+        if mu <= 0:
+            raise ProblemFormatError("MU_NONPOSITIVE", f"mu must be positive, got {mu}")
         if self.reg.n != n:
             msg = f"regularizer dimension {self.reg.n} does not match phi columns {n}"
             raise ProblemFormatError("DIMENSION_MISMATCH", msg)

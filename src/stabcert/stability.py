@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotASolutionError, NotASubgradientError
 from .groupnorm import GroupAnalysis
-from .linalg import restricted_min_singular
+from .linalg import UNIT_TOL, restricted_min_singular
 from .nuclear import SimultaneousSVD
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -43,8 +43,6 @@ MARGIN_TOL_SCALE = 1e-8
 AUDIT_SLACK_FLOOR = -1e-9
 # Samples with norm at or below this are excluded from audits.
 AUDIT_NORM_FLOOR = 1e-12
-
-CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +100,7 @@ def margin_tolerance(problem: ProblemSpec) -> float:
 def certify(
     problem: ProblemSpec,
     x: np.ndarray,
-    tol: float = CERT_TOL,
+    tol: float = UNIT_TOL,
     margin_tol: float | None = None,
 ) -> StabilityCertificate:
     """Certificate at solution ``x`` (a vector; nuclear problems also take the matrix).
@@ -139,7 +137,7 @@ def certify(
 
 
 def snap_to_graph(
-    reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = CERT_TOL
+    reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL
 ) -> tuple[np.ndarray, np.ndarray, GroupAnalysis | SimultaneousSVD]:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
@@ -200,7 +198,7 @@ def qg_audit(
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     ybar = np.asarray(ybar, dtype=float).reshape(-1)
     if ref is None:
-        ref = reg.classify(xbar, ybar, CERT_TOL)
+        ref = reg.classify(xbar, ybar)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
     scales = reg.growth_scale(draws)

@@ -333,12 +333,12 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     its first slack that is not finite.  Returns ``(used,
     slack_by_constant, min_slack, conjecture_min_slack)``.
     """
-    from stabcert.stability import AUDIT_NORM_FLOOR, CERT_TOL, _ball_samples
+    from stabcert.stability import AUDIT_NORM_FLOOR, _ball_samples
 
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     ybar = np.asarray(ybar, dtype=float).reshape(-1)
-    ref = reg.classify(xbar, ybar, CERT_TOL)
+    ref = reg.classify(xbar, ybar, UNIT_TOL)
     conjecture = reg.growth_conjecture if include_conjecture else None
     draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
     mins = dict.fromkeys(reg.growth_names, math.inf)

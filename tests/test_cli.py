@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -130,10 +131,8 @@ class TestProblemValidation:
             load_problem_dict(d)
         assert exc.value.code == code
 
-    # The cases of test_rejects_with_specific_code whose rule a constructor
-    # owns: the mutation, the same instance built directly, the code, and the
-    # message the CLI prints (None where the file loader's own number check
-    # speaks first).
+    # The cases whose rule a constructor owns: the mutation, the same
+    # instance built directly, the code, and the message the CLI prints.
 
     @pytest.mark.parametrize(
         "mutate,build,code,message",
@@ -148,7 +147,49 @@ class TestProblemValidation:
                 lambda d: d.update(b=[2.0, math.inf]),
                 lambda: ProblemSpec(BASE_PHI, [2.0, math.inf], 1.0, BASE_PAIRS),
                 "NOT_FINITE",
-                None,
+                "b entry must be finite",
+            ),
+            (
+                lambda d: d.update(b=["2", "-1"]),
+                lambda: ProblemSpec(BASE_PHI, ["2", "-1"], 1.0, BASE_PAIRS),
+                "BAD_TYPE",
+                "b entry must be a number",
+            ),
+            (
+                lambda d: d.update(b=[True, False]),
+                lambda: ProblemSpec(BASE_PHI, [True, False], 1.0, BASE_PAIRS),
+                "BAD_TYPE",
+                "b entry must be a number",
+            ),
+            (
+                lambda d: d.update(b=[1, True]),
+                lambda: ProblemSpec(BASE_PHI, [1, True], 1.0, BASE_PAIRS),
+                "BAD_TYPE",
+                "b entry must be a number",
+            ),
+            (
+                lambda d: d.update(b=[2.0, 10**400]),
+                lambda: ProblemSpec(BASE_PHI, [2.0, 10**400], 1.0, BASE_PAIRS),
+                "NOT_FINITE",
+                "b entry must be finite",
+            ),
+            (
+                lambda d: d.update(mu="1"),
+                lambda: ProblemSpec(BASE_PHI, [2.0, -1.0], "1", BASE_PAIRS),
+                "BAD_TYPE",
+                "mu must be a number",
+            ),
+            (
+                lambda d: d.update(mu=True),
+                lambda: ProblemSpec(BASE_PHI, [2.0, -1.0], True, BASE_PAIRS),
+                "BAD_TYPE",
+                "mu must be a number",
+            ),
+            (
+                lambda d: d["phi"][1].__setitem__(0, None),
+                lambda: ProblemSpec([[1.0, 1.0, 0.0], [None, 0.0, -1.0]], [2.0, -1.0], 1.0, BASE_PAIRS),
+                "BAD_TYPE",
+                "phi entry must be a number",
             ),
             (
                 lambda d: d.update(mu=0.0),
@@ -189,7 +230,11 @@ class TestProblemValidation:
                 "regularizer dimension 4 does not match phi columns 3",
             ),
         ],
-        ids=["b-length", "b-inf", "mu-zero", "mu-negative", "range", "overlap", "coverage", "shape"],
+        ids=[
+            "b-length", "b-inf", "b-strings", "b-bools", "b-int-and-bool", "b-huge-int",
+            "mu-string", "mu-bool", "phi-null", "mu-zero", "mu-negative", "range", "overlap",
+            "coverage", "shape",
+        ],
     )
     def test_constructor_and_file_share_the_code(
         self, mutate, build, code, message, tmp_path, capsys
@@ -203,10 +248,9 @@ class TestProblemValidation:
         assert direct.value.code == loaded.value.code == code
         assert isinstance(direct.value, ValueError)
         exit_code, report = run_capture(capsys, ["certify", write_doc(tmp_path, d)])
-        assert exit_code == 1 and report["error"]["code"] == code
-        if message is not None:
-            assert str(direct.value) == str(loaded.value) == message
-            assert report["error"]["message"] == message
+        assert exit_code == 1
+        assert str(direct.value) == str(loaded.value) == message
+        assert report["error"] == {"code": code, "message": message}
 
     @pytest.mark.parametrize(
         "groups",
@@ -513,6 +557,74 @@ NUCLEAR_DOC = {
     "mu": 0.5,
     "reg": {"kind": "nuclear", "shape": [2, 2]},
 }
+
+
+# What a JSON value can be that is not a finite real number.
+NOT_A_NUMBER = ["2", None, True, False, [1.0], {}, HUGE, -HUGE, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid group (singleton groups) or nuclear document, and its regularizer."""
+    real = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        reg_doc = {"kind": "group", "groups": [[j + 1] for j in range(n)]}
+        reg = GroupPartition.singletons(n)
+    else:
+        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n = n1 * n2
+        reg_doc, reg = {"kind": "nuclear", "shape": [n1, n2]}, NuclearShape(n1, n2)
+    m = draw(st.integers(1, 4))
+    d = doc(
+        phi=draw(st.lists(st.lists(real, min_size=n, max_size=n), min_size=m, max_size=m)),
+        b=draw(st.lists(real, min_size=m, max_size=m)),
+        mu=draw(st.floats(0.1, 10.0)),
+        reg=reg_doc,
+    )
+    return d, reg
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_documents(), st.sampled_from(NOT_A_NUMBER), st.data())
+def test_a_bad_number_gets_the_same_error_from_file_and_constructor(problem, value, data):
+    d, reg = problem
+    where = data.draw(st.sampled_from(["phi", "b", "mu"]))
+    if where == "phi":
+        row = data.draw(st.sampled_from(d["phi"]))
+        row[data.draw(st.integers(0, len(row) - 1))] = value
+    elif where == "b":
+        d["b"][data.draw(st.integers(0, len(d["b"]) - 1))] = value
+    else:
+        d["mu"] = value
+    with pytest.raises(ProblemFormatError) as loaded:
+        load_problem_dict(d)
+    with pytest.raises(ProblemFormatError) as direct:
+        ProblemSpec(d["phi"], d["b"], d["mu"], reg)
+    assert loaded.value.code in ("BAD_TYPE", "NOT_FINITE")
+    assert (direct.value.code, str(direct.value)) == (loaded.value.code, str(loaded.value))
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_every_problem_code_is_in_the_readme_table():
+    raised = set()
+    for path in sorted((REPO / "src" / "stabcert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ProblemFormatError":
+                code = node.args[0]
+                assert isinstance(code, ast.Constant), f"{path.name}:{node.lineno}"
+                raised.add(code.value)
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = lines.index("| Code | Rule | Raised by |") + 2
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in lines[start : lines.index("", start)]
+    ]
+    assert raised and raised <= {code.strip("`") for code, _, _ in rows}
+    numbers = {(code, owner) for code, rule, owner in rows if "entry of `phi`" in rule}
+    assert numbers == {("`BAD_TYPE`", "`ProblemSpec`"), ("`NOT_FINITE`", "`ProblemSpec`")}
 
 
 # The CI smoke's 2x2 nuclear problem, whose solve takes the nuclear Newton path.

@@ -8,6 +8,8 @@ from helpers import (
     random_nuclear_instance,
     solution_spread,
 )
+from stabcert import solver
+from stabcert.errors import ProblemFormatError
 from stabcert.groupnorm import GroupPartition, subgrad_residual
 from stabcert.nuclear import NuclearShape, prox_nuclear
 from stabcert.solver import (
@@ -41,6 +43,64 @@ class TestProblemSpec:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ProblemSpec(PHI, np.array([np.inf, 0.0]), 1.0, PAIRS)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            [np.bool_(True), 1.0],
+            np.array([True, False]),
+            [2.0, 1 + 0j],
+            [2.0, np.complex128(1.0)],
+            np.array([2.0, -1.0], dtype=complex),
+        ],
+        ids=["numpy-bool", "bool-array", "complex", "numpy-complex", "complex-array"],
+    )
+    def test_rejects_what_json_cannot_hold(self, b):
+        with pytest.raises(ProblemFormatError) as exc:
+            ProblemSpec(PHI, b, 1.0, PAIRS)
+        assert (exc.value.code, str(exc.value)) == ("BAD_TYPE", "b entry must be a number")
+
+    @pytest.mark.parametrize(
+        "phi,b,mu",
+        [
+            (PHI.tolist(), [np.float64(2.0), np.int64(-1)], np.int64(1)),
+            (PHI.astype(np.int64), np.array([2, -1], dtype=np.int32), np.float64(1.0)),
+            (PHI.astype(np.float32), np.array([2.0, -1.0], dtype=np.float32), 1),
+            ([[np.int64(v) for v in row] for row in PHI], (2, -1.0), np.array(1.0)),
+        ],
+        ids=["numpy-scalars", "int-arrays", "float32-arrays", "numpy-int-rows"],
+    )
+    def test_accepts_numpy_reals(self, phi, b, mu):
+        spec = ProblemSpec(phi, b, mu, PAIRS)
+        assert spec.phi.dtype == spec.b.dtype == np.float64
+        assert np.array_equal(spec.phi, PHI) and spec.b.tolist() == [2.0, -1.0]
+        assert type(spec.mu) is float and spec.mu == 1.0
+
+    @pytest.mark.parametrize(
+        "phi,b,mu,code,message",
+        [
+            ([1.0, 1.0, 0.0], [2.0], 1.0, "BAD_TYPE", "phi must be a matrix"),
+            (PHI, 2.0, 1.0, "DIMENSION_MISMATCH", "b has shape (), phi has 2 rows"),
+            (PHI, PHI[:, :1], 1.0, "DIMENSION_MISMATCH", "b has shape (2, 1), phi has 2 rows"),
+            (PHI, [2.0, -1.0], np.array([1.0]), "BAD_TYPE", "mu must be a number"),
+        ],
+        ids=["phi-vector", "b-number", "b-column", "mu-vector"],
+    )
+    def test_a_wrong_nesting_is_a_coded_error(self, phi, b, mu, code, message):
+        # A number where a row belongs is read as a row of one, so the shape
+        # rules name the error, as they do for an array of that shape.
+        with pytest.raises(ProblemFormatError) as exc:
+            ProblemSpec(phi, b, mu, PAIRS)
+        assert (exc.value.code, str(exc.value)) == (code, message)
+
+    def test_with_data_scans_no_entry_of_an_array(self, monkeypatch):
+        spec = pairs_problem()
+        scanned = []
+        rows = solver._rows
+        monkeypatch.setattr(solver, "_rows", lambda v, ndim: scanned.append(ndim) or rows(v, ndim))
+        shifted = spec.with_data(np.array([3.0, 0.5]), 0.7)
+        assert scanned == [0]  # mu alone; phi and b are float arrays
+        assert shifted.b.tolist() == [3.0, 0.5] and shifted.mu == 0.7
 
     def test_operator_quantities_are_cached(self):
         p = pairs_problem()

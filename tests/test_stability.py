@@ -32,7 +32,7 @@ from stabcert.groupnorm import (
     inverse_subdiff_distance,
     subgrad_residual,
 )
-from stabcert.linalg import restricted_min_singular
+from stabcert.linalg import UNIT_TOL, restricted_min_singular
 from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
     ProblemSpec,
@@ -41,7 +41,6 @@ from stabcert.solver import (
     prox_gradient_solve,
 )
 from stabcert.stability import (
-    CERT_TOL,
     _largest_pair_ratio,
     _largest_ratio,
     _solution_derivative,
@@ -683,7 +682,7 @@ class TestCertifyFactorizations:
             assert spec.sigma_max > 0  # factored and cached before counting
             y = dual_from_solution(spec, x)
             before = len(calls)
-            spec.reg.classify(x, y, CERT_TOL)
+            spec.reg.classify(x, y, UNIT_TOL)
             in_classify = len(calls) - before
             before = len(calls)
             cert = certify(spec, x)
