@@ -101,9 +101,9 @@ class GroupPartition:
         return group_norm(x, self)
 
     def prox(self, x: np.ndarray, t: float):
-        """``(point, value, jacobian, active)``: the prox, the group norm of
-        its point, a callable that builds its ``(n, n)`` Jacobian and the
-        mask of the blocks it keeps; see :func:`prox_group`."""
+        """``(point, value, jacobian)``: the prox, the group norm of its
+        point and a callable that builds its ``(n, n)`` Jacobian; see
+        :func:`prox_group`."""
         return prox_group(x, t, self)
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "GroupAnalysis":
@@ -214,11 +214,10 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
 
 
 def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
-    """``(point, value, jacobian, active)``: the blockwise soft threshold
-    ``x_J * max(1 - t/||x_J||, 0)``, its group norm, a zero-argument
-    callable that builds its ``(n, n)`` Jacobian from the same block norms,
-    and the boolean mask of the blocks with ``||x_J|| > t``, the ones the
-    threshold keeps.
+    """``(point, value, jacobian)``: the blockwise soft threshold
+    ``x_J * max(1 - t/||x_J||, 0)``, its group norm and a zero-argument
+    callable that builds its ``(n, n)`` Jacobian from the same block norms.
+    A block with ``||x_J|| == t`` is not kept.
 
     The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
     it costs no second pass over the blocks.  The Jacobian is block
@@ -244,7 +243,7 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
         jac.flat[:: x.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
         return jac
 
-    return point, float(np.maximum(nx - t, 0.0).sum()), jacobian, keep
+    return point, float(np.maximum(nx - t, 0.0).sum()), jacobian
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:

@@ -66,12 +66,11 @@ class NuclearShape:
         return nuclear_norm(self.as_matrix(x))
 
     def prox(self, x: np.ndarray, t: float):
-        """``(point, value, jacobian, active)``: the prox, the nuclear norm
-        of its point, a callable that builds its ``(n, n)`` Jacobian on
-        vectorizations and the mask of the singular values it keeps; see
-        :func:`prox_nuclear`."""
-        point, value, jacobian, active = prox_nuclear(self.as_matrix(x), t)
-        return self.as_vector(point), value, jacobian, active
+        """``(point, value, jacobian)``: the prox, the nuclear norm of its
+        point and a callable that builds its ``(n, n)`` Jacobian on
+        vectorizations; see :func:`prox_nuclear`."""
+        point, value, jacobian = prox_nuclear(self.as_matrix(x), t)
+        return self.as_vector(point), value, jacobian
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
@@ -213,12 +212,10 @@ def _frame_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def prox_nuclear(x: np.ndarray, t: float):
-    """``(point, value, jacobian, active)``: the singular value soft
-    threshold of ``x`` at level ``t``, its nuclear norm, a zero-argument
-    callable that builds its ``(n, n)`` Jacobian on row-major
-    vectorizations from the same thin SVD, and the boolean mask of the
-    singular values ``s > t``, in descending order: its count is the rank
-    of the point.
+    """``(point, value, jacobian)``: the singular value soft threshold of
+    ``x`` at level ``t``, its nuclear norm and a zero-argument callable
+    that builds its ``(n, n)`` Jacobian on row-major vectorizations from
+    the same thin SVD.  The rank of the point is the count of ``s > t``.
 
     The norm is the sum of the shrunk singular values,
     ``sum(max(s - t, 0))``, so it costs no second SVD.  With
@@ -271,7 +268,7 @@ def prox_nuclear(x: np.ndarray, t: float):
             jac += (left[:, None, :, None] * right[None, :, None, :]).reshape(n1 * n2, n1 * n2)
         return jac
 
-    return (u * f) @ vt, float(f.sum()), jacobian, above
+    return (u * f) @ vt, float(f.sum()), jacobian
 
 
 @dataclass(frozen=True, eq=False)

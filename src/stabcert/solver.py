@@ -18,24 +18,21 @@ nonexpansive at step ``1/L``, so ``||m - T(m)||`` bounds the residual at
 ``T(m)``; once that bound is below the tolerance, one more prox confirms
 the true residual.
 
-Once FISTA has settled the active blocks or rank, it only polishes a smooth
-problem, which Newton does in a step or two.  The regularizer's one
-``prox`` returns, with each point, the mask of the blocks or singular
-values its threshold keeps and a builder for the generalized Jacobian of
-the prox there, both from the same factorization; the solver builds the
+Once FISTA has identified the active blocks or rank, it only polishes a
+smooth problem, which Newton does in a step or two.  The regularizer's one
+``prox`` returns, with each point, a builder for the generalized Jacobian
+of the prox there, from the same factorization; the solver builds the
 Jacobian only when one more step needs it.  The solver makes its first
 attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
 ``z - T(z)`` at the first iteration whose step moves the iterate by at
-most ``NEWTON_SWITCH_SETTLED`` with the prox keeping what it kept at the
-previous iteration, or by at most ``NEWTON_SWITCH``, whichever comes
-first.  The attempt starts where that iteration's step did, at the
-momentum point (at the previous iterate after a restart), from the prox
-the step already took there.  Once a Newton point's true residual is
-below the tolerance, its prox point is kept if its objective exceeds that
-of the step's new iterate by at most 4 ulps; otherwise FISTA goes on as
-if the attempt had not been made, and a second attempt comes at the next
-step of at most ``NEWTON_SWITCH``.  ``max_iter`` caps FISTA iterations
-and Newton steps together.
+most ``NEWTON_SWITCH_FIRST``.  The attempt starts where that iteration's
+step did, at the momentum point (at the previous iterate after a
+restart), from the prox the step already took there.  Once a Newton
+point's true residual is below the tolerance, its prox point is kept if
+its objective exceeds that of the step's new iterate by at most 4 ulps;
+otherwise FISTA goes on as if the attempt had not been made, and a second
+attempt comes at the next step of at most ``NEWTON_SWITCH``.  ``max_iter``
+caps FISTA iterations and Newton steps together.
 Hitting the cap sets a flag on the result instead of raising, and so does
 a non-finite objective, which ends the solve at once.
 """
@@ -56,12 +53,12 @@ Regularizer = GroupPartition | NuclearShape
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-# FISTA hands over to Newton once a step moves the iterate by at most
-# NEWTON_SWITCH, or by at most NEWTON_SWITCH_SETTLED with the prox's active
-# structure the same as at the previous iteration; each Newton attempt
-# takes at most NEWTON_STEPS steps.
+# FISTA first hands over to Newton once a step moves the iterate by at most
+# NEWTON_SWITCH_FIRST, and after a thrown-away first attempt once a step
+# moves it by at most NEWTON_SWITCH; each Newton attempt takes at most
+# NEWTON_STEPS steps.
+NEWTON_SWITCH_FIRST = 1e-2
 NEWTON_SWITCH = 1e-3
-NEWTON_SWITCH_SETTLED = 1e-2
 NEWTON_STEPS = 5
 # A Newton step longer than NEWTON_STEP_GAIN times the residual it corrects
 # comes from a numerically singular system; it ends its attempt.
@@ -71,9 +68,13 @@ NEWTON_STEP_GAIN = 1.0 / math.sqrt(np.finfo(float).eps)
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
+def _is_row(values) -> bool:
+    return isinstance(values, (list, tuple)) or bool(getattr(values, "ndim", 0))
+
+
 def _rows(values, ndim: int) -> list:
     """``values`` as rows of entries; a number where a row belongs is a row of one."""
-    if ndim == 0 or not (isinstance(values, (list, tuple)) or getattr(values, "ndim", 0)):
+    if ndim == 0 or not _is_row(values):
         return [[values]]
     return [values] if ndim == 1 else [r for row in values for r in _rows(row, 1)]
 
@@ -84,15 +85,27 @@ def real_array(values, what: str, ndim: int = 0):
 
     A real-typed ndarray takes one conversion and one ``np.isfinite``; other
     values have their entry types gathered row by row before one conversion.
-    The first bad entry in row-major order raises ``BAD_TYPE`` ``<what> must
-    be a number`` for a string, ``None``, a container, a complex or a bool
-    (Python or numpy), and ``NOT_FINITE`` ``<what> must be finite`` for NaN,
-    an infinity or an integer beyond the float range.
+    Before any entry is read, a matrix (``ndim`` 2, which only ``phi`` is)
+    of rows mixed with numbers raises ``BAD_TYPE`` ``phi must be a
+    matrix``, and rows that are empty or of unequal length raise
+    ``DIMENSION_MISMATCH`` ``phi rows must be non-empty and equally long``,
+    the codes the file loader gives them.  Then the first bad entry in
+    row-major order raises ``BAD_TYPE`` ``<what> must be a number`` for a
+    string, ``None``, a container, a complex or a bool (Python or numpy),
+    and ``NOT_FINITE`` ``<what> must be finite`` for NaN, an infinity or an
+    integer beyond the float range.
     """
     arr, rows = None, ()
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and (ndim or not values.ndim):
         arr = values.astype(float, copy=False)
     else:
+        if ndim == 2 and _is_row(values):
+            widths = {len(row) if _is_row(row) else None for row in values}
+            if None in widths and len(widths) > 1:
+                raise ProblemFormatError("BAD_TYPE", "phi must be a matrix")
+            if len(widths) > 1 or 0 in widths:
+                msg = "phi rows must be non-empty and equally long"
+                raise ProblemFormatError("DIMENSION_MISMATCH", msg)
         rows = _rows(values, ndim)
         types = set().union(*(map(type, row) for row in rows))
         bad = {t for t in types if issubclass(t, bool) or not issubclass(t, _REAL_TYPES)}
@@ -279,13 +292,10 @@ def prox_gradient_solve(
     start point.
 
     At the first iteration whose step moves the iterate by at most
-    ``NEWTON_SWITCH_SETTLED`` and whose prox keeps the same blocks or
-    singular values (the same ``active`` mask) as the previous iteration's,
-    or whose step moves it by at most ``NEWTON_SWITCH``, a Newton attempt
-    starts from that step's own start point ``m`` (the momentum point, or
-    ``x`` after a restart), whose prox the step already took and whose
-    residual is ``||m - z||``; the Jacobian of its first step carries the
-    very mask the rule compared.  Each step solves
+    ``NEWTON_SWITCH_FIRST``, a Newton attempt starts from that step's own
+    start point ``m`` (the momentum point, or ``x`` after a restart), whose
+    prox the step already took and whose residual is ``||m - z||``.  Each
+    step solves
     ``(I - J(w) (I - step gram)) d = -(y - T(y))``
     (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
     step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns a
@@ -339,9 +349,8 @@ def prox_gradient_solve(
         return 0.5 * float(z @ gz) - float(lin @ z) + const
 
     def pg_step(z: np.ndarray, gz: np.ndarray):
-        """``(T(z), g(T(z)), jacobian, active)``: ``jacobian`` builds the
-        prox Jacobian at the forward step of ``z``, ``active`` masks what
-        the prox keeps."""
+        """``(T(z), g(T(z)), jacobian)``: ``jacobian`` builds the prox
+        Jacobian at the forward step of ``z``."""
         return reg.prox(z - step * (gz - lin), step)
 
     def polish(y, fz, py, ry, budget):
@@ -353,7 +362,7 @@ def prox_gradient_solve(
         ``(p, gram @ p, objective, pg_step(p), residual)``; else ``None``.
         """
         for steps in range(1, budget + 1):
-            ty, _, jacobian, _ = py
+            ty, _, jacobian = py
             try:
                 d = np.linalg.solve(newton_matrix(problem, jacobian()), ty - y)
             except np.linalg.LinAlgError:
@@ -369,7 +378,7 @@ def prox_gradient_solve(
                 # whose dual has unit norm, which is no solution at all.
                 # The fit as a sum of squares: at a far-off point the smooth
                 # formula's 0.5 p^T gram p - lin^T p cancels into garbage.
-                p, gp, _, _ = py
+                p, gp, _ = py
                 fit = problem.phi @ p - problem.b
                 fp = float(fit @ fit) / (2.0 * problem.mu) - float(v @ p) + gp
                 if fp > fz + 4.0 * np.spacing(abs(fz)):
@@ -389,10 +398,8 @@ def prox_gradient_solve(
     momentum = x
     tk = 1.0
     iterations = newton_steps = 0
-    # Newton attempts left: a second one only after a thrown-away first.
-    attempts = 2
-    # The bytes of the mask of what the latest iteration's prox kept.
-    kept = None
+    # The longest step that hands over to Newton: -inf once no attempt is left.
+    switch = NEWTON_SWITCH_FIRST
     # A non-finite objective (overflowing data or iterates) ends the solve.
     while not converged and iterations < max_iter and math.isfinite(fx):
         # After the start or a kept attempt the momentum point is x itself,
@@ -400,7 +407,7 @@ def prox_gradient_solve(
         # starts on.
         base = momentum
         pb = px if base is x and px is not None else pg_step(base, gram @ base)
-        z, gval, _, active = pb
+        z, gval, _ = pb
         gz = gram @ z
         fz = smooth(z, gz) + gval
         if fz > fx:
@@ -410,7 +417,7 @@ def prox_gradient_solve(
             if base is not x:
                 base = x
                 pb = px if px is not None else pg_step(x, gx)
-                z, gval, _, active = pb
+                z, gval, _ = pb
                 gz = gram @ z
                 fz = smooth(z, gz) + gval
         iterations += 1
@@ -419,33 +426,22 @@ def prox_gradient_solve(
             x, gx, fx = z, gz, fz
             break
         moved = _norm(base - z)
-        # The first attempt comes at a short step whose prox kept what the
-        # previous iteration's kept, or at a step of at most NEWTON_SWITCH;
-        # the second only at the latter.  Each takes at least one step.
-        kept_before, kept = kept, active.tobytes()
-        newton_due = (
-            attempts > 0
-            and iterations < max_iter
-            and (
-                moved <= NEWTON_SWITCH
-                or (attempts == 2 and moved <= NEWTON_SWITCH_SETTLED and kept == kept_before)
-            )
-        )
         if moved <= tol:
             # The pure-FISTA finish: one prox confirms the true residual.
             px = pg_step(z, gz)
             residual = _norm(z - px[0])
             converged = residual <= tol
-        elif newton_due:
+        elif moved <= switch and iterations < max_iter:
             # From base, on the prox pb this step took there, with residual
             # moved; the guard compares against z = T(base).
             budget = min(NEWTON_STEPS, max_iter - iterations)
             steps, polished = polish(base, fz, pb, moved, budget)
             iterations += steps
             newton_steps += steps
-            attempts -= 1
+            # A second attempt only after a thrown-away first.
+            first = switch == NEWTON_SWITCH_FIRST
+            switch = NEWTON_SWITCH if polished is None and first else -math.inf
             if polished is not None:
-                attempts = 0
                 # T is nonexpansive, so only rounding can leave the
                 # residual above tol; then FISTA restarts from x.
                 x, gx, fx, px, residual = polished

@@ -320,7 +320,7 @@ def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | No
     """
     t = problem.step
     grad = problem.gram @ x - problem.phi_tb
-    _, _, jacobian, _ = problem.reg.prox(x - t * grad, t)
+    _, _, jacobian = problem.reg.prox(x - t * grad, t)
     jac = jacobian()
     rhs = (t / problem.mu) * (jac @ np.column_stack([problem.phi.T, grad]))
     try:

@@ -366,14 +366,13 @@ def qg_audit_loop(reg, xbar, ybar, samples, radius, seed, include_conjecture=Fal
     return used, mins, min(mins.values()), conj_min
 
 
-def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=None, settled=None):
+def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=None):
     """FISTA with function-value restart, recomputing every product and prox,
     evaluating the norm at every iterate and the true residual after every
     step.  With ``switch`` set, it also stops after the first step that moves
-    the iterate by at most ``switch`` from the point it was taken at, or by
-    at most ``settled`` with the prox keeping the same blocks or singular
-    values as at the previous iteration: the iteration where the solver
-    first hands over to Newton.
+    the iterate by at most ``switch`` from the point it was taken at: with
+    ``NEWTON_SWITCH_FIRST``, the iteration where the solver first hands over
+    to Newton.
 
     Returns ``(x, iterations, residual, objective)``.
     """
@@ -394,24 +393,20 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=Non
         return 0.5 * float(z @ (gram @ z)) - float(lin @ z) + const + reg.value(z)
 
     def pg_step(z):
-        """``(T(z), mask of what the prox keeps)``."""
-        point, _, _, active = reg.prox(z - step * (gram @ z - lin), step)
-        return point, active
+        return reg.prox(z - step * (gram @ z - lin), step)[0]
 
     momentum = x.copy()
     tk = 1.0
     fx = fval(x)
-    residual = float(np.linalg.norm(x - pg_step(x)[0]))
+    residual = float(np.linalg.norm(x - pg_step(x)))
     iterations = 0
-    active = None
     while residual > tol and iterations < max_iter:
         base = momentum
-        before = active
-        x_new, active = pg_step(momentum)
+        x_new = pg_step(momentum)
         f_new = fval(x_new)
         if f_new > fx:
             base = x
-            x_new, active = pg_step(x)
+            x_new = pg_step(x)
             f_new = fval(x_new)
             tk = 1.0
         moved = float(np.linalg.norm(base - x_new))
@@ -419,10 +414,8 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=Non
         momentum = x_new + ((tk - 1.0) / t_next) * (x_new - x)
         x, fx, tk = x_new, f_new, t_next
         iterations += 1
-        residual = float(np.linalg.norm(x - pg_step(x)[0]))
+        residual = float(np.linalg.norm(x - pg_step(x)))
         if switch is not None and moved <= switch:
-            break
-        if settled is not None and moved <= settled and np.array_equal(active, before):
             break
     return x, iterations, residual, fx
 
@@ -441,13 +434,13 @@ class CountingProx:
 
     def prox(self, x, t):
         self.prox_calls += 1
-        point, value, jacobian, active = self.reg.prox(x, t)
+        point, value, jacobian = self.reg.prox(x, t)
 
         def build():
             self.jacobian_builds += 1
             return jacobian()
 
-        return point, value, build, active
+        return point, value, build
 
     def value(self, x):
         self.value_calls += 1

@@ -192,6 +192,12 @@ class TestProblemValidation:
                 "phi entry must be a number",
             ),
             (
+                lambda d: d["phi"][1].pop(),
+                lambda: ProblemSpec([[1.0, 1.0, 0.0], [1.0, 0.0]], [2.0, -1.0], 1.0, BASE_PAIRS),
+                "DIMENSION_MISMATCH",
+                "phi rows must be non-empty and equally long",
+            ),
+            (
                 lambda d: d.update(mu=0.0),
                 lambda: ProblemSpec(BASE_PHI, [2.0, -1.0], 0.0, BASE_PAIRS),
                 "MU_NONPOSITIVE",
@@ -232,8 +238,8 @@ class TestProblemValidation:
         ],
         ids=[
             "b-length", "b-inf", "b-strings", "b-bools", "b-int-and-bool", "b-huge-int",
-            "mu-string", "mu-bool", "phi-null", "mu-zero", "mu-negative", "range", "overlap",
-            "coverage", "shape",
+            "mu-string", "mu-bool", "phi-null", "phi-ragged", "mu-zero", "mu-negative", "range",
+            "overlap", "coverage", "shape",
         ],
     )
     def test_constructor_and_file_share_the_code(

@@ -77,26 +77,26 @@ class TestNormAndProx:
         assert block_norms(x, PAIRS) == pytest.approx([5.0, 0.0])
 
     def test_prox_shrinks_along_block(self):
-        out, _, _, _ = prox_group(np.array([3.0, 4.0]), 2.5, GroupPartition(2, ((0, 1),)))
+        out, _, _ = prox_group(np.array([3.0, 4.0]), 2.5, GroupPartition(2, ((0, 1),)))
         assert np.allclose(out, [1.5, 2.0], atol=1e-14)
 
     def test_prox_zeroes_small_blocks_exactly(self):
-        out, _, _, _ = prox_group(np.array([0.3, -0.4, 9.0]), 0.5, PAIRS)
+        out, _, _ = prox_group(np.array([0.3, -0.4, 9.0]), 0.5, PAIRS)
         assert out[0] == 0.0 and out[1] == 0.0
         assert out[2] == pytest.approx(8.5)
 
     @settings(max_examples=80, deadline=None)
     @given(vec3, vec3, st.floats(0.0, 5.0, allow_nan=False))
     def test_prox_nonexpansive(self, a, b, t):
-        pa, _, _, _ = prox_group(a, t, PAIRS)
-        pb, _, _, _ = prox_group(b, t, PAIRS)
+        pa, _, _ = prox_group(a, t, PAIRS)
+        pb, _, _ = prox_group(b, t, PAIRS)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
 
     @settings(max_examples=80, deadline=None)
     @given(vec3, st.floats(1e-6, 5.0, allow_nan=False))
     def test_prox_step_lands_on_graph(self, x, t):
         # (prox(x), (x - prox(x))/t) must lie on the subdifferential graph
-        p, _, _, _ = prox_group(x, t, PAIRS)
+        p, _, _ = prox_group(x, t, PAIRS)
         y = (x - p) / t
         # the division by t amplifies rounding in x - p
         assert subgrad_residual(p, y, PAIRS) <= 1e-12 * (1.0 + np.linalg.norm(x) / t)

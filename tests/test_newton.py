@@ -22,7 +22,7 @@ from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
     NEWTON_STEPS,
     NEWTON_SWITCH,
-    NEWTON_SWITCH_SETTLED,
+    NEWTON_SWITCH_FIRST,
     ProblemSpec,
     multistart_solve,
     objective,
@@ -329,9 +329,7 @@ class TestNewtonFinish:
         spec = ProblemSpec(
             np.array([[-1.04, 0.77]]), np.array([-0.16]), 0.08, GroupPartition.singletons(2)
         )
-        _, first, _, _ = fista_loop(
-            spec, tol=0.0, switch=NEWTON_SWITCH, settled=NEWTON_SWITCH_SETTLED
-        )
+        _, first, _, _ = fista_loop(spec, tol=0.0, switch=NEWTON_SWITCH_FIRST)
         _, second, _, _ = fista_loop(spec, tol=0.0, switch=NEWTON_SWITCH)
         assert (first, second) == (2, 7)
         res = prox_gradient_solve(spec)
@@ -341,6 +339,26 @@ class TestNewtonFinish:
         # FISTA alone, as after a single thrown-away attempt, takes 19.
         assert fista_loop(spec)[1] == 19
         assert certify(spec, res.x).holds
+
+    @pytest.mark.parametrize(
+        "kind,seed,switch,steps", [("group", 25, 3, 1), ("nuclear", 38, 1, 3)]
+    )
+    def test_the_first_attempt_waits_on_the_step_length_alone(self, kind, seed, switch, steps):
+        # The first attempt comes at the first step of at most
+        # NEWTON_SWITCH_FIRST, whatever the prox keeps there: on the group
+        # instance that step zeroes a block the step before kept, and on the
+        # nuclear one it lifts the rank from the start's 0 to 1.
+        spec = KINDS[kind](np.random.default_rng(seed))
+        assert fista_loop(spec, tol=0.0, switch=NEWTON_SWITCH_FIRST)[1] == switch
+        before, at = (fista_loop(spec, tol=0.0, max_iter=k)[0] for k in (switch - 1, switch))
+        if kind == "group":
+            kept = [[bool(x[idx].any()) for idx in spec.reg.index_arrays] for x in (before, at)]
+        else:
+            kept = [np.linalg.matrix_rank(spec.reg.as_matrix(x), tol=1e-12) for x in (before, at)]
+        assert kept[0] != kept[1]
+        res = prox_gradient_solve(spec)
+        assert res.converged and res.newton_steps == steps
+        assert res.iterations == switch + steps == 4
 
     @pytest.mark.parametrize("kind", ["group", "nuclear"])
     def test_newton_steps_count_against_max_iter(self, kind):
@@ -354,9 +372,7 @@ class TestNewtonFinish:
             if not full.newton_steps:
                 continue
             # The first attempt begins after this many FISTA iterations.
-            _, switch, _, _ = fista_loop(
-                spec, x0=x0, tol=0.0, switch=NEWTON_SWITCH, settled=NEWTON_SWITCH_SETTLED
-            )
+            _, switch, _, _ = fista_loop(spec, x0=x0, tol=0.0, switch=NEWTON_SWITCH_FIRST)
             accepted = full.iterations == switch + full.newton_steps
             at_switch = prox_gradient_solve(spec, x0=x0, max_iter=switch)
             for budget in range(NEWTON_STEPS + 1):

@@ -52,7 +52,7 @@ class TestNormAndProx:
         assert nuclear_norm(a) == pytest.approx(7.0)
 
     def test_prox_thresholds_spectrum(self):
-        out, _, _, _ = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
+        out, _, _ = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
         # Against the closed form u diag(max(s - t, 0)) v^T of u diag(s) v^T.
         rng = np.random.default_rng(22)
@@ -67,9 +67,11 @@ class TestNormAndProx:
                 u, v = random_orthogonal(rng, n1)[:, :k], random_orthogonal(rng, n2)[:, :k]
                 cases.append((u, s, v, 0.5))
             for u, s, v, t in cases:
-                point, value, _, _ = prox_nuclear((u * s) @ v.T, t)
+                point, value, _ = prox_nuclear((u * s) @ v.T, t)
                 f = np.maximum(s - t, 0.0)
                 assert np.allclose(point, (u * f) @ v.T, atol=1e-12)
+                # A singular value exactly at t is not kept.
+                assert np.linalg.matrix_rank(point, tol=1e-9) == np.count_nonzero(s > t)
                 assert value == pytest.approx(f.sum(), rel=1e-12, abs=1e-12)
 
     def test_prox_nonexpansive(self):
@@ -86,7 +88,7 @@ class TestNormAndProx:
         for _ in range(50):
             a = rng.standard_normal((3, 3)) * rng.uniform(0.1, 4.0)
             t = float(rng.uniform(1e-3, 3.0))
-            p, _, _, _ = prox_nuclear(a, t)
+            p, _, _ = prox_nuclear(a, t)
             y = (a - p) / t
             check = is_subgradient_nuclear(
                 p, y, tol=1e-12 * (1.0 + np.linalg.norm(a) / t)

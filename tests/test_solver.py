@@ -80,15 +80,17 @@ class TestProblemSpec:
         "phi,b,mu,code,message",
         [
             ([1.0, 1.0, 0.0], [2.0], 1.0, "BAD_TYPE", "phi must be a matrix"),
+            ([[1.0, 2.0], 3.0], [2.0, -1.0], 1.0, "BAD_TYPE", "phi must be a matrix"),
             (PHI, 2.0, 1.0, "DIMENSION_MISMATCH", "b has shape (), phi has 2 rows"),
             (PHI, PHI[:, :1], 1.0, "DIMENSION_MISMATCH", "b has shape (2, 1), phi has 2 rows"),
             (PHI, [2.0, -1.0], np.array([1.0]), "BAD_TYPE", "mu must be a number"),
         ],
-        ids=["phi-vector", "b-number", "b-column", "mu-vector"],
+        ids=["phi-vector", "phi-mixed", "b-number", "b-column", "mu-vector"],
     )
     def test_a_wrong_nesting_is_a_coded_error(self, phi, b, mu, code, message):
         # A number where a row belongs is read as a row of one, so the shape
-        # rules name the error, as they do for an array of that shape.
+        # rules name the error, as they do for an array of that shape; rows
+        # mixed with numbers are no matrix, as the file loader says too.
         with pytest.raises(ProblemFormatError) as exc:
             ProblemSpec(phi, b, mu, PAIRS)
         assert (exc.value.code, str(exc.value)) == (code, message)
@@ -241,7 +243,7 @@ class TestConvergenceBehavior:
             p = ProblemSpec(np.eye(6), bmat.ravel(), mu, shape)
             res = prox_gradient_solve(p)
             assert res.converged
-            closed, _, _, _ = prox_nuclear(bmat, mu)
+            closed, _, _ = prox_nuclear(bmat, mu)
             assert np.allclose(shape.as_matrix(res.x), closed, atol=1e-8)
 
     def test_nuclear_random_instances_reach_kkt(self):

@@ -37,6 +37,7 @@ from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
     ProblemSpec,
     dual_from_solution,
+    multistart_solve,
     objective,
     prox_gradient_solve,
 )
@@ -123,6 +124,27 @@ class TestCertifyGroup:
     def test_rejects_non_solution(self):
         with pytest.raises(NotASolutionError):
             certify(pairs_problem(), np.array([5.0, 5.0, 5.0]))
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_unique_solution_with_an_unstable_map(self, mu):
+        # The lasso on phi = [1, 1] with b = mu: x = 0 is the unique
+        # minimizer, and both duals sit on the unit sphere.  The objective
+        # grows quadratically on the critical cone w >= 0, but phi kills
+        # (1, -1) in its span, so the certificate fails with margin 0; any
+        # b > mu has a segment of minimizers, x >= 0 with x1 + x2 = b - mu.
+        spec = ProblemSpec([[1.0, 1.0]], [mu], mu, GroupPartition.singletons(2))
+        res = prox_gradient_solve(spec)
+        assert res.converged and res.x.tolist() == [0.0, 0.0]
+        cert = certify(spec, res.x)
+        assert not cert.holds and cert.margin == 0.0 and cert.subspace_dim == 2
+        assert cert.classification.K == (0, 1) and cert.classification.I == ()
+        w = cert.witness * np.sign(cert.witness[0])
+        assert np.allclose(w, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
+        shifted = spec.with_data(np.array([mu + 0.1]), mu)
+        starts = [np.array([3.0, -3.0]), np.zeros(2), np.array([-3.0, 3.0])]
+        results = multistart_solve(shifted, starts)
+        assert all(r.converged for r in results)
+        assert solution_spread(results) >= 1e-3
 
     def test_margin_scales_with_data(self):
         # (c phi, c b, c^2 mu) leaves the solution fixed and scales the margin
