@@ -88,11 +88,6 @@ class GroupPartition:
         ids = self.seg + g * np.arange(rows)[:, None]
         return np.bincount(ids.ravel(), weights=v.ravel(), minlength=g * rows).reshape(rows, g)
 
-    @cached_property
-    def same_block(self) -> np.ndarray:
-        """``(n, n)`` mask of coordinate pairs that share a block."""
-        return self.seg[:, None] == self.seg[None, :]
-
     @staticmethod
     def singletons(n: int) -> "GroupPartition":
         return GroupPartition(n, tuple((i,) for i in range(n)))
@@ -101,9 +96,9 @@ class GroupPartition:
         return group_norm(x, self)
 
     def prox(self, x: np.ndarray, t: float):
-        """``(point, value, jacobian)``: the prox, the group norm of its
-        point and a callable that builds its ``(n, n)`` Jacobian; see
-        :func:`prox_group`."""
+        """``(point, value, derivative)``: the prox, the group norm of its
+        point and its Jacobian as a map on an ``(S, n)`` stack of
+        directions; see :func:`prox_group`."""
         return prox_group(x, t, self)
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "GroupAnalysis":
@@ -214,13 +209,14 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float | np.ndarray:
 
 
 def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
-    """``(point, value, jacobian)``: the blockwise soft threshold
-    ``x_J * max(1 - t/||x_J||, 0)``, its group norm and a zero-argument
-    callable that builds its ``(n, n)`` Jacobian from the same block norms.
-    A block with ``||x_J|| == t`` is not kept.
+    """``(point, value, derivative)``: the blockwise soft threshold
+    ``x_J * max(1 - t/||x_J||, 0)``, its group norm and its Jacobian ``J``
+    as a map on directions, from the same block norms.  A block with
+    ``||x_J|| == t`` is not kept.
 
     The norm is read off the shrinkage, ``sum(max(||x_J|| - t, 0))``, so
-    it costs no second pass over the blocks.  The Jacobian is block
+    it costs no second pass over the blocks.  ``derivative(h)`` returns
+    ``J h`` for each row of an ``(S, n)`` stack ``h``.  ``J`` is block
     diagonal: ``(1 - t/||x_J||) I + (t/||x_J||) u u^T`` with
     ``u = x_J / ||x_J||`` on blocks with ``||x_J|| > t``, and zero on the
     rest.  At a kink (``||x_J|| == t``) that picks the zero element of the
@@ -231,19 +227,20 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
     x = np.asarray(x, dtype=float)
     nx = block_norms(x, partition)
     keep = nx > t
-    factor = 1.0 - t / np.where(keep, nx, 1.0)
+    safe = np.where(keep, nx, 1.0)
+    factor = 1.0 - t / safe
+    seg = partition.seg
     # np.where, not a zero factor: x * 0 would give -0.0 on negative entries.
-    point = np.where(keep[partition.seg], x * factor[partition.seg], 0.0)
+    point = np.where(keep[seg], x * factor[seg], 0.0)
 
-    def jacobian() -> np.ndarray:
-        # t / ||x_J||, zero off the kept blocks, per coordinate.
-        ratio = np.where(keep, t / np.where(keep, nx, 1.0), 0.0)[partition.seg]
-        unit = x / np.where(keep, nx, 1.0)[partition.seg]
-        jac = np.where(partition.same_block, np.outer(ratio * unit, unit), 0.0)
-        jac.flat[:: x.size + 1] += np.where(keep[partition.seg], 1.0 - ratio, 0.0)
-        return jac
+    def derivative(h: np.ndarray) -> np.ndarray:
+        # 1 - t/||x_J|| and t/||x_J||, zero off the kept blocks, per coordinate.
+        diag = np.where(keep, factor, 0.0)[seg]
+        ratio = np.where(keep, t / safe, 0.0)[seg]
+        unit = x / safe[seg]
+        return diag * h + (ratio * unit) * partition.block_sums(h * unit)[..., seg]
 
-    return point, float(np.maximum(nx - t, 0.0).sum()), jacobian
+    return point, float(np.maximum(nx - t, 0.0).sum()), derivative
 
 
 def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) -> float:

@@ -66,11 +66,11 @@ class NuclearShape:
         return nuclear_norm(self.as_matrix(x))
 
     def prox(self, x: np.ndarray, t: float):
-        """``(point, value, jacobian)``: the prox, the nuclear norm of its
-        point and a callable that builds its ``(n, n)`` Jacobian on
-        vectorizations; see :func:`prox_nuclear`."""
-        point, value, jacobian = prox_nuclear(self.as_matrix(x), t)
-        return self.as_vector(point), value, jacobian
+        """``(point, value, derivative)``: the prox, the nuclear norm of its
+        point and its Jacobian as a map on an ``(S, n)`` stack of
+        vectorized directions; see :func:`prox_nuclear`."""
+        point, value, derivative = prox_nuclear(self.as_matrix(x), t)
+        return self.as_vector(point), value, derivative
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
@@ -212,27 +212,27 @@ def _frame_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def prox_nuclear(x: np.ndarray, t: float):
-    """``(point, value, jacobian)``: the singular value soft threshold of
-    ``x`` at level ``t``, its nuclear norm and a zero-argument callable
-    that builds its ``(n, n)`` Jacobian on row-major vectorizations from
-    the same thin SVD.  The rank of the point is the count of ``s > t``.
+    """``(point, value, derivative)``: the singular value soft threshold of
+    ``x`` at level ``t``, its nuclear norm and its Jacobian as a map on
+    directions, from the same thin SVD.  The rank of the point is the
+    count of ``s > t``.
 
     The norm is the sum of the shrunk singular values,
-    ``sum(max(s - t, 0))``, so it costs no second SVD.  With
+    ``sum(max(s - t, 0))``, so it costs no second SVD.  ``derivative(h)``
+    maps a stack of ``S`` directions, ``(S, n1, n2)`` or row-major
+    ``(S, n1 n2)``, to their derivatives in the same shape.  With
     ``x = U diag(s) V^T`` (thin, ``k = min(n1, n2)``) and
-    ``f(s) = max(s - t, 0)``, the derivative in direction ``H`` applies, in
-    the frames, the divided differences ``(f(s_i) - f(s_j)) / (s_i - s_j)``
-    to the symmetric part of ``U^T H V``, ``(f(s_i) + f(s_j)) / (s_i + s_j)``
-    to its skew part, and ``g = f(s) / s`` to the part of ``H`` outside the
-    column space of ``V`` (wide ``x``) or of ``U`` (tall ``x``).  Equal
-    singular values take ``f'``, and ``f'(t)`` is taken as 0: the zero
-    element at a kink.  On vectorizations that is
-    ``F (diag(a) + diag(b) swap) F^T`` with ``F = kron(U, V)`` and ``swap``
-    the permutation ``(i, j) -> (j, i)``, plus
-    ``kron(U diag(g) U^T, I - V V^T)`` for a wide ``x`` or
-    ``kron(I - U U^T, V diag(g) V^T)`` for a tall one.  The result is
-    symmetric with spectrum in ``[0, 1]``: every pair of mixed entries sees
-    the two divided differences as its eigenvalues.
+    ``f(s) = max(s - t, 0)``, the derivative in direction ``H`` is
+    ``U (0.5 (sym * (m + m^T) + skew * (m - m^T))) V^T``, ``m = U^T H V``,
+    with the divided differences ``sym_ij = (f(s_i) - f(s_j)) / (s_i - s_j)``
+    and ``skew_ij = (f(s_i) + f(s_j)) / (s_i + s_j)``, plus
+    ``U diag(g) U^T H (I - V V^T)`` for a wide ``x`` or
+    ``(I - U U^T) H V diag(g) V^T`` for a tall one, ``g = f(s) / s``
+    (Candes, Sing-Long & Trzasko, IEEE TSP 2013).  Equal singular values
+    take ``f'``, and ``f'(t)`` is taken as 0: the zero element at a kink.
+    On vectorizations the map is symmetric with spectrum in ``[0, 1]``:
+    every pair of mixed entries sees the two divided differences as its
+    eigenvalues.
     """
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
@@ -241,9 +241,8 @@ def prox_nuclear(x: np.ndarray, t: float):
     f = np.maximum(s - t, 0.0)  # the shrunk singular values
     above = s > t
 
-    def jacobian() -> np.ndarray:
-        n1, n2 = u.shape[0], vt.shape[1]
-        k = s.size
+    def derivative(h: np.ndarray) -> np.ndarray:
+        n1, n2 = x.shape
         # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
         mixed = above[:, None] != above[None, :]
         gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
@@ -251,24 +250,19 @@ def prox_nuclear(x: np.ndarray, t: float):
         # f is 0 wherever s is not above t, so a zero denominator meets a zero numerator.
         total = s[:, None] + s[None, :]
         skew = (f[:, None] + f[None, :]) / np.where(total > 0.0, total, 1.0)
+        hs = h.reshape(-1, n1, n2)
         v = vt.T
-        frames = _frame_products(u, v).reshape(n1 * n2, k * k)
-        # Row (i, j) of ft is frame column (i, j); its transpose swaps to (j, i).
-        ft = frames.T.reshape(k, k, n1 * n2)
-        a = 0.5 * (sym + skew)
-        b = 0.5 * (sym - skew)
-        mix = a[:, :, None] * ft + b[:, :, None] * ft.transpose(1, 0, 2)
-        jac = frames @ mix.reshape(k * k, n1 * n2)
-        if n1 != n2:
-            g = f / np.where(above, s, 1.0)
-            if n1 < n2:
-                left, right = (u * g) @ u.T, np.eye(n2) - v @ vt
-            else:
-                left, right = np.eye(n1) - u @ u.T, (v * g) @ vt
-            jac += (left[:, None, :, None] * right[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-        return jac
+        m = u.T @ hs @ v
+        mt = m.transpose(0, 2, 1)
+        out = u @ (0.5 * (sym * (m + mt) + skew * (m - mt))) @ vt
+        g = f / np.where(above, s, 1.0)
+        if n1 < n2:
+            out += (u * g) @ (u.T @ hs - m @ vt)
+        elif n1 > n2:
+            out += (hs @ v - u @ m) @ (g[:, None] * vt)
+        return out.reshape(h.shape)
 
-    return (u * f) @ vt, float(f.sum()), jacobian
+    return (u * f) @ vt, float(f.sum()), derivative
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,9 +20,9 @@ the true residual.
 
 Once FISTA has identified the active blocks or rank, it only polishes a
 smooth problem, which Newton does in a step or two.  The regularizer's one
-``prox`` returns, with each point, a builder for the generalized Jacobian
-of the prox there, from the same factorization; the solver builds the
-Jacobian only when one more step needs it.  The solver makes its first
+``prox`` returns, with each point, the generalized Jacobian of the prox
+there as a map on directions, from the same factorization; the solver
+applies it only when one more step needs it.  The solver makes its first
 attempt of at most ``NEWTON_STEPS`` semismooth Newton steps on
 ``z - T(z)`` at the first iteration whose step moves the iterate by at
 most ``NEWTON_SWITCH_FIRST``.  The attempt starts where that iteration's
@@ -244,17 +244,20 @@ def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return -(problem.phi.T @ (problem.phi @ x - problem.b)) / problem.mu
 
 
-def newton_matrix(problem: ProblemSpec, jacobian: np.ndarray) -> np.ndarray:
-    """``I - J (I - step gram)``, the Jacobian of ``z - T(z)`` where ``J``
-    is the prox Jacobian at the forward step of ``z`` and ``I - step gram``
-    that of the forward step ``z -> z - step (gram z - phi^T b / mu)``.
+def newton_matrix(problem: ProblemSpec, derivative) -> np.ndarray:
+    """``I - J A``, the Jacobian of ``z - T(z)`` where ``J`` is the prox
+    Jacobian at the forward step of ``z`` and ``A = I - step gram`` that of
+    the forward step ``z -> z - step (gram z - phi^T b / mu)``.
 
+    ``derivative`` is the prox's map ``h -> J h`` on the rows of a stack;
+    on the rows of ``A^T`` it gives ``(J A)^T``, with no symmetry assumed.
     The solver's Newton steps solve with it, and at a solution it maps the
     solution map's derivative to the data's first-order change (see
     :func:`stabcert.stability.empirical_lipschitz`).
     """
     eye = np.eye(problem.n)
-    return eye - jacobian @ (eye - problem.step * problem.gram)
+    forward = eye - problem.step * problem.gram
+    return eye - derivative(forward.T).T
 
 
 def prox_gradient_solve(
@@ -298,11 +301,12 @@ def prox_gradient_solve(
     step solves
     ``(I - J(w) (I - step gram)) d = -(y - T(y))``
     (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
-    step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns a
-    builder for ``J`` from its own factorization, so a step costs one
-    Jacobian build, one linear solve and one prox, and no Jacobian is
-    built at the point the attempt ends on.  The attempt ends at the
-    first ``y`` whose true residual is at most ``tol``.  It returns the
+    step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns ``J``
+    as a map on directions, from its own factorization, so a step costs
+    one application of it to the ``n`` columns of ``I - step gram``, one
+    linear solve and one prox, and ``J`` is not applied at the point the
+    attempt ends on.  The attempt ends at the first ``y`` whose true
+    residual is at most ``tol``.  It returns the
     prox point ``p = T(y)``, not ``y``: ``y`` can sit a rounding error off
     a zero block whose dual has unit norm, where no subgradient exists.
     ``p`` is kept if its objective, with the fit taken as a sum of squares
@@ -349,8 +353,8 @@ def prox_gradient_solve(
         return 0.5 * float(z @ gz) - float(lin @ z) + const
 
     def pg_step(z: np.ndarray, gz: np.ndarray):
-        """``(T(z), g(T(z)), jacobian)``: ``jacobian`` builds the prox
-        Jacobian at the forward step of ``z``."""
+        """``(T(z), g(T(z)), derivative)``: ``derivative`` applies the prox
+        Jacobian at the forward step of ``z`` to a stack of directions."""
         return reg.prox(z - step * (gz - lin), step)
 
     def polish(y, fz, py, ry, budget):
@@ -362,9 +366,9 @@ def prox_gradient_solve(
         ``(p, gram @ p, objective, pg_step(p), residual)``; else ``None``.
         """
         for steps in range(1, budget + 1):
-            ty, _, jacobian = py
+            ty, _, derivative = py
             try:
-                d = np.linalg.solve(newton_matrix(problem, jacobian()), ty - y)
+                d = np.linalg.solve(newton_matrix(problem, derivative), ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
             nd = _norm(d)

@@ -309,7 +309,7 @@ def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | No
     ``x`` is the fixed point ``x = prox_{t g}(w)`` of the forward step
     ``w = x - t (gram x - phi^T b / mu)``, for any fixed step ``t``; the
     solver's ``t = 1/L`` is taken.  Differentiating with ``J`` the prox
-    Jacobian at ``w``:
+    Jacobian at ``w``, a map on directions that the prox returns:
 
         ``(I - J (I - t gram)) D = (t / mu) J [phi^T | gram x - phi^T b / mu]``.
 
@@ -320,11 +320,10 @@ def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | No
     """
     t = problem.step
     grad = problem.gram @ x - problem.phi_tb
-    _, _, jacobian = problem.reg.prox(x - t * grad, t)
-    jac = jacobian()
-    rhs = (t / problem.mu) * (jac @ np.column_stack([problem.phi.T, grad]))
+    _, _, derivative = problem.reg.prox(x - t * grad, t)
+    rhs = (t / problem.mu) * derivative(np.vstack([problem.phi, grad])).T
     try:
-        d, _, rank, _ = np.linalg.lstsq(newton_matrix(problem, jac), rhs, rcond=None)
+        d, _, rank, _ = np.linalg.lstsq(newton_matrix(problem, derivative), rhs, rcond=None)
     except np.linalg.LinAlgError:
         return None
     return d if rank == problem.n and np.isfinite(d).all() else None

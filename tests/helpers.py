@@ -421,12 +421,14 @@ def fista_loop(problem, v=None, tol=1e-10, max_iter=200_000, x0=None, switch=Non
 
 
 class CountingProx:
-    """A regularizer that counts its prox, Jacobian build and value calls."""
+    """A regularizer that counts its prox, derivative and value calls, and
+    records the rows of the stack each derivative call takes."""
 
     def __init__(self, reg):
         self.reg = reg
         self.prox_calls = 0
-        self.jacobian_builds = 0
+        self.derivative_calls = 0
+        self.derivative_rows = []
         self.value_calls = 0
 
     def __getattr__(self, name):
@@ -434,13 +436,14 @@ class CountingProx:
 
     def prox(self, x, t):
         self.prox_calls += 1
-        point, value, jacobian = self.reg.prox(x, t)
+        point, value, derivative = self.reg.prox(x, t)
 
-        def build():
-            self.jacobian_builds += 1
-            return jacobian()
+        def counted(h):
+            self.derivative_calls += 1
+            self.derivative_rows.append(len(h))
+            return derivative(h)
 
-        return point, value, build
+        return point, value, counted
 
     def value(self, x):
         self.value_calls += 1
@@ -588,7 +591,7 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
     # x = prox_{t g}(x - t grad), differentiated in (b, mu) at fixed t.
     t = problem.step
     grad = problem.gram @ x - problem.phi_tb
-    jac = problem.reg.prox(x - t * grad, t)[2]()
+    jac = problem.reg.prox(x - t * grad, t)[2](np.eye(problem.n)).T
     eye = np.eye(problem.n)
     lhs = eye - jac @ (eye - t * problem.gram)
     rhs = (t / problem.mu) * (jac @ np.column_stack([problem.phi.T, grad]))

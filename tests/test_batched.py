@@ -392,7 +392,7 @@ class TestSolverLoop:
         # the start and one at a kept Newton point; an attempt opens on the
         # prox its FISTA step already took.  g is evaluated only at the
         # start: the prox returns it everywhere else.  Each Newton step
-        # builds one Jacobian: none at the point the attempt ends on.
+        # applies one derivative: none at the point the attempt ends on.
         rng = np.random.default_rng(17)
         prox_calls = iterations = polished = 0
         for _ in range(12):
@@ -403,7 +403,7 @@ class TestSolverLoop:
             x0 = rng.standard_normal(spec.n)
             res = prox_gradient_solve(spec, v=v, x0=x0)
             assert res.converged
-            assert reg.jacobian_builds == res.newton_steps <= NEWTON_STEPS
+            assert reg.derivative_calls == res.newton_steps <= NEWTON_STEPS
             assert reg.value_calls <= 1 + (res.newton_steps > 0)
             polished += res.newton_steps > 0
             prox_calls += reg.prox_calls

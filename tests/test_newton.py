@@ -1,7 +1,12 @@
-"""The prox Jacobians against central differences, and the contract of the
-solver's Newton finish: it keeps ``converged`` honest, counts its steps in
-``iterations``, factors each Newton point once and falls back to FISTA
-where the Newton system is singular or its point is not trusted."""
+"""The prox derivatives against central differences, and the contract of
+the solver's Newton finish: it keeps ``converged`` honest, counts its steps
+in ``iterations``, factors each Newton point once, applies the derivative
+once per step and falls back to FISTA where the Newton system is singular
+or its point is not trusted.
+
+Each ``prox`` returns its derivative as a map on an ``(S, n)`` stack of
+directions; the tests read the dense Jacobian off it by applying it to
+the rows of the identity."""
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from helpers import (
     random_partition,
     solution_spread,
 )
+from stabcert import solver
 from stabcert.groupnorm import GroupPartition
 from stabcert.nuclear import NuclearShape
 from stabcert.solver import (
@@ -35,8 +41,9 @@ SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]
 
 
 def jacobian(reg, w, t):
-    """The prox Jacobian at ``w``, built from the factorization of the prox."""
-    return reg.prox(w, t)[2]()
+    """The dense prox Jacobian at ``w``: the prox's derivative applied to
+    the rows of the identity, transposed."""
+    return reg.prox(w, t)[2](np.eye(reg.n)).T
 
 
 def central_differences(reg, w, t, h=1e-6):
@@ -115,6 +122,43 @@ class TestProxJacobian:
         flipped = jacobian(NuclearShape(reg.n2, reg.n1), w[swap], 0.5)
         np.testing.assert_allclose(flipped, jac[np.ix_(swap, swap)], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [None, *SHAPES], ids=["group", *map(str, SHAPES)])
+    @settings(max_examples=20, deadline=None)
+    @given(seeds, st.floats(0.1, 2.0))
+    def test_a_stack_maps_row_by_row(self, shape, seed, t):
+        # derivative(h) applies J to each row of h on its own, and each row
+        # is the directional derivative of the prox along it.
+        rng = np.random.default_rng(seed)
+        reg, w = group_point(rng, t) if shape is None else nuclear_point(rng, shape, t)
+        h = rng.standard_normal((int(rng.integers(1, 6)), reg.n))
+        derivative = reg.prox(w, t)[2]
+        out = derivative(h)
+        assert out.shape == h.shape
+        e = 1e-6
+        for row, got in zip(h, out):
+            assert np.array_equal(got, derivative(row[None])[0])
+            diff = (reg.prox(w + e * row, t)[0] - reg.prox(w - e * row, t)[0]) / (2.0 * e)
+            np.testing.assert_allclose(got, diff, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [None, (2, 2), (2, 3), (3, 2)], ids=["group", "2x2", "2x3", "3x2"])
+    def test_newton_matrix_applies_the_derivative(self, shape):
+        # solver.newton_matrix applies the derivative to the columns of
+        # I - step gram: the dense I - J (I - step gram), with J from
+        # central differences of the prox.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            t = rng.uniform(0.2, 2.0)
+            reg, w = group_point(rng, t) if shape is None else nuclear_point(rng, shape, t)
+            m = int(rng.integers(1, reg.n + 2))
+            phi = rng.standard_normal((m, reg.n))
+            # This mu puts the step at t up to rounding, so w stays off the kinks.
+            spec = ProblemSpec(phi, rng.standard_normal(m), t * np.linalg.norm(phi, 2) ** 2, reg)
+            step = spec.step
+            forward = np.eye(reg.n) - step * spec.gram
+            dense = np.eye(reg.n) - central_differences(reg, w, step) @ forward
+            got = solver.newton_matrix(spec, reg.prox(w, step)[2])
+            np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-7)
+
     def test_zero_element_at_a_kink(self):
         part = GroupPartition(3, ((0,), (1, 2)))
         jac = jacobian(part, np.array([0.5, 3.0, 4.0]), 0.5)
@@ -190,8 +234,8 @@ def warm_kept_attempts(make, monkeypatch, count=40):
 class TestNewtonFinish:
     def test_one_factorization_per_nuclear_newton_point(self, monkeypatch):
         # Every SVD of a nuclear solve is a prox or a value: each Newton
-        # step builds one Jacobian from the factorization of its prox, so
-        # an attempt of s steps factors s + 1 points.
+        # step applies the derivative its prox returned, from the same
+        # factorization, so an attempt of s steps factors s + 1 points.
         svd = np.linalg.svd
         calls = []
 
@@ -213,7 +257,10 @@ class TestNewtonFinish:
             monkeypatch.setattr(np.linalg, "svd", svd)
             assert res.converged
             assert len(calls) == reg.prox_calls + reg.value_calls
-            assert reg.jacobian_builds == res.newton_steps
+            # One derivative call per Newton step, on the n columns of
+            # I - step gram.
+            assert reg.derivative_calls == res.newton_steps
+            assert reg.derivative_rows == [spec.n] * res.newton_steps
             steps += res.newton_steps
         assert steps >= 16
 
