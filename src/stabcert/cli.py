@@ -146,9 +146,9 @@ def _require(data: dict, key: str):
 def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     """Build a :class:`ProblemSpec` from a decoded problem dictionary.
 
-    Checks only JSON types, fields, the schema version and the options, and
-    converts no number of ``phi``, ``b`` or ``mu``: the constructors check
-    the instance's rules, its numbers included, with the same coded errors.
+    Checks only what JSON alone can tell (the object, its fields, the schema
+    version, the ``reg`` and ``options`` containers, 1-based group indices);
+    the constructors own every rule of the instance, with the same codes.
     """
     if not isinstance(data, dict):
         raise ProblemFormatError("BAD_TYPE", "problem file must hold a JSON object")
@@ -161,15 +161,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             "SCHEMA_UNSUPPORTED", f"unsupported schema version {version!r}"
         )
     phi, b, mu, reg_data = (_require(data, key) for key in ("phi", "b", "mu", "reg"))
-    if not isinstance(phi, list) or not phi or not all(isinstance(row, list) for row in phi):
-        raise ProblemFormatError("BAD_TYPE", "phi must be a non-empty list of rows")
-    width = len(phi[0])
-    if width == 0 or any(len(row) != width for row in phi):
-        raise ProblemFormatError(
-            "DIMENSION_MISMATCH", "phi rows must be non-empty and equally long"
-        )
-    if not isinstance(b, list):
-        raise ProblemFormatError("BAD_TYPE", "b must be a list")
+    phi = real_array(phi, "phi entry", 2)
     if not isinstance(reg_data, dict):
         raise ProblemFormatError("BAD_TYPE", "reg must be an object")
     kind = reg_data.get("kind")
@@ -184,7 +176,7 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
             raise ProblemFormatError("BAD_TYPE", "groups must be a list of lists")
         # Files number variables from 1; a non-int index goes on as it is.
         groups = [[i - 1 if type(i) is int else i for i in g] for g in raw_groups]
-        reg = GroupPartition(width, groups)
+        reg = GroupPartition(phi.shape[1], groups)
     elif kind == "nuclear":
         extra = sorted(set(reg_data) - {"kind", "shape"})
         if extra:

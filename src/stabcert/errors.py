@@ -30,10 +30,10 @@ class ProblemFormatError(StabcertError, ValueError):
     """A problem file or instance breaks a rule.  Carries a machine-readable code.
 
     The constructors of ``GroupPartition``, ``NuclearShape`` and
-    ``ProblemSpec`` own the rules of an instance, the numbers of ``phi``,
-    ``b`` and ``mu`` included, so Python callers get the codes and messages
-    a problem file gets; the file loader adds the JSON checks and converts
-    no number.  Also a ``ValueError``."""
+    ``ProblemSpec`` own the rules of an instance, the shapes and numbers of
+    ``phi``, ``b`` and ``mu`` included, so Python callers get the codes and
+    messages a problem file gets; the file loader adds only the JSON checks.
+    Also a ``ValueError``."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)

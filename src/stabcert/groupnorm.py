@@ -39,7 +39,10 @@ class GroupPartition:
 
     def __post_init__(self):
         """:class:`ProblemFormatError` at the first broken rule, numbering variables from 1."""
-        n, groups = self.n, tuple(tuple(g) for g in self.groups)
+        try:
+            n, groups = self.n, tuple(tuple(g) for g in self.groups)
+        except TypeError:
+            raise ProblemFormatError("BAD_TYPE", "groups must be a list of lists") from None
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ProblemFormatError("BAD_TYPE", "partition dimension must be a positive integer")
         seen: set[int] = set()

@@ -85,15 +85,15 @@ def real_array(values, what: str, ndim: int = 0):
 
     A real-typed ndarray takes one conversion and one ``np.isfinite``; other
     values have their entry types gathered row by row before one conversion.
-    Before any entry is read, a matrix (``ndim`` 2, which only ``phi`` is)
-    of rows mixed with numbers raises ``BAD_TYPE`` ``phi must be a
-    matrix``, and rows that are empty or of unequal length raise
-    ``DIMENSION_MISMATCH`` ``phi rows must be non-empty and equally long``,
-    the codes the file loader gives them.  Then the first bad entry in
-    row-major order raises ``BAD_TYPE`` ``<what> must be a number`` for a
-    string, ``None``, a container, a complex or a bool (Python or numpy),
-    and ``NOT_FINITE`` ``<what> must be finite`` for NaN, an infinity or an
-    integer beyond the float range.
+    A matrix (``ndim`` 2, which only ``phi`` is) owns its shape here: before
+    any entry is read, rows mixed with numbers raise ``BAD_TYPE`` ``phi must
+    be a matrix``, and rows that are empty or of unequal length raise
+    ``DIMENSION_MISMATCH`` ``phi rows must be non-empty and equally long``.
+    Then the first bad entry in row-major order raises ``BAD_TYPE``
+    ``<what> must be a number`` for a string, ``None``, a container, a
+    complex or a bool (Python or numpy), and ``NOT_FINITE`` ``<what> must be
+    finite`` for NaN, an infinity or an integer beyond the float range.
+    Last, numbers that are no 2-D matrix raise ``phi must be a matrix``.
     """
     arr, rows = None, ()
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and (ndim or not values.ndim):
@@ -115,6 +115,8 @@ def real_array(values, what: str, ndim: int = 0):
             except OverflowError:  # an integer beyond the float range
                 pass
     if arr is not None and (np.isfinite(arr).all() if ndim else math.isfinite(arr)):
+        if ndim == 2 and arr.ndim != 2:
+            raise ProblemFormatError("BAD_TYPE", "phi must be a matrix")
         return arr if ndim else float(arr)
     for v in (v for row in rows for v in row):
         if type(v) in bad:
@@ -150,8 +152,6 @@ class ProblemSpec:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", mu)
-        if phi.ndim != 2:
-            raise ProblemFormatError("BAD_TYPE", "phi must be a matrix")
         m, n = phi.shape
         if b.shape != (m,):
             size = f"{len(b)} entries" if b.ndim == 1 else f"shape {b.shape}"
@@ -244,20 +244,23 @@ def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return -(problem.phi.T @ (problem.phi @ x - problem.b)) / problem.mu
 
 
-def newton_matrix(problem: ProblemSpec, derivative) -> np.ndarray:
-    """``I - J A``, the Jacobian of ``z - T(z)`` where ``J`` is the prox
-    Jacobian at the forward step of ``z`` and ``A = I - step gram`` that of
-    the forward step ``z -> z - step (gram z - phi^T b / mu)``.
-
-    ``derivative`` is the prox's map ``h -> J h`` on the rows of a stack;
-    on the rows of ``A^T`` it gives ``(J A)^T``, with no symmetry assumed.
-    The solver's Newton steps solve with it, and at a solution it maps the
-    solution map's derivative to the data's first-order change (see
+def newton_matrix(problem: ProblemSpec, derivative, rows: np.ndarray):
+    """``(I - J A, J rows^T)`` from one application of ``derivative``, the
+    prox's map ``h -> J h`` on the rows of a stack, to ``A^T`` stacked on
+    the ``(k, n)`` ``rows`` (``k`` may be 0).  ``J`` is the prox Jacobian at
+    the forward step of ``z`` and ``A = I - step gram`` that of the forward
+    step ``z -> z - step (gram z - phi^T b / mu)``, so ``I - J A``, with no
+    symmetry assumed, is the Jacobian of ``z - T(z)``: the solver's Newton
+    steps solve with it.  At a solution, with ``rows = [phi; grad]``, it
+    defines the solution map's derivative (see
     :func:`stabcert.stability.empirical_lipschitz`).
     """
     eye = np.eye(problem.n)
-    forward = eye - problem.step * problem.gram
-    return eye - derivative(forward.T).T
+    forward_t = (eye - problem.step * problem.gram).T
+    # A Newton step passes no rows, so A^T goes in uncopied: a copy per
+    # step slowed small group solves by about 5%.
+    applied = derivative(np.concatenate((forward_t, rows)) if len(rows) else forward_t).T
+    return eye - applied[:, : problem.n], applied[:, problem.n :]
 
 
 def prox_gradient_solve(
@@ -368,7 +371,8 @@ def prox_gradient_solve(
         for steps in range(1, budget + 1):
             ty, _, derivative = py
             try:
-                d = np.linalg.solve(newton_matrix(problem, derivative), ty - y)
+                jac, _ = newton_matrix(problem, derivative, problem.phi[:0])
+                d = np.linalg.solve(jac, ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
             nd = _norm(d)

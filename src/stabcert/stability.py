@@ -321,9 +321,9 @@ def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | No
     t = problem.step
     grad = problem.gram @ x - problem.phi_tb
     _, _, derivative = problem.reg.prox(x - t * grad, t)
-    rhs = (t / problem.mu) * derivative(np.vstack([problem.phi, grad])).T
+    jac, applied = newton_matrix(problem, derivative, np.vstack([problem.phi, grad]))
     try:
-        d, _, rank, _ = np.linalg.lstsq(newton_matrix(problem, derivative), rhs, rcond=None)
+        d, _, rank, _ = np.linalg.lstsq(jac, (t / problem.mu) * applied, rcond=None)
     except np.linalg.LinAlgError:
         return None
     return d if rank == problem.n and np.isfinite(d).all() else None

@@ -235,11 +235,21 @@ class TestProblemValidation:
                 "DIMENSION_MISMATCH",
                 "regularizer dimension 4 does not match phi columns 3",
             ),
+            *(
+                (
+                    lambda d, g=groups: d.update(reg={"kind": "group", "groups": g}),
+                    lambda g=groups: GroupPartition(3, g),
+                    "BAD_TYPE",
+                    "groups must be a list of lists",
+                )
+                for groups in (5, [1, 2], [[1], 2], None)
+            ),
         ],
         ids=[
             "b-length", "b-inf", "b-strings", "b-bools", "b-int-and-bool", "b-huge-int",
             "mu-string", "mu-bool", "phi-null", "phi-ragged", "mu-zero", "mu-negative", "range",
-            "overlap", "coverage", "shape",
+            "overlap", "coverage", "shape", "groups-number", "groups-flat", "groups-mixed",
+            "groups-null",
         ],
     )
     def test_constructor_and_file_share_the_code(
@@ -609,6 +619,58 @@ def test_a_bad_number_gets_the_same_error_from_file_and_constructor(problem, val
         ProblemSpec(d["phi"], d["b"], d["mu"], reg)
     assert loaded.value.code in ("BAD_TYPE", "NOT_FINITE")
     assert (direct.value.code, str(direct.value)) == (loaded.value.code, str(loaded.value))
+
+
+# Containers where phi or b belongs, each a function of the valid value.
+PHI_FAULTS = {
+    "number": lambda phi: 2.0,
+    "empty": lambda phi: [],
+    "null": lambda phi: None,
+    "string": lambda phi: "phi",
+    "flat-row": lambda phi: phi[0],
+    "mixed": lambda phi: phi[:-1] + [1.0],
+}
+B_FAULTS = {
+    "number": lambda b: 2.0,
+    "string": lambda b: "b",
+    "null": lambda b: None,
+    "object": lambda b: {},
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(valid_documents(), st.data())
+def test_a_bad_container_gets_the_same_error_from_file_and_constructor(problem, data):
+    # The shapes of phi and b are the constructors' rules alone.
+    d, reg = problem
+    where = data.draw(st.sampled_from(["phi", "b"]))
+    faults = PHI_FAULTS if where == "phi" else B_FAULTS
+    d[where] = faults[data.draw(st.sampled_from(sorted(faults)))](d[where])
+    with pytest.raises(ProblemFormatError) as loaded:
+        load_problem_dict(d)
+    with pytest.raises(ProblemFormatError) as direct:
+        ProblemSpec(d["phi"], d["b"], d["mu"], reg)
+    assert loaded.value.code in ("BAD_TYPE", "DIMENSION_MISMATCH")
+    assert (direct.value.code, str(direct.value)) == (loaded.value.code, str(loaded.value))
+
+
+@pytest.mark.parametrize(
+    "problem,reg",
+    [
+        (BASE_DOC, {"kind": "group", "groups": [[1, 2], [2, 3]]}),
+        (NUCLEAR_DOC, {"kind": "nuclear", "shape": [2.5, 2]}),
+    ],
+    ids=["group-overlap", "nuclear-shape"],
+)
+def test_a_bad_phi_entry_comes_before_a_bad_regularizer(problem, reg):
+    # phi is read first, for the partition's width, so its entries are
+    # checked before the regularizer is built.
+    d = copy.deepcopy(problem)
+    d["phi"][0][1] = math.nan
+    d["reg"] = reg
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem_dict(d)
+    assert (exc.value.code, str(exc.value)) == ("NOT_FINITE", "phi entry must be finite")
 
 
 REPO = Path(__file__).resolve().parent.parent

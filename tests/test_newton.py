@@ -142,9 +142,9 @@ class TestProxJacobian:
 
     @pytest.mark.parametrize("shape", [None, (2, 2), (2, 3), (3, 2)], ids=["group", "2x2", "2x3", "3x2"])
     def test_newton_matrix_applies_the_derivative(self, shape):
-        # solver.newton_matrix applies the derivative to the columns of
-        # I - step gram: the dense I - J (I - step gram), with J from
-        # central differences of the prox.
+        # solver.newton_matrix applies the derivative once, to the columns
+        # of I - step gram and to extra rows: the dense I - J (I - step gram)
+        # and J rows^T, with J from central differences of the prox.
         for seed in range(8):
             rng = np.random.default_rng(seed)
             t = rng.uniform(0.2, 2.0)
@@ -155,9 +155,12 @@ class TestProxJacobian:
             spec = ProblemSpec(phi, rng.standard_normal(m), t * np.linalg.norm(phi, 2) ** 2, reg)
             step = spec.step
             forward = np.eye(reg.n) - step * spec.gram
-            dense = np.eye(reg.n) - central_differences(reg, w, step) @ forward
-            got = solver.newton_matrix(spec, reg.prox(w, step)[2])
-            np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-7)
+            jac = central_differences(reg, w, step)
+            rows = rng.standard_normal((int(rng.integers(0, 3)), reg.n))
+            got, applied = solver.newton_matrix(spec, reg.prox(w, step)[2], rows)
+            np.testing.assert_allclose(got, np.eye(reg.n) - jac @ forward, rtol=0.0, atol=1e-7)
+            assert applied.shape == (reg.n, len(rows))
+            np.testing.assert_allclose(applied, jac @ rows.T, rtol=0.0, atol=1e-7)
 
     def test_zero_element_at_a_kink(self):
         part = GroupPartition(3, ((0,), (1, 2)))

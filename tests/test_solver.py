@@ -90,7 +90,8 @@ class TestProblemSpec:
     def test_a_wrong_nesting_is_a_coded_error(self, phi, b, mu, code, message):
         # A number where a row belongs is read as a row of one, so the shape
         # rules name the error, as they do for an array of that shape; rows
-        # mixed with numbers are no matrix, as the file loader says too.
+        # mixed with numbers are no matrix.  A file's phi and b meet these
+        # rules alone, so a file gets the same errors.
         with pytest.raises(ProblemFormatError) as exc:
             ProblemSpec(phi, b, mu, PAIRS)
         assert (exc.value.code, str(exc.value)) == (code, message)

@@ -444,6 +444,22 @@ class TestSolutionDerivative:
         assert checked >= 25
 
     @pytest.mark.parametrize(
+        "make", [random_group_instance, random_nuclear_instance], ids=["group", "nuclear"]
+    )
+    def test_applies_the_derivative_once(self, make):
+        # One call on the n rows of (I - t gram)^T stacked on phi and grad,
+        # not one for the Newton matrix and another for the right-hand side.
+        for seed in range(4):
+            plain = make(np.random.default_rng(seed))
+            x = prox_gradient_solve(plain).x
+            reg = CountingProx(plain.reg)
+            d = _solution_derivative(ProblemSpec(plain.phi, plain.b, plain.mu, reg), x)
+            assert reg.derivative_rows == [plain.n + plain.m + 1]
+            expected = _solution_derivative(plain, x)
+            assert (d is None) == (expected is None)
+            assert d is None or np.array_equal(d, expected)
+
+    @pytest.mark.parametrize(
         "make", [degenerate_group_instance, degenerate_nuclear_instance], ids=["group", "nuclear"]
     )
     def test_degenerate_instances_start_at_the_base_solution(self, make, monkeypatch):
