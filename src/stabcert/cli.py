@@ -20,6 +20,13 @@ identical inputs and flags produce byte-identical payloads apart from the
 ``timing`` entry.  Exit codes: 0 success, 2 certificate did not hold,
 1 any error.
 
+The ``solve``, ``certificate``, ``perturbation`` and ``audit`` sections are
+the fields of their results (``SolveResult``, ``StabilityCertificate``,
+``PerturbationReport``, ``QGAuditReport``) in declared order, with two
+adjustments: a certificate's ``classification`` is its ``as_dict()``, and an
+audit drops an absent ``conjecture_min_slack`` and ends with
+``snap_distance``, how far the snap to the graph moved the solution.
+
 Each run builds one report, and the command fills in each section as soon
 as it is computed.  An error report therefore keeps ``inputs_digest`` once
 the problem file is read and valid, and every section finished before the
@@ -64,7 +71,6 @@ from .solver import (
     real_array,
 )
 from .stability import (
-    QGAuditReport,
     StabilityCertificate,
     certify,
     empirical_lipschitz,
@@ -165,10 +171,13 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
     if not isinstance(reg_data, dict):
         raise ProblemFormatError("BAD_TYPE", "reg must be an object")
     kind = reg_data.get("kind")
+    # Compared, not looked up: a kind such as ["group"] is unhashable.
+    if kind not in ("group", "nuclear"):
+        raise ProblemFormatError("BAD_TYPE", f"unknown regularizer kind {kind!r}")
+    extra = sorted(set(reg_data) - {"kind", "groups" if kind == "group" else "shape"})
+    if extra:
+        raise ProblemFormatError("UNKNOWN_FIELD", f"unknown reg fields: {extra}")
     if kind == "group":
-        extra = sorted(set(reg_data) - {"kind", "groups"})
-        if extra:
-            raise ProblemFormatError("UNKNOWN_FIELD", f"unknown reg fields: {extra}")
         raw_groups = reg_data.get("groups")
         if not isinstance(raw_groups, list) or not all(
             isinstance(g, list) for g in raw_groups
@@ -177,16 +186,11 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
         # Files number variables from 1; a non-int index goes on as it is.
         groups = [[i - 1 if type(i) is int else i for i in g] for g in raw_groups]
         reg = GroupPartition(phi.shape[1], groups)
-    elif kind == "nuclear":
-        extra = sorted(set(reg_data) - {"kind", "shape"})
-        if extra:
-            raise ProblemFormatError("UNKNOWN_FIELD", f"unknown reg fields: {extra}")
+    else:
         shape = reg_data.get("shape")
         if not isinstance(shape, list) or len(shape) != 2:
             raise ProblemFormatError("BAD_TYPE", "shape must be two positive integers")
         reg = NuclearShape(*shape)
-    else:
-        raise ProblemFormatError("BAD_TYPE", f"unknown regularizer kind {kind!r}")
     spec = ProblemSpec(phi, b, mu, reg)
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -246,41 +250,6 @@ def _load_problem_bytes(raw: bytes, source) -> tuple[ProblemSpec, dict, str]:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
-
-
-def _certificate_dict(cert: StabilityCertificate) -> dict:
-    return {
-        "holds": cert.holds,
-        "margin": cert.margin,  # serialized as null when infinite
-        "subspace_dim": cert.subspace_dim,
-        "gamma": cert.gamma,
-        "kkt_residual": cert.kkt_residual,
-        "witness": cert.witness,
-        "kind": cert.kind,
-        "parameter_scope": "(b, mu)",
-        "classification": cert.classification.as_dict(),
-        "tolerances": dict(sorted(cert.tolerances.items())),
-    }
-
-
-def _audit_dict(rep: QGAuditReport) -> dict:
-    doc = {
-        "kind": rep.kind,
-        "samples": rep.samples,
-        "used": rep.used,
-        "radius": rep.radius,
-        "seed": rep.seed,
-        "min_slack": rep.min_slack,
-        "slack_by_constant": dict(sorted(rep.slack_by_constant.items())),
-        "passed": rep.passed,
-    }
-    if rep.conjecture_min_slack is not None:
-        doc["conjecture_min_slack"] = rep.conjecture_min_slack
-    return doc
-
-
-# ---------------------------------------------------------------------------
 # commands: each fills in the sections of ``report`` and returns the exit code
 
 
@@ -299,10 +268,19 @@ def _load(args, report: dict) -> tuple[ProblemSpec, dict]:
     return spec, options
 
 
+def _section(result, **changes) -> dict:
+    """A report section: the fields of ``result`` in their declared order,
+    with ``changes`` replacing a field in place or appended after them."""
+    return dict(vars(result), **changes)
+
+
+def _certificate(cert: StabilityCertificate) -> dict:
+    return _section(cert, classification=cert.classification.as_dict())
+
+
 def _solve(spec: ProblemSpec, args, options: dict, report: dict) -> SolveResult:
     result = prox_gradient_solve(spec, **_solver_opts(args, options))
-    # A section holds the fields of its result, in their declared order.
-    report["solve"] = vars(result).copy()
+    report["solve"] = _section(result)
     return result
 
 
@@ -317,7 +295,7 @@ def _cmd_certify(args, report: dict) -> int:
     result = _solve(spec, args, options, report)
     tol = _tol(args, options, UNIT_TOL)
     cert = certify(spec, result.x, tol=tol, margin_tol=options.get("margin_tol"))
-    report["certificate"] = _certificate_dict(cert)
+    report["certificate"] = _certificate(cert)
     return 0 if cert.holds else 2
 
 
@@ -337,8 +315,9 @@ def _cmd_qg_audit(args, report: dict) -> int:
         include_conjecture=args.conjecture,
         ref=ref,
     )
-    doc = _audit_dict(rep)
-    doc["snap_distance"] = float(np.linalg.norm(xs - result.x))
+    doc = _section(rep, snap_distance=float(np.linalg.norm(xs - result.x)))
+    if rep.conjecture_min_slack is None:
+        del doc["conjecture_min_slack"]
     report["audit"] = doc
     return 0
 
@@ -354,7 +333,7 @@ def _cmd_perturb(args, report: dict) -> int:
         starts=args.starts,
         **_solver_opts(args, options),
     )
-    report["perturbation"] = vars(rep).copy()
+    report["perturbation"] = _section(rep)
     return 0
 
 
@@ -370,7 +349,7 @@ def _cmd_tilt_probe(args, report: dict) -> int:
         starts=args.starts,
         **_solver_opts(args, options),
     )
-    report["perturbation"] = vars(rep).copy()
+    report["perturbation"] = _section(rep)
     return 0
 
 
@@ -389,7 +368,7 @@ def _cmd_reproduce_example_non(args, report: dict) -> int:
     # and the certificate.
     result = _solve(spec, args, {}, report)
     cert = certify(spec, result.x, tol=_tol(args, {}, UNIT_TOL))
-    report["certificate"] = _certificate_dict(cert)
+    report["certificate"] = _certificate(cert)
     predicted = max(-args.b2 - 1.0, 0.0)
     observed = float(result.x[2])
     mismatch = abs(observed - predicted)

@@ -38,7 +38,8 @@ class NuclearShape:
     """
 
     kind = "nuclear"
-    growth_names = ("nuclear_growth_tight", "nuclear_growth_coarse")
+    # In name order, the order of the audit report's ``slack_by_constant``.
+    growth_names = ("nuclear_growth_coarse", "nuclear_growth_tight")
     growth_conjecture = "nuclear_growth_conjecture"
     n1: int
     n2: int

@@ -214,7 +214,8 @@ class SolveResult:
     ``objective`` is the value of the solved (possibly tilted) objective.
     ``iterations`` counts FISTA iterations and Newton steps together;
     ``newton_steps`` counts the Newton steps, whether or not their point
-    was kept."""
+    was kept.  The fields are the report's ``solve`` section, in this
+    order."""
 
     x: np.ndarray
     y: np.ndarray

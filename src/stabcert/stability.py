@@ -17,7 +17,7 @@ probes, and sampled Lipschitz/tilt experiments on the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,22 +53,29 @@ class StabilityCertificate:
     smallest singular value of the design operator restricted to the
     critical subspace (``inf`` when that subspace is trivial), ``witness``
     a unit direction realizing the failure when the verdict is negative.
+    The fields are the report's ``certificate`` section, in this order,
+    with ``classification`` in its ``as_dict()`` form.  ``parameter_scope``
+    is the fixed ``"(b, mu)"``, not a constructor argument: it names the
+    parameters the verdict covers, and ROADMAP item 5 widens it only with
+    evidence for ``phi``.
     """
 
-    kind: str
     holds: bool
     margin: float
     subspace_dim: int
     gamma: float
     kkt_residual: float
-    classification: GroupAnalysis | SimultaneousSVD
     witness: np.ndarray | None
+    kind: str
+    parameter_scope: str = field(init=False, default_factory=lambda: "(b, mu)")
+    classification: GroupAnalysis | SimultaneousSVD
     tolerances: dict
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Outcome of a sampled perturbation experiment."""
+    """Outcome of a sampled perturbation experiment; the fields are the
+    report's ``perturbation`` section, in this order."""
 
     samples: int
     max_ratio: float
@@ -79,15 +86,20 @@ class PerturbationReport:
 
 @dataclass(frozen=True, eq=False)
 class QGAuditReport:
-    """Sampled check of the quadratic-growth inequalities."""
+    """Sampled check of the quadratic-growth inequalities.
+
+    The fields are the report's ``audit`` section, in this order; an absent
+    ``conjecture_min_slack`` (``None``) is left out, and the CLI appends the
+    ``snap_distance`` of the audited pair.
+    """
 
     kind: str
     samples: int
     used: int
     radius: float
     seed: int
-    slack_by_constant: dict
     min_slack: float
+    slack_by_constant: dict
     passed: bool
     conjecture_min_slack: float | None = None
 
@@ -124,15 +136,15 @@ def certify(
     holds = margin > mt
     witness = None if holds else direction
     return StabilityCertificate(
-        kind=reg.kind,
         holds=holds,
         margin=margin,
         subspace_dim=basis.shape[1],
         gamma=classification.gamma,
         kkt_residual=classification.residual,
-        classification=classification,
         witness=witness,
-        tolerances={"kkt_tol": tol, "class_tol": tol, "margin_tol": mt},
+        kind=reg.kind,
+        classification=classification,
+        tolerances={"class_tol": tol, "kkt_tol": tol, "margin_tol": mt},
     )
 
 
@@ -224,8 +236,8 @@ def qg_audit(
         used=used,
         radius=radius,
         seed=seed,
-        slack_by_constant=mins,
         min_slack=min_slack,
+        slack_by_constant=mins,
         passed=min_slack >= AUDIT_SLACK_FLOOR,
         conjecture_min_slack=conj_min if conjecture else None,
     )

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,8 @@ from stabcert.cli import (
 from stabcert.errors import ProblemFormatError
 from stabcert.groupnorm import GroupPartition
 from stabcert.nuclear import NuclearShape
-from stabcert.solver import ProblemSpec
+from stabcert.solver import ProblemSpec, SolveResult
+from stabcert.stability import PerturbationReport, QGAuditReport, StabilityCertificate
 
 BASE_DOC = {
     "schema_version": "1",
@@ -31,6 +33,21 @@ BASE_DOC = {
     "mu": 1.0,
     "reg": {"kind": "group", "groups": [[1, 2], [3]]},
 }
+NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    "b": [2.0, 0.5, -0.3, 1.0],
+    "mu": 0.5,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+GROUP_CLASSIFICATION_KEYS = [
+    "kind",
+    "boundary_blocks",
+    "interior_blocks",
+    "support_blocks",
+    "block_norms",
+    "classification_margin",
+]
 BASE_PHI = np.array(BASE_DOC["phi"])
 BASE_PAIRS = GroupPartition(3, ((0, 1), (2,)))
 
@@ -285,6 +302,36 @@ class TestProblemValidation:
         assert exc.value.code == "BAD_TYPE"
         assert str(exc.value) == "shape must be two positive integers"
 
+    @pytest.mark.parametrize(
+        "reg,code,message",
+        [
+            # An unhashable kind is compared, not looked up.
+            (
+                {"kind": ["group"], "groups": [[1, 2], [3]]},
+                "BAD_TYPE",
+                "unknown regularizer kind ['group']",
+            ),
+            (
+                {"kind": "group", "groups": [[1, 2], [3]], "shape": [1, 3]},
+                "UNKNOWN_FIELD",
+                "unknown reg fields: ['shape']",
+            ),
+            (
+                {"kind": "nuclear", "shape": [1, 3], "groups": [[1, 2], [3]], "w": 1},
+                "UNKNOWN_FIELD",
+                "unknown reg fields: ['groups', 'w']",
+            ),
+        ],
+        ids=["kind-list", "group-extra", "nuclear-extra"],
+    )
+    def test_reg_object_errors(self, reg, code, message, tmp_path, capsys):
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem_dict(doc(reg=reg))
+        assert (exc.value.code, str(exc.value)) == (code, message)
+        exit_code, report = run_capture(capsys, ["certify", write_doc(tmp_path, doc(reg=reg))])
+        assert exit_code == 1
+        assert report["error"] == {"code": code, "message": message}
+
     def test_not_an_object(self):
         with pytest.raises(ProblemFormatError) as exc:
             load_problem_dict([1, 2, 3])
@@ -336,6 +383,88 @@ class TestCommands:
         assert 1 <= report["solve"]["newton_steps"] < report["solve"]["iterations"]
         assert np.allclose(report["solve"]["x"], [0.0, 1.0, 0.0], atol=1e-8)
         assert report["solve"]["objective"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "problem,exit_code,classification",
+        [
+            (BASE_DOC, 0, GROUP_CLASSIFICATION_KEYS),
+            (
+                doc(phi=[[1.0, 1.0]], b=[2.0], reg={"kind": "group", "groups": [[1], [2]]}),
+                2,
+                GROUP_CLASSIFICATION_KEYS,
+            ),
+            (NUCLEAR_DOC, 0, ["kind", "rank", "unit_count", "sigma_x", "lambda_y"]),
+        ],
+        ids=["group-holding", "group-failing", "nuclear"],
+    )
+    def test_certificate_key_order(self, tmp_path, capsys, problem, exit_code, classification):
+        # The literal lists here and in test_audit_key_order pin today's
+        # report bytes; a new result field changes them on purpose.
+        code, report = run_capture(capsys, ["certify", write_doc(tmp_path, problem)])
+        assert code == exit_code
+        cert = report["certificate"]
+        assert list(cert) == [
+            "holds",
+            "margin",
+            "subspace_dim",
+            "gamma",
+            "kkt_residual",
+            "witness",
+            "kind",
+            "parameter_scope",
+            "classification",
+            "tolerances",
+        ]
+        assert list(cert["classification"]) == classification
+        assert list(cert["tolerances"]) == ["class_tol", "kkt_tol", "margin_tol"]
+        assert (cert["witness"] is not None) == (exit_code == 2)
+
+    @pytest.mark.parametrize(
+        "problem,flags,slacks,conjecture",
+        [
+            (BASE_DOC, [], ["group_growth"], False),
+            (NUCLEAR_DOC, [], ["nuclear_growth_coarse", "nuclear_growth_tight"], False),
+            (
+                NUCLEAR_DOC,
+                ["--conjecture"],
+                ["nuclear_growth_coarse", "nuclear_growth_tight"],
+                True,
+            ),
+        ],
+        ids=["group", "nuclear", "nuclear-conjecture"],
+    )
+    def test_audit_key_order(self, tmp_path, capsys, problem, flags, slacks, conjecture):
+        path = write_doc(tmp_path, problem)
+        code, report = run_capture(capsys, ["qg-audit", path, "--samples", "50", *flags])
+        assert code == 0
+        audit = report["audit"]
+        keys = ["kind", "samples", "used", "radius", "seed", "min_slack", "slack_by_constant"]
+        keys += ["passed", "conjecture_min_slack"] if conjecture else ["passed"]
+        assert list(audit) == keys + ["snap_distance"]
+        assert list(audit["slack_by_constant"]) == slacks
+
+    def test_each_section_is_its_results_fields_in_order(self, tmp_path, capsys):
+        # Two adjustments only: a certificate's classification is its
+        # as_dict(), and an audit drops an absent conjecture_min_slack and
+        # ends with snap_distance.
+        def names(result_type):
+            return [f.name for f in dataclasses.fields(result_type)]
+
+        for problem, reg in ((BASE_DOC, BASE_PAIRS), (NUCLEAR_DOC, NuclearShape(2, 2))):
+            path = write_doc(tmp_path, problem)
+            _, report = run_capture(capsys, ["certify", path])
+            assert list(report["solve"]) == names(SolveResult)
+            assert list(report["certificate"]) == names(StabilityCertificate)
+            for command in ("perturb", "tilt-probe"):
+                _, report = run_capture(capsys, [command, path, "--samples", "2"])
+                assert list(report["perturbation"]) == names(PerturbationReport)
+            for flags in ([], ["--conjecture"]):
+                _, report = run_capture(capsys, ["qg-audit", path, "--samples", "50", *flags])
+                expected = names(QGAuditReport)
+                if not (flags and reg.growth_conjecture):
+                    expected.remove("conjecture_min_slack")
+                assert list(report["audit"]) == expected + ["snap_distance"]
+                assert list(report["audit"]["slack_by_constant"]) == list(reg.growth_names)
 
     def test_certify_exit_codes(self, tmp_path, capsys):
         good = write_doc(tmp_path, doc(), "good.json")
@@ -564,15 +693,6 @@ def test_first_bad_phi_entry_names_the_error(phi, code):
     with pytest.raises(ProblemFormatError) as exc:
         load_problem_dict(doc(phi=phi))
     assert exc.value.code == code
-
-
-NUCLEAR_DOC = {
-    "schema_version": "1",
-    "phi": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-    "b": [2.0, 0.5, -0.3, 1.0],
-    "mu": 0.5,
-    "reg": {"kind": "nuclear", "shape": [2, 2]},
-}
 
 
 # What a JSON value can be that is not a finite real number.
