@@ -217,10 +217,11 @@ def load_problem_dict(data) -> tuple[ProblemSpec, dict]:
 
 def _check_solver_constants(spec: ProblemSpec) -> None:
     """``NOT_FINITE`` unless the step ``1/L`` is positive and ``gram``, ``phi_tb``
-    and ``||b||^2 / (2 mu)`` are finite, which the spec keeps for the solve."""
+    and ``objective_const`` (``||b||^2 / (2 mu)``) are finite, which the spec
+    keeps for the solve."""
     with np.errstate(over="ignore"):
         ok = spec.step > 0.0 and np.isfinite(spec.gram).all() and np.isfinite(spec.phi_tb).all()
-        if not (ok and math.isfinite(float(spec.b @ spec.b) / (2.0 * spec.mu))):
+        if not (ok and math.isfinite(spec.objective_const)):
             raise ProblemFormatError("NOT_FINITE", "phi, b and mu overflow the solver's constants")
 
 

@@ -228,7 +228,7 @@ def prox_group(x: np.ndarray, t: float, partition: GroupPartition):
     if t < 0:
         raise ValueError("prox parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    nx = block_norms(x, partition)
+    nx = np.sqrt(partition.block_sums(x * x))  # block_norms, on x as converted
     keep = nx > t
     safe = np.where(keep, nx, 1.0)
     factor = 1.0 - t / safe

@@ -69,9 +69,10 @@ class NuclearShape:
     def prox(self, x: np.ndarray, t: float):
         """``(point, value, derivative)``: the prox, the nuclear norm of its
         point and its Jacobian as a map on an ``(S, n)`` stack of
-        vectorized directions; see :func:`prox_nuclear`."""
-        point, value, derivative = prox_nuclear(self.as_matrix(x), t)
-        return self.as_vector(point), value, derivative
+        vectorized directions; see :func:`prox_nuclear`.  ``x`` is an
+        ndarray, reshaped here and converted there, once."""
+        point, value, derivative = prox_nuclear(x.reshape(self.n1, self.n2), t)
+        return point.reshape(-1), value, derivative
 
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)

@@ -184,28 +184,56 @@ class ProblemSpec:
 
     @cached_property
     def phi_t_phi(self) -> np.ndarray:
-        """``phi^T phi``, independent of ``b`` and ``mu``."""
-        return self.phi.T @ self.phi
+        """``phi^T phi``, independent of ``b`` and ``mu``; read-only."""
+        return _read_only(self.phi.T @ self.phi)
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """``phi^T phi / mu``, the Hessian of the fit term."""
-        return self.phi_t_phi / self.mu
+        """``phi^T phi / mu``, the Hessian of the fit term; read-only."""
+        return _read_only(self.phi_t_phi / self.mu)
 
     @cached_property
     def phi_tb(self) -> np.ndarray:
         """``phi^T b / mu``, the linear part of the fit gradient."""
         return self.phi.T @ self.b / self.mu
 
+    @cached_property
+    def objective_const(self) -> float:
+        """``||b||^2 / (2 mu)``, the constant of the objective."""
+        return float(self.b @ self.b) / (2.0 * self.mu)
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The ``(n, n)`` identity; read-only."""
+        return _read_only(np.eye(self.n))
+
+    @cached_property
+    def newton_forward_t(self) -> np.ndarray:
+        """``(I - step gram)^T``, the Jacobian of the forward step
+        transposed: the rows :func:`newton_matrix` hands to the prox
+        derivative.  A read-only view."""
+        return _read_only(self.identity - self.step * self.gram).T
+
     def with_data(self, b: np.ndarray, mu: float) -> "ProblemSpec":
         """The same operator and regularizer with new ``(b, mu)``.
 
-        The new instance starts with this one's ``sigma_max`` and
-        ``phi_t_phi``, so it factors ``phi`` no more.
+        The new instance starts with this one's ``sigma_max``,
+        ``phi_t_phi`` and ``identity``, so it factors ``phi`` no more.  At
+        the same ``mu`` it also shares ``gram``, ``step`` and
+        ``newton_forward_t``, the very objects of this instance.
         """
         spec = ProblemSpec(self.phi, b, mu, self.reg)
-        spec.__dict__.update(sigma_max=self.sigma_max, phi_t_phi=self.phi_t_phi)
+        shared = ("sigma_max", "phi_t_phi", "identity")
+        if spec.mu == self.mu:
+            shared += ("gram", "step", "newton_forward_t")
+        spec.__dict__.update((name, getattr(self, name)) for name in shared)
         return spec
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: instances that share it cannot write to it."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -245,23 +273,27 @@ def dual_from_solution(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return -(problem.phi.T @ (problem.phi @ x - problem.b)) / problem.mu
 
 
-def newton_matrix(problem: ProblemSpec, derivative, rows: np.ndarray):
+def newton_matrix(problem: ProblemSpec, derivative, rows: np.ndarray | None = None):
     """``(I - J A, J rows^T)`` from one application of ``derivative``, the
     prox's map ``h -> J h`` on the rows of a stack, to ``A^T`` stacked on
-    the ``(k, n)`` ``rows`` (``k`` may be 0).  ``J`` is the prox Jacobian at
-    the forward step of ``z`` and ``A = I - step gram`` that of the forward
-    step ``z -> z - step (gram z - phi^T b / mu)``, so ``I - J A``, with no
+    the ``(k, n)`` ``rows`` (``k`` may be 0, which gives an ``(n, 0)``
+    second item).  ``J`` is the prox Jacobian at the forward step of ``z``
+    and ``A = I - step gram`` that of the forward step
+    ``z -> z - step (gram z - phi^T b / mu)``, so ``I - J A``, with no
     symmetry assumed, is the Jacobian of ``z - T(z)``: the solver's Newton
-    steps solve with it.  At a solution, with ``rows = [phi; grad]``, it
-    defines the solution map's derivative (see
+    steps solve with it.  ``A^T`` and ``I`` are the problem's cached
+    ``newton_forward_t`` and ``identity``.  A Newton step passes no rows
+    (``rows=None``): ``A^T`` then goes to ``derivative`` as it is, with no
+    stacking, and the second item is ``None``.  At a solution, with
+    ``rows = [phi; grad]``, it defines the solution map's derivative (see
     :func:`stabcert.stability.empirical_lipschitz`).
     """
-    eye = np.eye(problem.n)
-    forward_t = (eye - problem.step * problem.gram).T
-    # A Newton step passes no rows, so A^T goes in uncopied: a copy per
-    # step slowed small group solves by about 5%.
-    applied = derivative(np.concatenate((forward_t, rows)) if len(rows) else forward_t).T
-    return eye - applied[:, : problem.n], applied[:, problem.n :]
+    forward_t = problem.newton_forward_t
+    if rows is None:
+        return problem.identity - derivative(forward_t).T, None
+    applied = derivative(np.concatenate((forward_t, rows))).T
+    n = problem.n
+    return problem.identity - applied[:, :n], applied[:, n:]
 
 
 def prox_gradient_solve(
@@ -295,8 +327,10 @@ def prox_gradient_solve(
     ``T(z)`` serves a restart from ``z``.  The restart
     (when the momentum step raises the objective) takes the descent step
     ``T(x)``, reusing it when known.  The objective adds the smooth part
-    to the value the prox returns; ``g`` itself is evaluated only at the
-    start point.
+    to the value the prox returns; ``g`` itself is evaluated only at a
+    given start ``x0``.  The default start (``x0 is None``) is 0, where
+    ``g(0) = 0.0`` is taken without evaluating it; the result is the one
+    ``x0 = np.zeros(n)`` gives, bit for bit.
 
     At the first iteration whose step moves the iterate by at most
     ``NEWTON_SWITCH_FIRST``, a Newton attempt starts from that step's own
@@ -307,10 +341,11 @@ def prox_gradient_solve(
     (:func:`newton_matrix`), with ``J`` the prox Jacobian at the forward
     step ``w`` of ``y``.  The prox that gave ``T(y)`` also returns ``J``
     as a map on directions, from its own factorization, so a step costs
-    one application of it to the ``n`` columns of ``I - step gram``, one
-    linear solve and one prox, and ``J`` is not applied at the point the
-    attempt ends on.  The attempt ends at the first ``y`` whose true
-    residual is at most ``tol``.  It returns the
+    one application of it to the ``n`` columns of ``I - step gram``
+    (``newton_matrix(problem, derivative)``, on the problem's cached
+    ``newton_forward_t``), one linear solve and one prox, and ``J`` is not
+    applied at the point the attempt ends on.  The attempt ends at the
+    first ``y`` whose true residual is at most ``tol``.  It returns the
     prox point ``p = T(y)``, not ``y``: ``y`` can sit a rounding error off
     a zero block whose dual has unit norm, where no subgradient exists.
     ``p`` is kept if its objective, with the fit taken as a sum of squares
@@ -349,7 +384,7 @@ def prox_gradient_solve(
     gram = problem.gram
     # Combined linear term: grad of the smooth tilted part is gram @ x - lin.
     lin = problem.phi_tb + v
-    const = float(problem.b @ problem.b) / (2.0 * problem.mu)
+    const = problem.objective_const
     step = problem.step
 
     # Both take ``gz = gram @ z``, which the loop carries for every point.
@@ -372,7 +407,7 @@ def prox_gradient_solve(
         for steps in range(1, budget + 1):
             ty, _, derivative = py
             try:
-                jac, _ = newton_matrix(problem, derivative, problem.phi[:0])
+                jac, _ = newton_matrix(problem, derivative)
                 d = np.linalg.solve(jac, ty - y)
             except np.linalg.LinAlgError:
                 return steps, None
@@ -398,7 +433,8 @@ def prox_gradient_solve(
         return budget, None
 
     gx = gram @ x
-    fx = smooth(x, gx) + reg.value(x)
+    # g(0) = 0: the default start evaluates no norm.
+    fx = smooth(x, gx) + (0.0 if x0 is None else reg.value(x))
     # px is T(x) when known: at the start, after a confirmation at x and
     # after a kept Newton attempt.
     px = pg_step(x, gx)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import (
+    CountingProx,
     degenerate_group_instance,
     is_subgradient_nuclear,
     random_group_instance,
@@ -119,6 +122,79 @@ class TestProblemSpec:
         assert spec.phi.shape == (1, 4)
         with pytest.raises(ValueError):
             ProblemSpec(np.zeros((1, 5)), np.zeros(1), 1.0, NuclearShape(2, 2))
+
+
+INSTANCES = {"group": random_group_instance, "nuclear": random_nuclear_instance}
+
+
+def assert_same_bits(a: SolveResult, b: SolveResult):
+    """Equal field for field, floats and arrays bit for bit: the sign of a
+    zero counts."""
+    for f in dataclasses.fields(SolveResult):
+        u, w = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert (u.dtype, u.shape, u.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
+
+
+class TestSolverConstants:
+    """``ProblemSpec`` builds ``(I - step gram)^T``, the identity and
+    ``||b||^2 / (2 mu)`` once; a Newton step, the zero start and
+    ``with_data`` at the same ``mu`` reuse them, and every result is the
+    one that computing them afresh gives, bit for bit."""
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_newton_matrix_without_rows(self, kind):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            spec = INSTANCES[kind](rng)
+            n = spec.n
+            derivative = spec.reg.prox(rng.standard_normal(n), spec.step)[2]
+            jac, none = solver.newton_matrix(spec, derivative)
+            expected = np.eye(n) - derivative((np.eye(n) - spec.step * spec.gram).T).T
+            assert none is None and jac.tobytes() == expected.tobytes()
+            # Explicit rows, even none, still give J rows^T.
+            jac0, applied = solver.newton_matrix(spec, derivative, np.empty((0, n)))
+            assert applied.shape == (n, 0) and jac0.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_the_default_start_is_the_zero_start(self, kind):
+        for seed in range(6):
+            base = INSTANCES[kind](np.random.default_rng(seed))
+            # b = 0 converges at the start, where the objective is a zero.
+            for b in (base.b, np.zeros(base.m)):
+                reg = CountingProx(base.reg)
+                spec = ProblemSpec(base.phi, b, base.mu, reg)
+                res = prox_gradient_solve(spec)
+                assert reg.value_calls == 0  # g(0) = 0 is not evaluated
+                assert_same_bits(res, prox_gradient_solve(spec, x0=np.zeros(spec.n)))
+                assert reg.value_calls == 1
+            assert res.iterations == 0 and res.converged and res.objective == 0.0
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_with_data_at_the_same_mu_shares_the_constants(self, kind):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            spec = INSTANCES[kind](rng)
+            b2 = spec.b + 0.3 * rng.standard_normal(spec.m)
+            shared = spec.with_data(b2, spec.mu)
+            for name in ("gram", "newton_forward_t", "identity", "phi_t_phi"):
+                assert getattr(shared, name) is getattr(spec, name), name
+            assert shared.step == spec.step
+            fresh = ProblemSpec(spec.phi, b2, spec.mu, spec.reg)
+            assert_same_bits(prox_gradient_solve(shared), prox_gradient_solve(fresh))
+            # A new mu recomputes what depends on it.
+            moved = spec.with_data(b2, 1.5 * spec.mu)
+            fresh = ProblemSpec(spec.phi, b2, 1.5 * spec.mu, spec.reg)
+            assert moved.gram is not spec.gram and moved.gram.tobytes() == fresh.gram.tobytes()
+            assert moved.newton_forward_t.tobytes() == fresh.newton_forward_t.tobytes()
+            assert_same_bits(prox_gradient_solve(moved), prox_gradient_solve(fresh))
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_cached_arrays_are_read_only(self, kind):
+        spec = INSTANCES[kind](np.random.default_rng(3))
+        for name in ("identity", "newton_forward_t", "gram", "phi_t_phi"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0, 0] = 1.0
+        assert spec.objective_const == float(spec.b @ spec.b) / (2.0 * spec.mu)
 
 
 class TestObjective:
