@@ -14,7 +14,7 @@ interior blocks, and measure distances to the inverse image
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -107,27 +107,6 @@ class GroupPartition:
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "GroupAnalysis":
         return classify_groups(x, y, self, tol)
 
-    def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
-        """Nearby pair exactly on the graph of the subdifferential, and its classification.
-
-        Blocks of ``x`` above ``tol`` give ``y`` their exact unit direction;
-        the rest are zeroed, with their dual blocks clipped into the unit
-        ball and those of norm ``1 - tol`` or more, which ``classify`` calls
-        boundary, pinned to unit norm.  Returns ``(x, y, classify(x, y,
-        tol))`` of the snapped pair.
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        nx = block_norms(x, self)
-        ny = block_norms(y, self)
-        active = (nx > tol)[self.seg]
-        # Dividing by 1 leaves a block as it is; a zero block stays zero
-        # even at a tolerance of 1 or more.
-        pin = (ny >= 1.0 - tol) & (ny > 0.0)
-        y_div = np.where(nx > tol, nx, np.where(pin, ny, 1.0))[self.seg]
-        xs, ys = np.where(active, x, 0.0), np.where(active, x, y) / y_div
-        return xs, ys, classify_groups(xs, ys, self, tol)
-
     def growth_scale(self, rows: np.ndarray) -> np.ndarray:
         """Sample scale of the growth modulus ``(1 - gamma) / (2 ||x||_2)``, per row."""
         return np.linalg.norm(rows, axis=1)
@@ -140,7 +119,7 @@ class GroupPartition:
         ``scale`` holds the rows' ``||x||_2``.
         """
         lhs = group_norm(rows, self) - group_norm(xbar, self) - (rows - xbar) @ ybar
-        dist = inverse_subdiff_distance(rows, ybar, self)
+        dist = inverse_subdiff_distance(rows, ref)
         return {"group_growth": lhs - (1.0 - ref.gamma) / (2.0 * scale) * dist * dist}
 
 
@@ -149,10 +128,10 @@ class GroupAnalysis:
     """Block classification of a point/subgradient pair.
 
     ``K`` holds the boundary blocks of ``y`` (dual norm 1), ``H`` its
-    complement, ``I`` the support blocks of ``x`` (always inside ``K``).
-    ``gamma`` is the subdominant dual norm, the largest block norm among
-    ``H`` (0 when ``H`` is empty).  ``residual`` is the pair's
-    subgradient residual and ``y`` a copy of the classified dual.
+    complement, ``I`` the support blocks of ``x`` (inside ``K`` whenever
+    ``tol < 1``).  ``gamma`` is the subdominant dual norm, the largest
+    block norm among ``H`` (0 when ``H`` is empty).  ``residual`` is the
+    pair's subgradient residual and ``x``, ``y`` copies of the pair.
     """
 
     K: tuple[int, ...]
@@ -161,8 +140,26 @@ class GroupAnalysis:
     gamma: float
     y_norms: np.ndarray
     residual: float
+    x: np.ndarray
     y: np.ndarray
     partition: GroupPartition
+
+    def graph_pair(self) -> tuple[np.ndarray, np.ndarray, "GroupAnalysis"]:
+        """``(x, y, classification)``: the pair rebuilt on the graph from ``I``
+        and ``K``, and its classification, with these sets and a residual of 0.
+
+        Support blocks keep ``x`` and give ``y`` their unit direction, the
+        other primal blocks are zeroed; boundary dual blocks off the support
+        are pinned to unit norm, and interior ones are divided by 1, which
+        keeps them to the byte.
+        """
+        part = self.partition
+        active, pin = _block_mask(self.I, self.y_norms), _block_mask(self.K, self.y_norms)
+        y_div = np.where(active, block_norms(self.x, part), np.where(pin, self.y_norms, 1.0))
+        on = active[part.seg]
+        xs, ys = np.where(on, self.x, 0.0), np.where(on, self.x, self.y) / y_div[part.seg]
+        norms = block_norms(ys, part)
+        return xs, ys, replace(self, y_norms=norms, residual=0.0, x=xs.copy(), y=ys.copy())
 
     @cached_property
     def v_basis(self) -> np.ndarray:
@@ -197,6 +194,13 @@ class GroupAnalysis:
             "block_norms": self.y_norms,
             "classification_margin": self.classification_margin,
         }
+
+
+def _block_mask(blocks: tuple[int, ...], like: np.ndarray) -> np.ndarray:
+    """Boolean mask, shaped as the per-block array ``like``, true on ``blocks``."""
+    mask = np.zeros(like.shape, dtype=bool)
+    mask[list(blocks)] = True
+    return mask
 
 
 def block_norms(x: np.ndarray, partition: GroupPartition) -> np.ndarray:
@@ -284,30 +288,29 @@ def classify_groups(
         raise NotASubgradientError(
             f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
         )
-    K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol)
+    # A zero dual block has no direction to pin, even at a tolerance of 1 or more.
+    K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol and nj > 0.0)
     boundary = set(K)
     H = tuple(j for j in range(len(partition.groups)) if j not in boundary)
     I = tuple(j for j, nj in enumerate(x_norms) if nj > tol)
     gamma = max((float(y_norms[j]) for j in H), default=0.0)
-    return GroupAnalysis(K, H, I, gamma, y_norms, res, y.copy(), partition)
+    return GroupAnalysis(K, H, I, gamma, y_norms, res, x.copy(), y.copy(), partition)
 
 
-def inverse_subdiff_distance(
-    x: np.ndarray, ybar: np.ndarray, partition: GroupPartition
-) -> float | np.ndarray:
-    """Distance from ``x`` to the inverse image of ``ybar`` under the subdifferential.
+def inverse_subdiff_distance(x: np.ndarray, ref: GroupAnalysis) -> float | np.ndarray:
+    """Distance from ``x`` to the inverse image of the dual vector ``ybar = ref.y``.
 
     The inverse image is the product, over blocks, of the ray spanned by
-    ``ybar_J`` where that block has unit norm and ``{0}`` elsewhere, so the
-    squared distance adds ``||x_J||^2 - max(<x_J, ybar_J>, 0)^2`` on unit
-    blocks and ``||x_J||^2`` on the rest.  An ``(S, n)`` batch of points
-    gives one distance per row.
+    ``ybar_J`` on the boundary blocks ``ref.K`` and ``{0}`` elsewhere, so
+    the squared distance adds ``||x_J||^2 - max(<x_J, ybar_J>, 0)^2`` on
+    boundary blocks and ``||x_J||^2`` on the rest.  An ``(S, n)`` batch of
+    points gives one distance per row.
     """
     x = np.asarray(x, dtype=float)
-    ybar = np.asarray(ybar, dtype=float)
-    unit = block_norms(ybar, partition) >= 1.0 - UNIT_TOL
+    partition = ref.partition
+    unit = _block_mask(ref.K, ref.y_norms)
     xx = partition.block_sums(x * x)
-    t = np.maximum(partition.block_sums(x * ybar), 0.0)
+    t = np.maximum(partition.block_sums(x * ref.y), 0.0)
     d2 = np.where(unit, np.maximum(xx - t * t, 0.0), xx)
     dist = np.sqrt(d2.sum(axis=-1))
     return float(dist) if dist.ndim == 0 else dist
@@ -316,12 +319,11 @@ def inverse_subdiff_distance(
 def relative_approx_group(x: np.ndarray, y: np.ndarray, partition: GroupPartition, kref):
     """Split a subgradient into boundary and interior parts relative to ``kref``.
 
-    ``kref`` lists reference boundary blocks.  Blocks of ``kref`` whose norm
-    sits strictly below 1 are pushed to the unit sphere in ``yhat`` and
-    shrunk in ``ytilde`` so that ``lam * yhat + (1 - lam) * ytilde == y``
-    with ``lam`` the smallest such block norm.  Both outputs remain
-    subgradients at ``x``; when nothing needs pushing the triple
-    ``(1, y, y)`` is returned.
+    ``kref`` lists reference boundary blocks.  Those outside ``K`` are
+    pushed to the unit sphere in ``yhat`` and shrunk in ``ytilde`` so that
+    ``lam * yhat + (1 - lam) * ytilde == y`` with ``lam`` the smallest such
+    block norm.  Both outputs remain subgradients at ``x``; when nothing
+    needs pushing the triple ``(1, y, y)`` is returned.
 
     Raises :class:`InfeasibleApproximationError` when some pushed block has
     ``x_J != 0`` (its subgradient block is pinned) or a zero dual block
@@ -334,7 +336,7 @@ def relative_approx_group(x: np.ndarray, y: np.ndarray, partition: GroupPartitio
     for j in kref:
         if not 0 <= j < len(partition.groups):
             raise ValueError(f"reference block {j} out of range")
-    push = [j for j in kref if norms[j] < 1.0 - UNIT_TOL]
+    push = [j for j in kref if j not in analysis.K]
     if not push:
         return 1.0, y.copy(), y.copy()
     for j in push:

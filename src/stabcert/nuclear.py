@@ -77,20 +77,6 @@ class NuclearShape:
     def classify(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> "SimultaneousSVD":
         return simultaneous_svd(self.as_matrix(x), self.as_matrix(y), tol)
 
-    def snap(self, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL):
-        """Both matrices rebuilt from their joint frames: a pair exactly on the graph.
-
-        Returns ``(x, y, classification)``.  The frames and spectra that
-        rebuild the pair diagonalize it, so the factorization of the input
-        pair classifies the snapped one.  In those frames ``x + y`` has the
-        singular values ``sigma_x + 1``, ones and ``lambda_y``, whose soft
-        threshold at 1 gives back ``x``: the residual is 0, up to the
-        rounding of the rebuild.
-        """
-        dec = self.classify(x, y, tol)
-        xs, ys = dec.reconstruct_x(), dec.reconstruct_y()
-        return self.as_vector(xs), self.as_vector(ys), dataclasses.replace(dec, residual=0.0)
-
     def growth_scale(self, rows: np.ndarray) -> np.ndarray:
         """Sample scale of the growth moduli: ``||X||_*``, per row."""
         return nuclear_norm(rows.reshape(-1, self.n1, self.n2))
@@ -308,6 +294,13 @@ class SimultaneousSVD:
     def reconstruct_y(self) -> np.ndarray:
         return (self.ubar[:, : self.k] * self.singular_values_y()) @ self.vbar[:, : self.k].T
 
+    def graph_pair(self) -> tuple[np.ndarray, np.ndarray, "SimultaneousSVD"]:
+        """``(x, y, classification)``: both matrices rebuilt from the joint
+        frames, row-major vectors on the graph, and this factorization with
+        a residual of 0, which diagonalizes them and so classifies them."""
+        xs, ys = self.reconstruct_x().reshape(-1), self.reconstruct_y().reshape(-1)
+        return xs, ys, dataclasses.replace(self, residual=0.0)
+
     @cached_property
     def gamma(self) -> float:
         """Subdominant dual singular value, 0 when the dual has no sub-unit part."""
@@ -433,11 +426,8 @@ def relative_approx_nuclear(x: np.ndarray, y: np.ndarray, p_ref: int):
     if q == p_ref:
         return 1.0, y.copy(), y.copy()
     sy = dec.singular_values_y()
+    # Past the q unit values, so below 1 - UNIT_TOL: q counts all those above.
     lam = float(sy[p_ref - 1])
-    if lam >= 1.0 - UNIT_TOL:
-        raise InfeasibleApproximationError(
-            f"singular value {p_ref} of the dual is already at the unit threshold"
-        )
     d_hat = np.concatenate([np.ones(p_ref), sy[p_ref:]])
     mid = (sy[q : p_ref - 1] - lam) / (1.0 - lam)
     d_tilde = np.concatenate([np.ones(q), mid, [0.0], sy[p_ref:]])

@@ -123,13 +123,7 @@ def certify(
     """
     reg = problem.reg
     x = np.asarray(x, dtype=float).reshape(-1)
-    y = dual_from_solution(problem, x)
-    try:
-        classification = reg.classify(x, y, tol)
-    except NotASubgradientError as exc:
-        raise NotASolutionError(
-            f"optimality residual {exc.residual:.3e} exceeds tolerance {tol:.3e}"
-        ) from None
+    classification = _classify(reg, x, dual_from_solution(problem, x), tol)
     mt = margin_tolerance(problem) if margin_tol is None else float(margin_tol)
     basis = classification.v_basis
     margin, direction = restricted_min_singular(problem.phi, basis)
@@ -148,23 +142,32 @@ def certify(
     )
 
 
+def _classify(reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float):
+    """``reg.classify(x, y, tol)``, the graph-pair gate of :func:`certify` and
+    :func:`snap_to_graph`: a pair off the graph by more than ``tol`` (or by
+    NaN) raises :class:`NotASolutionError` with the residual it measured."""
+    try:
+        return reg.classify(x, y, tol)
+    except NotASubgradientError as exc:
+        raise NotASolutionError(
+            f"optimality residual {exc.residual:.3e} exceeds tolerance {tol:.3e}"
+        ) from None
+
+
 def snap_to_graph(
     reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL
 ) -> tuple[np.ndarray, np.ndarray, GroupAnalysis | SimultaneousSVD]:
     """Project a numerically optimal pair exactly onto the subdifferential graph.
 
     Solver output satisfies optimality only to its residual; audits need a
-    pair that lies on the graph to working precision.  The regularizer's
-    ``snap`` does it at ``tol``, the tolerance of :func:`certify`: group
-    blocks are pinned to exact unit directions or zeroed, nuclear pairs are
-    rebuilt from their joint frames (which fails when the pair is off the
-    graph by more than ``tol``).  Returns ``(x, y, classification)``: the
-    snapped vectors and the classification of the snapped pair, as
-    ``reg.classify`` gives it (for nuclear pairs, up to rounding: it reuses
-    the factorization that rebuilt them); pass it to :func:`qg_audit` as
-    ``ref``.
+    pair that lies on the graph to working precision.  The pair is
+    classified at ``tol`` through the gate of :func:`certify`, which raises
+    the same :class:`NotASolutionError`, and rebuilt from that
+    classification by its ``graph_pair``.  Returns ``(x, y,
+    classification)``: the snapped vectors and the classification of the
+    snapped pair; pass it to :func:`qg_audit` as ``ref``.
     """
-    return reg.snap(x, y, tol)
+    return _classify(reg, x, y, tol).graph_pair()
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -204,7 +207,8 @@ def qg_audit(
     counterexample candidate, not a failure.  ``ref`` is the
     classification of ``(xbar, ybar)`` when the caller has it
     (:func:`snap_to_graph` returns it); otherwise the pair is classified
-    here.
+    here, at ``UNIT_TOL``.  The distances read their unit blocks or unit
+    singular values from ``ref``, the decision :func:`certify` reads.
     """
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)

@@ -7,7 +7,13 @@ from typing import NamedTuple
 import numpy as np
 
 from stabcert.errors import NotASubgradientError
-from stabcert.groupnorm import GroupAnalysis, GroupPartition, block_norms, subgrad_residual
+from stabcert.groupnorm import (
+    GroupAnalysis,
+    GroupPartition,
+    block_norms,
+    classify_groups,
+    subgrad_residual,
+)
 from stabcert.linalg import UNIT_TOL
 from stabcert.nuclear import NuclearShape, nuclear_norm
 from stabcert.solver import ProblemSpec
@@ -271,7 +277,14 @@ def classify_groups_twice(x, y, partition, tol=1e-7):
     H = tuple(j for j in range(len(partition.groups)) if j not in set(K))
     I = tuple(j for j, nj in enumerate(x_norms) if nj > tol)
     gamma = max((float(y_norms[j]) for j in H), default=0.0)
-    return GroupAnalysis(K, H, I, gamma, y_norms, res, y.copy(), partition)
+    return GroupAnalysis(K, H, I, gamma, y_norms, res, x.copy(), y.copy(), partition)
+
+
+def zero_ref(ybar, partition):
+    """The classification of ``(0, ybar)``, a ``ref`` for the distance to the
+    inverse image of ``ybar``; ``ybar`` is a subgradient at 0 when no block
+    of it has norm above 1."""
+    return classify_groups(np.zeros(partition.n), ybar, partition)
 
 
 def group_distance_loop(x, ybar, partition, tol=1e-7):
@@ -292,6 +305,9 @@ def group_distance_loop(x, ybar, partition, tol=1e-7):
 
 
 def group_snap_loop(partition, x, y, tol=1e-7):
+    """The snap block by block: a primal block above ``tol`` gives the dual
+    its direction, the others are zeroed and a nonzero dual block there of
+    norm ``1 - tol`` or more is pinned to unit norm."""
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
     for idx in partition.index_arrays:
@@ -301,7 +317,7 @@ def group_snap_loop(partition, x, y, tol=1e-7):
         else:
             x[idx] = 0.0
             ny = float(np.linalg.norm(y[idx]))
-            if ny > 1.0:
+            if ny >= 1.0 - tol and ny > 0.0:
                 y[idx] /= ny
     return x, y
 

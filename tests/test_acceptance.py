@@ -237,9 +237,9 @@ def test_criterion_4_distance_oracle_equivalence():
     worst_group = 0.0
     for _ in range(500):
         part = random_partition(rng, int(rng.integers(1, 5)))
-        _, ybar = random_group_graph_pair(rng, part)
+        xg, ybar = random_group_graph_pair(rng, part)
         x = rng.standard_normal(part.n) * float(rng.uniform(0.2, 3.0))
-        fast = inverse_subdiff_distance(x, ybar, part)
+        fast = inverse_subdiff_distance(x, classify_groups(xg, ybar, part))
         slow = group_ray_distance_oracle(x, ybar, part, iters=400)
         worst_group = max(worst_group, abs(fast - slow))
     if worst_group > 1e-6:

@@ -26,6 +26,7 @@ from helpers import (
     random_nuclear_instance,
     random_partition,
     subgrad_residual_loop,
+    zero_ref,
 )
 from stabcert.groupnorm import (
     GroupPartition,
@@ -45,7 +46,13 @@ from stabcert.solver import (
     objective,
     prox_gradient_solve,
 )
-from stabcert.stability import _ball_samples, certify, empirical_lipschitz, qg_audit
+from stabcert.stability import (
+    _ball_samples,
+    certify,
+    empirical_lipschitz,
+    qg_audit,
+    snap_to_graph,
+)
 
 RTOL = 1e-12
 seeds = st.integers(0, 2**32 - 1)
@@ -107,18 +114,25 @@ class TestGroupKernels:
         part, x, y = group_case(rng)
         close(block_norms(x, part), [block_norms_loop(r, part) for r in x])
         close(group_norm(x, part), [group_norm_loop(r, part) for r in x])
-        close(group_distance(x, y, part), [group_distance_loop(r, y, part) for r in x])
+        # No block of y is above norm 1, so (0, y) is a graph pair.
+        unit_ref = zero_ref(y, part)
+        close(group_distance(x, unit_ref), [group_distance_loop(r, y, part) for r in x])
         for r in x:
             assert isinstance(group_norm(r, part), float)
             close(block_norms(r, part), block_norms_loop(r, part))
-            close(group_distance(r, y, part), group_distance_loop(r, y, part))
+            close(group_distance(r, unit_ref), group_distance_loop(r, y, part))
             close(subgrad_residual(r, y, part), subgrad_residual_loop(r, y, part))
             for t in (0.0, float(rng.uniform(0.0, 2.0)), 1e3):
                 (out, _, _), ref = prox_group(r, t, part), prox_group_loop(r, t, part)
                 close(out, ref)
                 assert np.array_equal(np.signbit(out), np.signbit(ref))
-            xs, ys, _ = part.snap(r, y)
-            xr, yr = group_snap_loop(part, r, y)
+            # A pair within tol of the graph: the loop's graph pair, moved
+            # by 1e-12 everywhere but on its zero primal blocks.
+            xg, yg = group_snap_loop(part, r, y)
+            xn = xg + 1e-12 * rng.standard_normal(part.n) * (xg != 0.0)
+            yn = yg + 1e-12 * rng.standard_normal(part.n)
+            xs, ys, _ = snap_to_graph(part, xn, yn)
+            xr, yr = group_snap_loop(part, xn, yn)
             close(xs, xr)
             close(ys, yr)
             assert np.array_equal(xs == 0.0, xr == 0.0)

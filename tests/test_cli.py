@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -849,6 +850,39 @@ def test_capped_solve_reports_the_residual_classification_measured(
     exit_code, report = run_capture(capsys, ["certify", path, "--tol", "1e-14"])
     assert exit_code == 1
     assert report["error"] == {"code": "NotASolutionError", "message": message}
+
+
+@pytest.mark.parametrize("problem", [EXAMPLE_DOC, SMOKE_NUCLEAR_DOC], ids=["group", "nuclear"])
+def test_certify_and_audit_refuse_an_off_graph_pair_alike(tmp_path, capsys, problem):
+    # (b, mu) scaled by 1e-6: the solve converges, but its pair is off the
+    # graph by more than the default tolerance.  The audit's snap runs the
+    # certificate's gate, so both commands print the same error object.
+    scaled = dict(problem, b=[1e-6 * v for v in problem["b"]], mu=1e-6 * problem["mu"])
+    path = write_doc(tmp_path, scaled)
+    _, certified = run_capture(capsys, ["certify", path])
+    _, audited = run_capture(capsys, ["qg-audit", path, "--samples", "20"])
+    assert audited["error"] == certified["error"]
+    assert audited["solve"] == certified["solve"]
+
+
+@pytest.mark.parametrize("tol", ["1", "1.5"])
+def test_a_tolerance_of_one_or_more_leaves_zero_dual_blocks_interior(tmp_path, capsys, tol):
+    # The dual is (1, 0, 0): its zero blocks have no direction to give the
+    # critical subspace, which took 0/0 and then a failing SVD.
+    problem = {
+        "schema_version": "1",
+        "phi": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        "b": [2.0, 0.0],
+        "mu": 1.0,
+        "reg": {"kind": "group", "groups": [[1], [2], [3]]},
+    }
+    path = write_doc(tmp_path, problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exit_code, report = run_capture(capsys, ["certify", path, "--tol", tol])
+    assert exit_code == 0 and report["error"] is None
+    assert report["certificate"]["holds"] is True
+    assert report["certificate"]["classification"]["interior_blocks"] == [2, 3]
 
 
 def _overflow_phi(problem):

@@ -11,6 +11,7 @@ from helpers import (
     group_ray_distance_oracle,
     random_group_graph_pair,
     random_partition,
+    zero_ref,
 )
 from stabcert.errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
 from stabcert.groupnorm import (
@@ -135,6 +136,15 @@ class TestClassify:
         assert abs(float(info.v_basis[:, 0] @ np.array([1.0, 0.0]))) == pytest.approx(1.0)
         assert info.classification_margin == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5])
+    def test_a_zero_dual_block_is_interior_at_any_tolerance(self, tol):
+        # 0 >= 1 - tol holds from tol = 1 on, but a zero block has no
+        # direction to give the critical subspace.
+        x, y = np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.5])
+        info = classify_groups(x, y, GroupPartition.singletons(3), tol)
+        assert info.K == (0, 2) and info.H == (1,)
+        assert np.isfinite(info.v_basis).all()
+
     def test_all_boundary_has_zero_gamma(self):
         info = classify_groups(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0]), PAIRS)
         assert info.K == (0, 1)
@@ -192,38 +202,32 @@ class TestClassify:
 class TestInverseDistance:
     def test_scalar_ray(self):
         part = GroupPartition.singletons(1)
-        assert inverse_subdiff_distance(
-            np.array([-0.5]), np.array([1.0]), part
-        ) == pytest.approx(0.5)
-        assert inverse_subdiff_distance(
-            np.array([2.0]), np.array([1.0]), part
-        ) == pytest.approx(0.0)
+        ref = zero_ref(np.array([1.0]), part)
+        assert inverse_subdiff_distance(np.array([-0.5]), ref) == pytest.approx(0.5)
+        assert inverse_subdiff_distance(np.array([2.0]), ref) == pytest.approx(0.0)
 
     def test_interior_dual_forces_origin(self):
         part = GroupPartition.singletons(1)
-        assert inverse_subdiff_distance(
-            np.array([3.0]), np.array([0.2]), part
-        ) == pytest.approx(3.0)
+        ref = zero_ref(np.array([0.2]), part)
+        assert inverse_subdiff_distance(np.array([3.0]), ref) == pytest.approx(3.0)
 
     def test_orthogonal_block(self):
         part = GroupPartition(2, ((0, 1),))
-        d = inverse_subdiff_distance(
-            np.array([-8.0, 6.0]), np.array([0.6, 0.8]), part
-        )
+        d = inverse_subdiff_distance(np.array([-8.0, 6.0]), zero_ref(np.array([0.6, 0.8]), part))
         assert d == pytest.approx(10.0)
 
     def test_aligned_block(self):
         part = GroupPartition(2, ((0, 1),))
-        d = inverse_subdiff_distance(np.array([1.2, 1.6]), np.array([0.6, 0.8]), part)
+        d = inverse_subdiff_distance(np.array([1.2, 1.6]), zero_ref(np.array([0.6, 0.8]), part))
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_projected_gradient_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
             part = random_partition(rng, int(rng.integers(1, 5)))
-            _, ybar = random_group_graph_pair(rng, part)
+            xg, ybar = random_group_graph_pair(rng, part)
             x = rng.standard_normal(part.n) * rng.uniform(0.2, 3.0)
-            fast = inverse_subdiff_distance(x, ybar, part)
+            fast = inverse_subdiff_distance(x, classify_groups(xg, ybar, part))
             slow = group_ray_distance_oracle(x, ybar, part)
             assert fast == pytest.approx(slow, abs=1e-8)
 
@@ -244,7 +248,7 @@ class TestQuadraticGrowthInvariant:
                     continue
                 lhs = group_norm(x, part) - float(ybar @ x)
                 c = (1.0 - info.gamma) / (2.0 * np.linalg.norm(x))
-                d = inverse_subdiff_distance(x, ybar, part)
+                d = inverse_subdiff_distance(x, info)
                 assert lhs - c * d * d >= -1e-9
                 checked += 1
         assert checked > 1000

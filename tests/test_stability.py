@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -27,6 +28,7 @@ from helpers import (
 from stabcert import stability
 from stabcert.errors import NotASolutionError, NotASubgradientError
 from stabcert.groupnorm import (
+    GroupAnalysis,
     GroupPartition,
     group_norm,
     inverse_subdiff_distance,
@@ -221,16 +223,17 @@ class TestSnapToGraph:
         part = GroupPartition.singletons(3)
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([1.0, 0.9999, 0.5])
-        xs, ys, info = part.snap(x, y, 1e-3)
+        xs, ys, info = snap_to_graph(part, x, y, 1e-3)
         assert ys.tolist() == [1.0, 1.0, 0.5]
         assert info.K == (0, 1)
         # At the default tolerance the 0.9999 block is interior and stays.
-        _, ys, info = part.snap(x, y)
+        _, ys, info = snap_to_graph(part, x, y)
         assert ys.tolist() == y.tolist() and info.K == (0,)
-        # A tolerance of 1 or more calls every block boundary; a zero dual
-        # block cannot be pinned and stays zero.
-        _, ys, _ = part.snap(x, np.array([1.0, 0.0, 0.5]), 1.5)
+        # A tolerance of 1 or more calls every nonzero block boundary; a
+        # zero dual block cannot be pinned, is interior and stays zero.
+        _, ys, info = snap_to_graph(part, x, np.array([1.0, 0.0, 0.5]), 1.5)
         assert ys.tolist() == [1.0, 0.0, 1.0]
+        assert info.K == (0, 2) and info.H == (1,)
 
     def test_nuclear_snap_lands_exactly(self):
         p = identity_nuclear_problem()
@@ -257,7 +260,16 @@ class TestSnapToGraph:
                 else:
                     np.testing.assert_allclose(value, again.as_dict()[key], rtol=1e-12, atol=1e-12)
             assert got.gamma == pytest.approx(again.gamma, rel=1e-12, abs=1e-12)
-            assert got.residual <= 1e-12
+            assert got.residual == 0.0 and again.residual <= 1e-12
+            if isinstance(got, GroupAnalysis):
+                # Rebuilt from the input's sets: every other field is the
+                # one a second classification computes, to the byte.
+                for f in dataclasses.fields(got):
+                    mine, theirs = getattr(got, f.name), getattr(again, f.name)
+                    if f.name == "partition":
+                        assert mine is theirs
+                    elif f.name != "residual":
+                        assert np.array_equal(mine, theirs), f.name
             assert mutual_projection_residual(got.v_basis, again.v_basis) <= 1e-8
             with_ref = qg_audit(p.reg, xs, ys, samples=200, seed=2, ref=got)
             without = qg_audit(p.reg, xs, ys, samples=200, seed=2)
@@ -274,7 +286,7 @@ class TestQgAudit:
         ybar = np.array([1.0])
         x = np.array([-0.5])
         gap = group_norm(x, part) - group_norm(xbar, part) - float(ybar @ (x - xbar))
-        dist = inverse_subdiff_distance(x, ybar, part)
+        dist = inverse_subdiff_distance(x, part.classify(xbar, ybar))
         modulus = 1.0 / (2.0 * np.linalg.norm(x))
         assert gap - modulus * dist**2 == pytest.approx(0.75)
 
