@@ -26,6 +26,8 @@ the fields of their results (``SolveResult``, ``StabilityCertificate``,
 adjustments: a certificate's ``classification`` is its ``as_dict()``, and an
 audit drops an absent ``conjecture_min_slack`` and ends with
 ``snap_distance``, how far the snap to the graph moved the solution.
+``solve`` is the command's one solve: the certificate, audit and probes
+read its solution.
 
 Each run builds one report, and the command fills in each section as soon
 as it is computed.  An error report therefore keeps ``inputs_digest`` once
@@ -323,33 +325,16 @@ def _cmd_qg_audit(args, report: dict) -> int:
     return 0
 
 
-def _cmd_perturb(args, report: dict) -> int:
-    spec, options = _load(args, report)
-    rep = empirical_lipschitz(
-        spec,
-        radius_b=args.radius,
-        radius_mu=args.radius_mu,
-        samples=args.samples,
-        seed=args.seed,
-        starts=args.starts,
-        **_solver_opts(args, options),
-    )
-    report["perturbation"] = _section(rep)
-    return 0
-
-
-def _cmd_tilt_probe(args, report: dict) -> int:
+def _cmd_probe(args, report: dict) -> int:
+    """``perturb`` or ``tilt-probe``: the probe at the solution of the solve."""
     spec, options = _load(args, report)
     result = _solve(spec, args, options, report)
-    rep = tilt_probe(
-        spec,
-        result.x,
-        radius_v=args.radius,
-        samples=args.samples,
-        seed=args.seed,
-        starts=args.starts,
-        **_solver_opts(args, options),
-    )
+    if args.command == "perturb":
+        probe, radii = empirical_lipschitz, (args.radius, args.radius_mu)
+    else:
+        probe, radii = tilt_probe, (args.radius,)
+    draws = {"samples": args.samples, "seed": args.seed, "starts": args.starts}
+    rep = probe(spec, result.x, *radii, **draws, **_solver_opts(args, options))
     report["perturbation"] = _section(rep)
     return 0
 
@@ -387,8 +372,8 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "certify": _cmd_certify,
     "qg-audit": _cmd_qg_audit,
-    "perturb": _cmd_perturb,
-    "tilt-probe": _cmd_tilt_probe,
+    "perturb": _cmd_probe,
+    "tilt-probe": _cmd_probe,
     "reproduce-example-non": _cmd_reproduce_example_non,
 }
 

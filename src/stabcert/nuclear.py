@@ -60,9 +60,6 @@ class NuclearShape:
         x = np.asarray(x, dtype=float)
         return x.reshape(self.n1, self.n2)
 
-    def as_vector(self, mat) -> np.ndarray:
-        return np.asarray(mat, dtype=float).reshape(-1)
-
     def value(self, x: np.ndarray) -> float:
         return nuclear_norm(self.as_matrix(x))
 
@@ -227,10 +224,10 @@ def prox_nuclear(x: np.ndarray, t: float):
     x = np.asarray(x, dtype=float)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     f = np.maximum(s - t, 0.0)  # the shrunk singular values
-    above = s > t
 
     def derivative(h: np.ndarray) -> np.ndarray:
         n1, n2 = x.shape
+        above = s > t
         # Mixed pairs have s_i > t >= s_j (or the reverse), so s_i != s_j.
         mixed = above[:, None] != above[None, :]
         gap = np.where(mixed, s[:, None] - s[None, :], 1.0)
@@ -331,7 +328,8 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     check: ``residual = ||x - U_k diag(max(s - 1, 0)) V_k^T||_F``, 0 exactly
     on the graph.  A residual above ``tol``, or NaN, raises
     :class:`NotASubgradientError` with it.  The unit count ``p`` counts the
-    ``s >= 1 - tol`` and ``lambda_y`` is ``s[p:k]``.  On the graph ``x`` is
+    positive ``s >= 1 - tol`` (a zero singular value is never a unit one,
+    also at ``tol >= 1``) and ``lambda_y`` is ``s[p:k]``.  On the graph ``x`` is
     ``U_p diag(sigma_x) V_p^T``, so ``sigma_x`` is read off the diagonal of
     ``U_p^T x V_p`` (``s - 1`` would cancel when ``||x|| << 1``) and ``r``
     counts its entries above ``RANK_TOL`` times the first: ``r <= p``.  A
@@ -352,7 +350,7 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
         raise NotASubgradientError(
             f"subgradient residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
         )
-    p = int(np.count_nonzero(s >= 1.0 - tol))
+    p = int(np.count_nonzero((s >= 1.0 - tol) & (s > 0.0)))
     diag = np.einsum("ij,ij->j", ubar[:, :p], x @ vbar[:, :p])
     r = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if p and diag[0] > 0 else 0
     return SimultaneousSVD(ubar, vbar, diag[:r], s[p:], r, p, residual)

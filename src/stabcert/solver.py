@@ -307,11 +307,11 @@ def prox_gradient_solve(
 
     Let ``T(z) = prox_{g/L}(z - (grad f(z) - v)/L)``.  The solve stops
     with ``converged`` set only when the true residual ``||x - T(x)||`` is
-    at most ``tol`` and the objective is finite.  A non-finite objective
-    at the start (``||b||^2`` overflows) ends the solve there, and one at
-    an iterate (a huge tilt), after the restart that an objective of
-    ``+inf`` triggers, ends the solve at that iterate.  Either way
-    ``converged`` is false.
+    at most ``tol`` and the objective is finite.  A non-finite fit at the
+    start (``||b||^2`` overflows) ends the solve there, and a non-finite
+    objective at an iterate (a huge tilt), after the restart that an
+    objective of ``+inf`` triggers, ends the solve at that iterate.
+    Either way ``converged`` is false.
 
     Each iteration takes the new iterate ``z = T(m)`` from the momentum
     point ``m`` (from ``x`` on a restart): one prox, ``gram @ m`` for the
@@ -328,9 +328,9 @@ def prox_gradient_solve(
     (when the momentum step raises the objective) takes the descent step
     ``T(x)``, reusing it when known.  The objective adds the smooth part
     to the value the prox returns; ``g`` itself is evaluated only at a
-    given start ``x0``.  The default start (``x0 is None``) is 0, where
-    ``g(0) = 0.0`` is taken without evaluating it; the result is the one
-    ``x0 = np.zeros(n)`` gives, bit for bit.
+    start (default 0) that the solve returns.  The first step, from the
+    start with ``tk = 1``, cannot restart on the start's objective, so the
+    loop carries the start's smooth part alone.
 
     At the first iteration whose step moves the iterate by at most
     ``NEWTON_SWITCH_FIRST``, a Newton attempt starts from that step's own
@@ -396,6 +396,11 @@ def prox_gradient_solve(
         Jacobian at the forward step of ``z`` to a stack of directions."""
         return reg.prox(z - step * (gz - lin), step)
 
+    def confirm(z: np.ndarray, gz: np.ndarray):
+        """``(pg_step(z), ||z - T(z)||)``: the step and true residual at ``z``."""
+        pz = pg_step(z, gz)
+        return pz, _norm(z - pz[0])
+
     def polish(y, fz, py, ry, budget):
         """One Newton attempt from ``y``, whose ``pg_step`` is ``py`` and
         whose residual is ``ry``; ``fz`` is the objective to beat.
@@ -415,8 +420,7 @@ def prox_gradient_solve(
             if not (math.isfinite(nd) and nd <= NEWTON_STEP_GAIN * ry):
                 return steps, None
             y = y + d
-            py = pg_step(y, gram @ y)
-            ry = _norm(y - py[0])
+            py, ry = confirm(y, gram @ y)
             if ry <= tol:
                 # T(y), not y: y can sit a rounding error off a zero block
                 # whose dual has unit norm, which is no solution at all.
@@ -428,25 +432,22 @@ def prox_gradient_solve(
                 if fp > fz + 4.0 * np.spacing(abs(fz)):
                     return steps, None
                 gram_p = gram @ p
-                pp = pg_step(p, gram_p)
-                return steps, (p, gram_p, fp, pp, _norm(p - pp[0]))
+                return steps, (p, gram_p, fp, *confirm(p, gram_p))
         return budget, None
 
     gx = gram @ x
-    # g(0) = 0: the default start evaluates no norm.
-    fx = smooth(x, gx) + (0.0 if x0 is None else reg.value(x))
+    # Without g(x), which the first step's restart test cannot act on.
+    fx = smooth(x, gx)
     # px is T(x) when known: at the start, after a confirmation at x and
     # after a kept Newton attempt.
-    px = pg_step(x, gx)
-    residual = _norm(x - px[0])
-    converged = residual <= tol
+    px, residual = confirm(x, gx)
     momentum = x
     tk = 1.0
     iterations = newton_steps = 0
     # The longest step that hands over to Newton: -inf once no attempt is left.
     switch = NEWTON_SWITCH_FIRST
     # A non-finite objective (overflowing data or iterates) ends the solve.
-    while not converged and iterations < max_iter and math.isfinite(fx):
+    while not residual <= tol and iterations < max_iter and math.isfinite(fx):
         # After the start or a kept attempt the momentum point is x itself,
         # whose step is known.  pb is the step from base, which an attempt
         # starts on.
@@ -473,9 +474,7 @@ def prox_gradient_solve(
         moved = _norm(base - z)
         if moved <= tol:
             # The pure-FISTA finish: one prox confirms the true residual.
-            px = pg_step(z, gz)
-            residual = _norm(z - px[0])
-            converged = residual <= tol
+            px, residual = confirm(z, gz)
         elif moved <= switch and iterations < max_iter:
             # From base, on the prox pb this step took there, with residual
             # moved; the guard compares against z = T(base).
@@ -490,16 +489,15 @@ def prox_gradient_solve(
                 # T is nonexpansive, so only rounding can leave the
                 # residual above tol; then FISTA restarts from x.
                 x, gx, fx, px, residual = polished
-                converged = residual <= tol
                 momentum, tk = x, 1.0
                 continue
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         momentum = z + ((tk - 1.0) / t_next) * (z - x)
         x, gx, fx, tk = z, gz, fz, t_next
     if px is None:
-        px = pg_step(x, gx)
-        residual = _norm(x - px[0])
-        converged = residual <= tol
+        _, residual = confirm(x, gx)
+    if iterations == 0:
+        fx += reg.value(x)
     return SolveResult(
         x=x,
         y=dual_from_solution(problem, x),
@@ -507,7 +505,7 @@ def prox_gradient_solve(
         newton_steps=newton_steps,
         fixed_point_residual=residual,
         objective=fx,
-        converged=converged and math.isfinite(fx),
+        converged=residual <= tol and math.isfinite(fx),
     )
 
 

@@ -34,7 +34,6 @@ from .solver import (
     multistart_solve,
     newton_matrix,
     objective,
-    prox_gradient_solve,
 )
 
 # Certificate margin threshold, relative to the operator scale.
@@ -347,6 +346,7 @@ def _solution_derivative(problem: ProblemSpec, x: np.ndarray) -> np.ndarray | No
 
 def empirical_lipschitz(
     problem: ProblemSpec,
+    x: np.ndarray,
     radius_b: float,
     radius_mu: float,
     samples: int = 20,
@@ -355,15 +355,15 @@ def empirical_lipschitz(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationReport:
-    """Sampled Lipschitz experiment on the solution map over ``(b, mu)``.
+    """Sampled Lipschitz experiment over ``(b, mu)`` at a solution ``x``.
 
     Draws parameter points uniformly from the product ball around the
     instance (``mu`` clamped to stay at or above half its base value),
     solves each, and reports the largest solution-to-parameter distance
-    ratio over all pairs including the baseline.  Each sample is solved
-    from a first start and from ``starts - 1`` deterministic random starts
-    around the base solution ``x``; the largest spread among the returned
-    minimizers is reported, and the ratios use the first start's solution.
+    ratio over all pairs including the baseline ``x``.  Each sample is
+    solved from a first start and from ``starts - 1`` deterministic random
+    starts around ``x``; the largest spread among the returned minimizers
+    is reported, and the ratios use the first start's solution.
     Here and in :func:`tilt_probe`, a pair counts unless its data distance
     is below ``1e-15``, and a NaN ratio or distance (an overflowing sample,
     also counted unconverged) makes the largest ratio or the spread NaN;
@@ -377,8 +377,8 @@ def empirical_lipschitz(
     starts at ``x`` instead.
     """
     rng = np.random.default_rng(seed)
-    base = prox_gradient_solve(problem, tol=tol, max_iter=max_iter)
-    derivative = _solution_derivative(problem, base.x)
+    x = np.asarray(x, dtype=float)
+    derivative = _solution_derivative(problem, x)
     # The data [b | mu] by row: the instance's own, then each sample's.
     ps = np.empty((samples + 1, problem.m + 1))
     ps[0, :-1], ps[0, -1] = problem.b, problem.mu
@@ -390,20 +390,20 @@ def empirical_lipschitz(
         """The sample's problem, no tilt, and its first start."""
         spec = problem.with_data(p[:-1], float(p[-1]))
         if derivative is not None:
-            predicted = base.x + derivative @ (p - ps[0])
+            predicted = x + derivative @ (p - ps[0])
             if np.isfinite(predicted).all():
                 return spec, None, predicted
-        return spec, None, base.x
+        return spec, None, x
 
     cases = map(case, ps[1:])
     with np.errstate(all="ignore"):
-        sols, spread, non_converged = _sample_solves(rng, cases, base.x, starts, tol, max_iter)
-        max_ratio = _largest_pair_ratio(np.concatenate([base.x[None], sols[0]]), ps)
+        sols, spread, non_converged = _sample_solves(rng, cases, x, starts, tol, max_iter)
+        max_ratio = _largest_pair_ratio(np.concatenate([x[None], sols[0]]), ps)
     return PerturbationReport(
         samples=samples,
         max_ratio=max_ratio,
         multivaluedness_spread=spread,
-        non_converged=non_converged + (not base.converged),
+        non_converged=non_converged,
         seed=seed,
     )
 

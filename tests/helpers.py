@@ -590,20 +590,19 @@ def tilt_ratio_loop(sols, x, tilts):
     return best
 
 
-def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed):
-    """``empirical_lipschitz`` with one start: one solve per sample, and no
-    draw of start points.  The start is the first-order prediction
-    ``x + D [db; dmu]``, with ``D`` solved from the differentiated fixed
-    point equation written out here, unless the prediction is not finite
-    or the system for ``D`` is rank deficient or gives a non-finite ``D``;
-    then it is the base solution ``x``.  Returns the report's fields
-    ``(max_ratio, multivaluedness_spread, non_converged)``."""
+def empirical_lipschitz_single_start(problem, x, radius_b, radius_mu, samples, seed):
+    """``empirical_lipschitz`` at the solution ``x`` with one start: one
+    solve per sample, and no draw of start points.  The start is the
+    first-order prediction ``x + D [db; dmu]``, with ``D`` solved from the
+    differentiated fixed point equation written out here, unless the
+    prediction is not finite or the system for ``D`` is rank deficient or
+    gives a non-finite ``D``; then it is ``x``.  Returns the report's fields
+    ``(max_ratio, multivaluedness_spread, non_converged)``, the last over
+    the sample solves."""
     from stabcert.solver import prox_gradient_solve
     from stabcert.stability import _ball_samples
 
     rng = np.random.default_rng(seed)
-    base = prox_gradient_solve(problem)
-    x = base.x
     # x = prox_{t g}(x - t grad), differentiated in (b, mu) at fixed t.
     t = problem.step
     grad = problem.gram @ x - problem.phi_tb
@@ -620,7 +619,7 @@ def empirical_lipschitz_single_start(problem, radius_b, radius_mu, samples, seed
     mu_draws = problem.mu + rng.uniform(-radius_mu, radius_mu, size=samples)
     mu_draws = np.maximum(mu_draws, problem.mu / 2.0)
     sols = [x]
-    non_converged = 0 if base.converged else 1
+    non_converged = 0
     for i in range(samples):
         spec = problem.with_data(b_draws[i], float(mu_draws[i]))
         start = x

@@ -515,7 +515,9 @@ class TestSharedOperator:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        empirical_lipschitz(spec, radius_b=0.1, radius_mu=0.05, samples=4, starts=2)
+        # The solve factors phi, and the probe and its samples reuse it.
+        x = prox_gradient_solve(spec).x
+        empirical_lipschitz(spec, x, radius_b=0.1, radius_mu=0.05, samples=4, starts=2)
         assert len(calls) == 1
 
     def test_with_data_matches_a_fresh_spec(self):

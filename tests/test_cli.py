@@ -589,6 +589,33 @@ class TestCommands:
         assert rep["max_ratio"] > 0.0
         assert rep["non_converged"] == 0
 
+    @pytest.mark.parametrize(
+        "flags,perturbation",
+        [
+            (
+                [],
+                '{"samples":20,"max_ratio":1.1392099079013305,'
+                '"multivaluedness_spread":0,"non_converged":0,"seed":0}',
+            ),
+            (
+                ["--samples", "4", "--starts", "3", "--radius-mu", "0.05"],
+                '{"samples":4,"max_ratio":1.6077708935104369,'
+                '"multivaluedness_spread":7.5295706534245061e-10,"non_converged":0,"seed":0}',
+            ),
+        ],
+        ids=["default", "multistart"],
+    )
+    def test_perturb_reports_the_solve_it_perturbed(self, capsys, flags, perturbation):
+        # The bundled example: perturb prints the solve command's section,
+        # and the perturbation of the probe that solved the instance itself.
+        path = str(resources.files("stabcert").joinpath("data/example_non.json"))
+        _, solved = run_capture(capsys, ["solve", path])
+        code, report = run_capture(capsys, ["perturb", path, *flags])
+        assert code == 0 and report["error"] is None
+        assert list(report["solve"].items()) == list(solved["solve"].items())
+        assert report["solve"]["converged"] is True
+        assert dumps_canonical(report["perturbation"]) == perturbation
+
     def test_tilt_probe_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, doc())
         code, report = run_capture(
@@ -883,6 +910,30 @@ def test_a_tolerance_of_one_or_more_leaves_zero_dual_blocks_interior(tmp_path, c
     assert exit_code == 0 and report["error"] is None
     assert report["certificate"]["holds"] is True
     assert report["certificate"]["classification"]["interior_blocks"] == [2, 3]
+
+
+@pytest.mark.parametrize("tol", ["1", "1.5"])
+def test_a_tolerance_of_one_or_more_leaves_zero_dual_singular_values_sub_unit(
+    tmp_path, capsys, tol
+):
+    # The dual is diag(2, 0) at x = 0: its zero singular value is no unit
+    # one, which gave unit_count 2, no lambda_y and a 3-dimensional subspace.
+    problem = {
+        "schema_version": "1",
+        "phi": [[float(i == j) for j in range(4)] for i in range(4)],
+        "b": [2.0, 0.0, 0.0, 0.0],
+        "mu": 1.0,
+        "reg": {"kind": "nuclear", "shape": [2, 2]},
+    }
+    path = write_doc(tmp_path, problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exit_code, report = run_capture(capsys, ["certify", path, "--tol", tol])
+    assert exit_code == 0 and report["error"] is None
+    cert = report["certificate"]
+    assert cert["classification"]["unit_count"] == 1
+    assert cert["classification"]["lambda_y"] == [0.0]
+    assert cert["subspace_dim"] == 1
 
 
 def _overflow_phi(problem):

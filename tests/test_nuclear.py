@@ -29,7 +29,7 @@ class TestShape:
         m = shape.as_matrix(x)
         assert m.shape == (2, 3)
         assert m[1, 0] == 3.0  # row-major layout
-        assert np.array_equal(shape.as_vector(m), x)
+        assert np.array_equal(m.reshape(-1), x)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,7 @@ class TestSolverConstants:
 
     @pytest.mark.parametrize("kind", INSTANCES)
     def test_the_default_start_is_the_zero_start(self, kind):
+        iterated = 0
         for seed in range(6):
             base = INSTANCES[kind](np.random.default_rng(seed))
             # b = 0 converges at the start, where the objective is a zero.
@@ -164,10 +165,14 @@ class TestSolverConstants:
                 reg = CountingProx(base.reg)
                 spec = ProblemSpec(base.phi, b, base.mu, reg)
                 res = prox_gradient_solve(spec)
-                assert reg.value_calls == 0  # g(0) = 0 is not evaluated
+                # g is evaluated only at a start the solve returns.
+                returned = res.iterations == 0
+                assert reg.value_calls == returned
                 assert_same_bits(res, prox_gradient_solve(spec, x0=np.zeros(spec.n)))
-                assert reg.value_calls == 1
+                assert reg.value_calls == 2 * returned
+                iterated += not returned
             assert res.iterations == 0 and res.converged and res.objective == 0.0
+        assert iterated >= 3
 
     @pytest.mark.parametrize("kind", INSTANCES)
     def test_with_data_at_the_same_mu_shares_the_constants(self, kind):
@@ -195,6 +200,55 @@ class TestSolverConstants:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(spec, name)[0, 0] = 1.0
         assert spec.objective_const == float(spec.b @ spec.b) / (2.0 * spec.mu)
+
+
+class TestStartRule:
+    """The solve evaluates ``g`` at its start only when it returns the
+    start: the first iteration steps from the start with ``tk = 1``, where
+    the restart test cannot act on the start's objective."""
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_a_solve_that_iterates_never_evaluates_g(self, kind):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            plain = INSTANCES[kind](rng)
+            reg = CountingProx(plain.reg)
+            spec = ProblemSpec(plain.phi, plain.b, plain.mu, reg)
+            v = 0.1 * rng.standard_normal(spec.n)
+            for tilt in (None, v):
+                res = prox_gradient_solve(spec, v=tilt, x0=rng.standard_normal(spec.n))
+                assert res.iterations > 0 and res.converged
+            assert reg.value_calls == 0
+
+    @pytest.mark.parametrize("kind", INSTANCES)
+    def test_a_start_that_converges_evaluates_g_once(self, kind):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            plain = INSTANCES[kind](rng)
+            v = 0.1 * rng.standard_normal(plain.n)
+            x = prox_gradient_solve(plain, v=v).x
+            reg = CountingProx(plain.reg)
+            spec = ProblemSpec(plain.phi, plain.b, plain.mu, reg)
+            res = prox_gradient_solve(spec, v=v, x0=x)
+            assert res.iterations == 0 and res.converged and reg.value_calls == 1
+            assert res.x.tobytes() == x.tobytes()
+            # The start's objective as the smooth part plus g, in that order.
+            gx = spec.gram @ x
+            lin = spec.phi_tb + v
+            smooth = 0.5 * float(x @ gx) - float(lin @ x) + spec.objective_const
+            expected = smooth + plain.reg.value(x)
+            assert np.float64(res.objective).tobytes() == np.float64(expected).tobytes()
+
+    def test_a_start_whose_norm_alone_overflows_takes_one_iteration(self):
+        # phi ignores the second block, so the fit at the start is finite
+        # while the block's norm overflows: the first iteration's objective
+        # is not finite, which ends the solve there, unconverged.
+        phi = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        spec = ProblemSpec(phi, np.array([1.0, 0.0]), 1.0, GroupPartition(3, ((0,), (1, 2))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = prox_gradient_solve(spec, x0=np.array([5.0, 1e300, 1e300]))
+        assert res.iterations == 1 and res.newton_steps == 0
+        assert not np.isfinite(res.objective) and not res.converged
 
 
 class TestObjective:

@@ -402,19 +402,23 @@ class TestSecondQuotient:
 
 class TestEmpiricalLipschitz:
     def test_zero_radius_gives_zero_ratio(self):
-        rep = empirical_lipschitz(pairs_problem(), 0.0, 0.0, samples=3, seed=1)
+        spec = pairs_problem()
+        rep = empirical_lipschitz(spec, prox_gradient_solve(spec).x, 0.0, 0.0, samples=3, seed=1)
         assert rep.max_ratio == 0.0
         assert rep.non_converged == 0
 
     def test_reference_instance_stays_bounded(self):
         # the active pattern rotates for b2 > -1, so the local constant
         # sits a little above 1; well certified instances stay O(1)
-        rep = empirical_lipschitz(pairs_problem(), 0.2, 0.0, samples=12, seed=2)
+        spec = pairs_problem()
+        rep = empirical_lipschitz(spec, prox_gradient_solve(spec).x, 0.2, 0.0, samples=12, seed=2)
         assert rep.non_converged == 0
         assert 0.2 <= rep.max_ratio <= 2.0
 
     def test_multistart_spread_near_zero_when_unique(self):
-        rep = empirical_lipschitz(pairs_problem(), 0.1, 0.05, samples=4, seed=3, starts=3)
+        spec = pairs_problem()
+        x = prox_gradient_solve(spec).x
+        rep = empirical_lipschitz(spec, x, 0.1, 0.05, samples=4, seed=3, starts=3)
         assert rep.multivaluedness_spread <= 1e-6
 
 
@@ -498,7 +502,7 @@ class TestSolutionDerivative:
             x = prox_gradient_solve(spec).x
             assert _solution_derivative(spec, x) is None
             seen.clear()
-            rep = empirical_lipschitz(spec, 0.1, 0.05, samples=4, seed=seed, starts=2)
+            rep = empirical_lipschitz(spec, x, 0.1, 0.05, samples=4, seed=seed, starts=2)
             assert len(seen) == 4
             assert all(np.array_equal(start, x) for _, start in seen)
             assert np.isfinite(rep.max_ratio) and rep.non_converged == 0
@@ -516,7 +520,7 @@ class TestSolutionDerivative:
             if not x.any() or not strictly_certified(plain, x):
                 continue
             seen.clear()
-            empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
+            empirical_lipschitz(spec, x, 0.1, 0.05, samples=5, seed=seed)
             for sample, start in seen:
                 calls = []
                 for x0 in (start, np.zeros(spec.n)):
@@ -540,7 +544,7 @@ class TestSolutionDerivative:
         spec = make(np.random.default_rng(seed))
         x = prox_gradient_solve(spec).x
         d = _solution_derivative(spec, x)
-        empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed)
+        empirical_lipschitz(spec, x, 0.1, 0.05, samples=5, seed=seed)
         assert len(seen) == 5
         above = 0
         for sample, start in seen:
@@ -608,8 +612,8 @@ class TestSingleStartProbes:
         x = prox_gradient_solve(spec).x
         for rep, (ratio, spread, non_converged) in (
             (
-                empirical_lipschitz(spec, 0.1, 0.05, samples=5, seed=seed),
-                empirical_lipschitz_single_start(spec, 0.1, 0.05, 5, seed),
+                empirical_lipschitz(spec, x, 0.1, 0.05, samples=5, seed=seed),
+                empirical_lipschitz_single_start(spec, x, 0.1, 0.05, 5, seed),
             ),
             (
                 tilt_probe(spec, x, radius_v=1e-3, samples=5, seed=seed),
@@ -696,7 +700,8 @@ class TestPairFolds:
 
         monkeypatch.setattr(np.linalg, "norm", spy("norm", np.linalg.norm))
         monkeypatch.setattr(stability, "_largest_ratio", spy("row", stability._largest_ratio))
-        rep = empirical_lipschitz(pairs_problem(), 0.1, 0.05, samples=60, seed=0)
+        spec = pairs_problem()
+        rep = empirical_lipschitz(spec, prox_gradient_solve(spec).x, 0.1, 0.05, samples=60, seed=0)
         assert rep.non_converged == 0 and np.isfinite(rep.max_ratio)
         assert calls["norm"] <= 4 * 61 and calls["row"] == 60
 
@@ -709,10 +714,10 @@ class TestPairFolds:
         real = stability._ball_samples
         monkeypatch.setattr(stability, "_ball_samples", lambda *a: calls.append(a[2]) or real(*a))
         spec = pairs_problem()
+        x = prox_gradient_solve(spec).x
         if probe == "perturb":
-            rep = empirical_lipschitz(spec, 0.1, 0.05, samples=60, seed=0, starts=starts)
+            rep = empirical_lipschitz(spec, x, 0.1, 0.05, samples=60, seed=0, starts=starts)
         else:
-            x = prox_gradient_solve(spec).x
             rep = tilt_probe(spec, x, samples=60, seed=0, starts=starts)
         assert rep.non_converged == 0
         assert calls == [60] + [starts - 1] * 60 * (starts > 1)
@@ -735,7 +740,7 @@ class TestPairFolds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tilt = tilt_probe(spec, x, radius_v=1e200, samples=3)
-            perturb = empirical_lipschitz(spec, 1e200, 0.0, samples=3)
+            perturb = empirical_lipschitz(spec, x, 1e200, 0.0, samples=3)
         assert np.isnan(tilt.max_ratio) and np.isnan(perturb.max_ratio)
         assert len(opened) == 2
 
