@@ -5,17 +5,16 @@ class StabcertError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NotASubgradientError(StabcertError):
-    """A claimed (point, subgradient) pair violates the subdifferential relation
-    by ``residual``, the subgradient residual that the check measured."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NotASolutionError(StabcertError):
-    """A claimed minimizer fails the optimality residual check."""
+    """A claimed (point, subgradient) pair is off the subdifferential graph:
+    its optimality residual, kept as ``residual`` (NaN for a pair with a
+    non-finite entry), exceeds ``tol``.  The regularizers' ``classify`` raise
+    it, so :func:`~stabcert.stability.certify`, ``snap_to_graph`` and
+    ``qg_audit`` all refuse such a pair with this one message."""
+
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"optimality residual {residual:.3e} exceeds tolerance {tol:.3e}")
+        self.residual = residual
 
 
 class InfeasibleApproximationError(StabcertError):

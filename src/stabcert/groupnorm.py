@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
+from .errors import InfeasibleApproximationError, NotASolutionError, ProblemFormatError
 from .linalg import UNIT_TOL
 
 
@@ -264,7 +264,7 @@ def subgrad_residual(x: np.ndarray, y: np.ndarray, partition: GroupPartition) ->
 
 def _residual(x, y, nx, ny, partition: GroupPartition) -> float:
     """:func:`subgrad_residual` given the block norms ``nx`` and ``ny``."""
-    support = nx > 0.0
+    support = ~(nx <= 0.0)  # a NaN block norm stays on the support, and fails
     diff = y - x / np.where(support, nx, 1.0)[partition.seg]
     on = partition.block_sums(diff * diff)
     off = np.maximum(ny - 1.0, 0.0)
@@ -276,18 +276,18 @@ def classify_groups(
 ) -> GroupAnalysis:
     """Classify the blocks of a subgradient pair and build the critical subspace.
 
-    Raises :class:`NotASubgradientError`, with the residual it measured,
-    when ``y`` is not a subgradient of the group norm at ``x`` within ``tol``.
+    Raises :class:`NotASolutionError`, with the residual it measured, when
+    ``y`` is not a subgradient of the group norm at ``x`` within ``tol``.  A
+    pair whose norms overflow fails at an infinite or NaN residual, silently.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_norms = block_norms(x, partition)
-    y_norms = block_norms(y, partition)
-    res = _residual(x, y, x_norms, y_norms, partition)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_norms = block_norms(x, partition)
+        y_norms = block_norms(y, partition)
+        res = _residual(x, y, x_norms, y_norms, partition)
     if not res <= tol:  # a NaN residual fails too
-        raise NotASubgradientError(
-            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
-        )
+        raise NotASolutionError(res, tol)
     # A zero dual block has no direction to pin, even at a tolerance of 1 or more.
     K = tuple(j for j, nj in enumerate(y_norms) if nj >= 1.0 - tol and nj > 0.0)
     boundary = set(K)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
+from .errors import InfeasibleApproximationError, NotASolutionError, ProblemFormatError
 from .linalg import RANK_TOL, UNIT_TOL, psd_project
 
 
@@ -327,7 +327,8 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     decomposition).  So the full SVD ``x + y = U diag(s) V^T`` carries the
     check: ``residual = ||x - U_k diag(max(s - 1, 0)) V_k^T||_F``, 0 exactly
     on the graph.  A residual above ``tol``, or NaN, raises
-    :class:`NotASubgradientError` with it.  The unit count ``p`` counts the
+    :class:`NotASolutionError` with it; an overflowing residual is infinite
+    or NaN, without a warning.  The unit count ``p`` counts the
     positive ``s >= 1 - tol`` (a zero singular value is never a unit one,
     also at ``tol >= 1``) and ``lambda_y`` is ``s[p:k]``.  On the graph ``x`` is
     ``U_p diag(sigma_x) V_p^T``, so ``sigma_x`` is read off the diagonal of
@@ -341,15 +342,14 @@ def simultaneous_svd(x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL) -> Sim
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NotASubgradientError("pair has a non-finite entry", math.nan)
+        raise NotASolutionError(math.nan, tol)
     ubar, s, vt = np.linalg.svd(x + y)
     vbar = vt.T
     k = s.size
-    residual = float(np.linalg.norm(x - (ubar[:, :k] * np.maximum(s - 1.0, 0.0)) @ vt[:k]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(x - (ubar[:, :k] * np.maximum(s - 1.0, 0.0)) @ vt[:k]))
     if not residual <= tol:
-        raise NotASubgradientError(
-            f"subgradient residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
-        )
+        raise NotASolutionError(residual, tol)
     p = int(np.count_nonzero((s >= 1.0 - tol) & (s > 0.0)))
     diag = np.einsum("ij,ij->j", ubar[:, :p], x @ vbar[:, :p])
     r = int(np.count_nonzero(diag > RANK_TOL * diag[0])) if p and diag[0] > 0 else 0

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotASolutionError, NotASubgradientError
 from .groupnorm import GroupAnalysis
 from .linalg import UNIT_TOL, restricted_min_singular
 from .nuclear import SimultaneousSVD
@@ -116,13 +115,13 @@ def certify(
 ) -> StabilityCertificate:
     """Certificate at solution ``x`` (a vector; nuclear problems also take the matrix).
 
-    Raises :class:`NotASolutionError` when the optimality residual at ``x``
-    exceeds ``tol``; the residual it reports is the one the failed
-    classification measured.
+    The pair ``(x, dual_from_solution(problem, x))`` is classified by
+    ``reg.classify``, which raises :class:`NotASolutionError` when its
+    optimality residual exceeds ``tol``.
     """
     reg = problem.reg
     x = np.asarray(x, dtype=float).reshape(-1)
-    classification = _classify(reg, x, dual_from_solution(problem, x), tol)
+    classification = reg.classify(x, dual_from_solution(problem, x), tol)
     mt = margin_tolerance(problem) if margin_tol is None else float(margin_tol)
     basis = classification.v_basis
     margin, direction = restricted_min_singular(problem.phi, basis)
@@ -141,18 +140,6 @@ def certify(
     )
 
 
-def _classify(reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float):
-    """``reg.classify(x, y, tol)``, the graph-pair gate of :func:`certify` and
-    :func:`snap_to_graph`: a pair off the graph by more than ``tol`` (or by
-    NaN) raises :class:`NotASolutionError` with the residual it measured."""
-    try:
-        return reg.classify(x, y, tol)
-    except NotASubgradientError as exc:
-        raise NotASolutionError(
-            f"optimality residual {exc.residual:.3e} exceeds tolerance {tol:.3e}"
-        ) from None
-
-
 def snap_to_graph(
     reg: Regularizer, x: np.ndarray, y: np.ndarray, tol: float = UNIT_TOL
 ) -> tuple[np.ndarray, np.ndarray, GroupAnalysis | SimultaneousSVD]:
@@ -160,13 +147,13 @@ def snap_to_graph(
 
     Solver output satisfies optimality only to its residual; audits need a
     pair that lies on the graph to working precision.  The pair is
-    classified at ``tol`` through the gate of :func:`certify`, which raises
-    the same :class:`NotASolutionError`, and rebuilt from that
+    classified at ``tol`` by ``reg.classify``, the gate of :func:`certify`,
+    which raises the same :class:`NotASolutionError`, and rebuilt from that
     classification by its ``graph_pair``.  Returns ``(x, y,
     classification)``: the snapped vectors and the classification of the
     snapped pair; pass it to :func:`qg_audit` as ``ref``.
     """
-    return _classify(reg, x, y, tol).graph_pair()
+    return reg.classify(x, y, tol).graph_pair()
 
 
 def _ball_samples(rng: np.random.Generator, n: int, count: int, radius: float) -> np.ndarray:
@@ -206,8 +193,11 @@ def qg_audit(
     counterexample candidate, not a failure.  ``ref`` is the
     classification of ``(xbar, ybar)`` when the caller has it
     (:func:`snap_to_graph` returns it); otherwise the pair is classified
-    here, at ``UNIT_TOL``.  The distances read their unit blocks or unit
-    singular values from ``ref``, the decision :func:`certify` reads.
+    here, at ``UNIT_TOL``, and a pair off the graph raises the
+    :class:`NotASolutionError` of :func:`certify`.  The distances read their
+    unit blocks or unit singular values from ``ref``, the decision
+    :func:`certify` reads.  The batch runs with numpy warnings silenced, as
+    the probes do: an overflowing sample shows in its slack.
     """
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -215,24 +205,25 @@ def qg_audit(
     if ref is None:
         ref = reg.classify(xbar, ybar)
     conjecture = reg.growth_conjecture if include_conjecture else None
-    draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
-    scales = reg.growth_scale(draws)
-    kept = ~(scales <= AUDIT_NORM_FLOOR)  # a NaN scale stays in, and fails
-    rows = draws[kept]
-    used = rows.shape[0]
     conj_min = math.inf
-    if used == 0:
-        mins = dict.fromkeys(reg.growth_names, 0.0)
-        min_slack = 0.0
-    else:
-        slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, ref)
-        table = np.column_stack([slacks[name] for name in reg.growth_names])
-        col_min = np.where(np.isfinite(table).all(axis=0), table.min(axis=0), np.nan)
-        mins = {name: float(v) for name, v in zip(reg.growth_names, col_min)}
-        min_slack = float(col_min.min())  # NaN when any constant is
-        if conjecture:
-            conj = slacks[conjecture]
-            conj_min = float(np.where(conj < np.inf, conj, np.inf).min())
+    with np.errstate(all="ignore"):
+        draws = xbar[None, :] + _ball_samples(rng, reg.n, samples, radius)
+        scales = reg.growth_scale(draws)
+        kept = ~(scales <= AUDIT_NORM_FLOOR)  # a NaN scale stays in, and fails
+        rows = draws[kept]
+        used = rows.shape[0]
+        if used == 0:
+            mins = dict.fromkeys(reg.growth_names, 0.0)
+            min_slack = 0.0
+        else:
+            slacks = reg.growth_slacks(rows, scales[kept], xbar, ybar, ref)
+            table = np.column_stack([slacks[name] for name in reg.growth_names])
+            col_min = np.where(np.isfinite(table).all(axis=0), table.min(axis=0), np.nan)
+            mins = {name: float(v) for name, v in zip(reg.growth_names, col_min)}
+            min_slack = float(col_min.min())  # NaN when any constant is
+            if conjecture:
+                conj = slacks[conjecture]
+                conj_min = float(np.where(conj < np.inf, conj, np.inf).min())
     return QGAuditReport(
         kind=reg.kind,
         samples=samples,

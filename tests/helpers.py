@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stabcert.errors import NotASubgradientError
+from stabcert.errors import NotASolutionError
 from stabcert.groupnorm import (
     GroupAnalysis,
     GroupPartition,
@@ -266,9 +266,7 @@ def classify_groups_twice(x, y, partition, tol=1e-7):
     every block."""
     res = subgrad_residual(x, y, partition)
     if not res <= tol:
-        raise NotASubgradientError(
-            f"subgradient residual {res:.3e} exceeds tolerance {tol:.3e}", res
-        )
+        raise NotASolutionError(res, tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y_norms = block_norms(y, partition)

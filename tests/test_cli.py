@@ -892,6 +892,50 @@ def test_certify_and_audit_refuse_an_off_graph_pair_alike(tmp_path, capsys, prob
     assert audited["solve"] == certified["solve"]
 
 
+@pytest.mark.parametrize("problem", [EXAMPLE_DOC, SMOKE_NUCLEAR_DOC], ids=["group", "nuclear"])
+def test_an_overflowing_pair_is_refused_without_a_warning(tmp_path, capsys, problem):
+    # At mu = 1e-300 the solution's norms overflow: the gate refuses its pair
+    # at an infinite residual, and no numpy warning escapes it.
+    path = write_doc(tmp_path, dict(problem, mu=1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certified = run_capture(capsys, ["certify", path])
+        audited = run_capture(capsys, ["qg-audit", path, "--samples", "20"])
+    message = "optimality residual inf exceeds tolerance 1.000e-07"
+    for exit_code, report in (certified, audited):
+        assert exit_code == 1
+        assert report["error"] == {"code": "NotASolutionError", "message": message}
+
+
+# A 2x2 nuclear problem with x = diag(1, 0) and dual diag(1, 0.5).
+AUDIT_NUCLEAR_DOC = {
+    "schema_version": "1",
+    "phi": [[float(i == j) for j in range(4)] for i in range(4)],
+    "b": [2.0, 0.0, 0.0, 0.5],
+    "mu": 1.0,
+    "reg": {"kind": "nuclear", "shape": [2, 2]},
+}
+
+
+@pytest.mark.parametrize(
+    "problem,extra",
+    [(EXAMPLE_DOC, []), (AUDIT_NUCLEAR_DOC, ["--conjecture"])],
+    ids=["group", "nuclear"],
+)
+def test_an_overflowing_audit_fails_without_a_warning(tmp_path, capsys, problem, extra):
+    # Norms of samples at this radius overflow: every slack is non-finite,
+    # which fails the audit, and the batch warns nothing, as the probes do.
+    path = write_doc(tmp_path, problem)
+    argv = ["qg-audit", path, "--radius", "1e200", "--samples", "20"] + extra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exit_code, report = run_capture(capsys, argv)
+    assert exit_code == 0 and report["error"] is None
+    audit = report["audit"]
+    assert audit["used"] == 20 and audit["min_slack"] is None and audit["passed"] is False
+    assert audit.get("conjecture_min_slack") is None
+
+
 @pytest.mark.parametrize("tol", ["1", "1.5"])
 def test_a_tolerance_of_one_or_more_leaves_zero_dual_blocks_interior(tmp_path, capsys, tol):
     # The dual is (1, 0, 0): its zero blocks have no direction to give the

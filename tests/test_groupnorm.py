@@ -13,7 +13,7 @@ from helpers import (
     random_partition,
     zero_ref,
 )
-from stabcert.errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
+from stabcert.errors import InfeasibleApproximationError, NotASolutionError, ProblemFormatError
 from stabcert.groupnorm import (
     GroupPartition,
     block_norms,
@@ -164,8 +164,8 @@ class TestClassify:
         y = y + noise * rng.standard_normal(part.n)
         try:
             expected = classify_groups_twice(x, y, part)
-        except NotASubgradientError as exc:
-            with pytest.raises(NotASubgradientError, match=re.escape(str(exc))) as got:
+        except NotASolutionError as exc:
+            with pytest.raises(NotASolutionError, match=re.escape(str(exc))) as got:
                 classify_groups(x, y, part)
             assert got.value.residual == exc.residual
             return
@@ -177,7 +177,7 @@ class TestClassify:
         assert got.partition is part
 
     def test_rejects_off_graph_pairs(self):
-        with pytest.raises(NotASubgradientError):
+        with pytest.raises(NotASolutionError):
             classify_groups(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]), PAIRS)
 
     def test_basis_dimension_matches_boundary_count(self):
@@ -306,7 +306,7 @@ class TestRelativeApprox:
     def test_off_graph_input_rejected(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.5, 0.0, 1.0])
-        with pytest.raises(NotASubgradientError):
+        with pytest.raises(NotASolutionError):
             relative_approx_group(x, y, PAIRS, (0,))
 
     def test_zero_dual_block_is_infeasible(self):

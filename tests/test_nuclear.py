@@ -9,7 +9,7 @@ from helpers import (
     random_orthogonal,
     tangent_subspace_basis_loop,
 )
-from stabcert.errors import InfeasibleApproximationError, NotASubgradientError, ProblemFormatError
+from stabcert.errors import InfeasibleApproximationError, NotASolutionError, ProblemFormatError
 from stabcert.nuclear import (
     NuclearShape,
     inverse_subdiff_distance,
@@ -157,7 +157,7 @@ class TestSimultaneousSvd:
             assert np.allclose(dec.vbar.T @ dec.vbar, np.eye(n2), atol=1e-10)
 
     def test_off_graph_pair_rejected(self):
-        with pytest.raises(NotASubgradientError):
+        with pytest.raises(NotASolutionError):
             simultaneous_svd(np.diag([2.0, 1.0]), np.diag([1.0, 0.5]))
 
     def test_misaligned_pair_fails_reconstruction(self):
@@ -167,7 +167,7 @@ class TestSimultaneousSvd:
         rot = np.array([[c, -s], [s, c]])
         x = np.diag([2.0, 0.0])
         y = rot @ np.diag([1.0, 0.5])
-        with pytest.raises(NotASubgradientError) as info:
+        with pytest.raises(NotASolutionError) as info:
             simultaneous_svd(x, y, tol=1e-3)
         assert info.value.residual == pytest.approx(6.69e-3, abs=5e-6)
         dec = simultaneous_svd(x, y, tol=0.05)
@@ -190,7 +190,7 @@ class TestSimultaneousSvd:
             simultaneous_svd(x, y)
             assert calls == [(n1, n2)]
             calls.clear()
-            with pytest.raises(NotASubgradientError):
+            with pytest.raises(NotASolutionError):
                 simultaneous_svd(x, np.full((n1, n2), 3.0))  # spectral norm above 1
             assert calls == [(n1, n2)]
 
@@ -414,5 +414,5 @@ class TestRelativeApprox:
             relative_approx_nuclear(np.zeros((2, 2)), np.zeros((2, 2)), 3)
 
     def test_off_graph_rejected(self):
-        with pytest.raises(NotASubgradientError):
+        with pytest.raises(NotASolutionError):
             relative_approx_nuclear(np.diag([2.0, 0.0]), np.diag([0.0, 1.0]), 1)

@@ -26,16 +26,17 @@ from helpers import (
     tilt_ratio_loop,
 )
 from stabcert import stability
-from stabcert.errors import NotASolutionError, NotASubgradientError
+from stabcert.errors import NotASolutionError
 from stabcert.groupnorm import (
     GroupAnalysis,
     GroupPartition,
     group_norm,
     inverse_subdiff_distance,
+    relative_approx_group,
     subgrad_residual,
 )
 from stabcert.linalg import UNIT_TOL, restricted_min_singular
-from stabcert.nuclear import NuclearShape
+from stabcert.nuclear import NuclearShape, relative_approx_nuclear
 from stabcert.solver import (
     ProblemSpec,
     dual_from_solution,
@@ -277,6 +278,39 @@ class TestSnapToGraph:
             assert with_ref.min_slack == pytest.approx(without.min_slack, rel=1e-9, abs=1e-12)
 
 
+OFF_GRAPH_PAIRS = {
+    # (regularizer, x, y, residual): x = (1, 0 | 0) has the unit dual block
+    # (1, 0), not 0; diag(3, 1.5) has the prox diag(2, 0.5), not diag(2, 1).
+    "group": (PAIRS, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], "1.000e+00"),
+    "nuclear": (NuclearShape(2, 2), [2.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.5], "5.000e-01"),
+    "group-nan": (PAIRS, [1.0, np.nan, 0.0], [1.0, 0.0, 0.0], "nan"),
+    "nuclear-nan": (NuclearShape(2, 2), [2.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0], "nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_GRAPH_PAIRS))
+def test_every_gate_refuses_an_off_graph_pair_with_one_error(case):
+    # classify raises the error certify prints; the snap, an audit that
+    # classifies its own pair and the relative approximations pass it on.
+    reg, x, y, residual = OFF_GRAPH_PAIRS[case]
+    x, y = np.array(x), np.array(y)
+    gates = [
+        lambda: reg.classify(x, y, UNIT_TOL),
+        lambda: snap_to_graph(reg, x, y),
+        lambda: qg_audit(reg, x, y, samples=5),
+    ]
+    if reg.kind == "group":
+        gates.append(lambda: relative_approx_group(x, y, reg, ()))
+    else:
+        gates.append(lambda: relative_approx_nuclear(reg.as_matrix(x), reg.as_matrix(y), 0))
+    message = f"optimality residual {residual} exceeds tolerance 1.000e-07"
+    for gate in gates:
+        with pytest.raises(NotASolutionError) as got:
+            gate()
+        assert type(got.value) is NotASolutionError and str(got.value) == message
+        assert f"{got.value.residual:.3e}" == residual
+
+
 class TestQgAudit:
     def test_slack_value_at_known_point(self):
         # scalar absolute value at (1, 1), candidate x = -0.5:
@@ -371,7 +405,8 @@ class TestQgAudit:
     def test_overflowing_samples_fail(self):
         # at this radius the gap overflows to inf on some samples
         part = GroupPartition.singletons(1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = qg_audit(part, np.array([1.0]), np.array([1.0]), samples=50, radius=1e308)
         assert rep.used == 50
         assert not rep.passed
@@ -799,7 +834,7 @@ class TestCertifyFactorizations:
             try:
                 spec.reg.classify(x, dual_from_solution(spec, x), 1e-14)
                 continue
-            except NotASubgradientError as exc:
+            except NotASolutionError as exc:
                 residual = exc.residual
             before = len(calls)
             with pytest.raises(NotASolutionError, match=re.escape(f"residual {residual:.3e} ")):
